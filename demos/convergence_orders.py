@@ -30,7 +30,7 @@ def show(result) -> None:
 
 print("spatial refinement, delta = 2e-4 frozen:")
 spatial = convergence_study(
-    problem, degrees=[1, 2, 3], mesh_sizes=[4, 8, 16, 32], deltas=[2e-4], n_jobs=4
+    problem, degrees=[1, 2, 3], mesh_sizes=[4, 8, 16, 32], deltas=[2e-4]
 )
 show(spatial)
 
@@ -39,7 +39,7 @@ show(spatial)
 print("\ntime-step refinement, 32 cubic elements frozen:")
 temporal = convergence_study(
     example1(), degrees=[3], mesh_sizes=[32],
-    deltas=[1 / 20, 1 / 40, 1 / 80, 1 / 160], n_jobs=4,
+    deltas=[1 / 20, 1 / 40, 1 / 80, 1 / 160],
 )
 show(temporal)
 

@@ -10,7 +10,6 @@ coefficients frozen at extrapolated values so every step is linear.
 
 from .analysis import (
     ErrorRecord,
-    ErrorReport,
     ErrorTracker,
     RateFit,
     StudyResult,
@@ -19,9 +18,7 @@ from .analysis import (
     fit_slope,
     l2_error_vs_function,
     measure,
-    write_errors_csv,
-    write_rates_csv,
-    write_study_csv,
+    write_rows,
 )
 from .assembly import BandedMatrix, OperatorSet, assemble_load, assemble_static, nonlocal_value
 from .discretization import (
@@ -54,7 +51,6 @@ __all__ = [
     "BoundaryMotion",
     "CheckResult",
     "ErrorRecord",
-    "ErrorReport",
     "ErrorTracker",
     "FESpace",
     "OperatorSet",
@@ -89,7 +85,5 @@ __all__ = [
     "run",
     "space_from_breakpoints",
     "validate",
-    "write_errors_csv",
-    "write_rates_csv",
-    "write_study_csv",
+    "write_rows",
 ]

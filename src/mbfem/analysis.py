@@ -10,20 +10,18 @@ in log-log coordinates.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import FESpace, build_space, gauss_legendre
-from .geometry import BoundaryMotion
 from .stepper import SchemeState, run
 
 __all__ = [
     "ErrorRecord",
-    "ErrorReport",
     "ErrorTracker",
     "RateFit",
     "StudyRow",
@@ -33,9 +31,7 @@ __all__ = [
     "fit_slope",
     "convergence_study",
     "format_float",
-    "write_study_csv",
-    "write_rates_csv",
-    "write_errors_csv",
+    "write_rows",
 ]
 
 
@@ -46,23 +42,6 @@ class ErrorRecord:
     time: float
     l2_moving: tuple[float, ...]
     max_nodal: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    times: list
-    l2_moving: list          # one tuple per time
-    max_nodal: list
-    runtime: float
-
-    @classmethod
-    def from_records(cls, records, runtime: float = float("nan")) -> "ErrorReport":
-        return cls(
-            times=[r.time for r in records],
-            l2_moving=[r.l2_moving for r in records],
-            max_nodal=[r.max_nodal for r in records],
-            runtime=runtime,
-        )
 
 
 @dataclass(frozen=True)
@@ -102,15 +81,15 @@ class StudyResult:
     fits: list
 
 
-def l2_error_vs_function(space: FESpace, coeffs, fn, extra: int = 2) -> float:
+def l2_error_vs_function(space: FESpace, coeffs, fn) -> float:
     """Fixed-domain L2 norm of (expansion - fn) by elevated quadrature.
 
-    The rule uses `extra` more points than assembly, and fn is evaluated
+    The rule uses two more points than assembly, and fn is evaluated
     directly rather than interpolated first, so the measurement does not
     share an error term of the measured order.  fn must accept arrays.
     """
-    rule = gauss_legendre(space.quad.n + extra)
-    table, _ = space.eval_basis(0, rule.points)  # reference nodes are shared
+    rule = gauss_legendre(space.quad.n + 2)
+    table, _ = space.eval_basis(rule.points)
     c = np.asarray(coeffs, dtype=float)
     acc = 0.0
     for e in range(space.n_elements):
@@ -122,12 +101,11 @@ def l2_error_vs_function(space: FESpace, coeffs, fn, extra: int = 2) -> float:
     return math.sqrt(acc)
 
 
-def measure(state: SchemeState, problem, space: FESpace, motion: BoundaryMotion | None = None) -> ErrorRecord:
+def measure(state: SchemeState, problem, space: FESpace) -> ErrorRecord:
     """Errors of a state against the problem's exact solutions."""
     if problem.exact is None:
         raise ValueError("the problem supplies no exact solutions to measure against")
-    if motion is None:
-        motion = problem.motion
+    motion = problem.motion
     t = state.time
     root_gamma = math.sqrt(motion.gamma(t))
     x_dofs = motion.to_moving(space.dof_positions, t)
@@ -144,35 +122,39 @@ def measure(state: SchemeState, problem, space: FESpace, motion: BoundaryMotion 
     return ErrorRecord(time=t, l2_moving=tuple(l2), max_nodal=tuple(mx))
 
 
+def take_due(pending: list, time: float, tol: float) -> bool:
+    """Remove from `pending` every requested time within tol of `time`.
+
+    Returns whether any was removed, so each request is matched once.
+    Shared by the observers that act at requested times.
+    """
+    hit = [w for w in pending if abs(time - w) <= tol]
+    for w in hit:
+        pending.remove(w)
+    return bool(hit)
+
+
 class ErrorTracker:
     """Run observer that measures errors at selected times.
 
-    With times=None every level is measured (fine for short runs); else a
-    level is measured when it is within `tol` of a requested time, each
+    A level is measured when it is within `tol` of a requested time, each
     request matched once.
     """
 
-    def __init__(self, problem, space: FESpace, times=None, tol: float = 1e-9):
+    def __init__(self, problem, space: FESpace, times, tol: float = 1e-9):
         self.problem = problem
         self.space = space
-        self.pending = None if times is None else sorted(times)
+        self.pending = sorted(times)
         self.tol = tol
         self.records: list[ErrorRecord] = []
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
-        if self.pending is not None:
-            hit = [w for w in self.pending if abs(time - w) <= self.tol]
-            if not hit:
-                return
-            for w in hit:
-                self.pending.remove(w)
+        if not take_due(self.pending, time, self.tol):
+            return
         state = SchemeState(
             t_index=step_index, time=time, delta=0.0, current=tuple(vectors), previous=None
         )
         self.records.append(measure(state, self.problem, self.space))
-
-    def report(self, runtime: float = float("nan")) -> ErrorReport:
-        return ErrorReport.from_records(self.records, runtime)
 
 
 def fit_slope(points, axis: str = "", degree: int | None = None, equation: int | None = None) -> RateFit:
@@ -200,16 +182,14 @@ def fit_slope(points, axis: str = "", degree: int | None = None, equation: int |
     )
 
 
-def convergence_study(problem, degrees, mesh_sizes, deltas, q: int | None = None, n_jobs: int = 1) -> StudyResult:
+def convergence_study(problem, degrees, mesh_sizes, deltas, q: int | None = None) -> StudyResult:
     """Refine along one axis (mesh or time step) and fit observed orders.
 
     Exactly one of mesh_sizes/deltas may hold more than one value; the
     other parameter is held fixed and must be fine enough that its error
     stays subdominant (an unreliable-fit flag, r^2 < 0.99, marks plateau
     contamination).  Runs that fail are recorded with NaN errors and
-    excluded from the fits without aborting the study.  With n_jobs > 1
-    runs execute concurrently; aggregation order follows the parameter
-    tuples, not completion time.
+    excluded from the fits without aborting the study.
     """
     mesh_sizes = list(mesh_sizes)
     deltas = list(deltas)
@@ -217,32 +197,15 @@ def convergence_study(problem, degrees, mesh_sizes, deltas, q: int | None = None
     if len(mesh_sizes) > 1 and len(deltas) > 1:
         raise ValueError("vary either the mesh or the time step in one study, not both")
     axis = "delta" if len(deltas) > 1 else "h"
-    params = [(k, nt, d) for k in degrees for nt in mesh_sizes for d in deltas]
-
-    def one(p):
-        k, nt, d = p
+    rows = []
+    for k, nt, d in itertools.product(degrees, mesh_sizes, deltas):
         try:
             space = build_space(nt, k, q)
-            result = run(problem, space, d)
-            return measure(result.final, problem, space)
+            record = measure(run(problem, space, d).final, problem, space)
+            errs, mxs = record.l2_moving, record.max_nodal
         except Exception as exc:  # noqa: BLE001  (reported per run)
-            return exc
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(one, params))
-    else:
-        outcomes = [one(p) for p in params]
-
-    rows = []
-    for (k, nt, d), outcome in zip(params, outcomes):
-        if isinstance(outcome, Exception):
-            warnings.warn(f"run k={k} nt={nt} delta={d} failed: {outcome}", stacklevel=2)
-            errs = (float("nan"),) * problem.ne
-            mxs = errs
-        else:
-            errs = outcome.l2_moving
-            mxs = outcome.max_nodal
+            warnings.warn(f"run k={k} nt={nt} delta={d} failed: {exc}", stacklevel=2)
+            errs = mxs = (float("nan"),) * problem.ne
         for i in range(problem.ne):
             rows.append(
                 StudyRow(
@@ -280,46 +243,14 @@ def format_float(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_study_csv(path, rows) -> None:
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: the header, then one line per row.
+
+    Lines end in '\n' on every platform and float fields are written with
+    format_float, so identical rows give identical bytes.
+    """
     with open(path, "w", newline="") as fp:
         wr = csv.writer(fp, lineterminator="\n")
-        wr.writerow(["axis", "k", "h", "delta", "equation", "l2_error", "max_nodal_error"])
-        for r in rows:
-            wr.writerow(
-                [
-                    r.axis,
-                    r.k,
-                    format_float(r.h),
-                    format_float(r.delta),
-                    r.equation,
-                    format_float(r.l2_error),
-                    format_float(r.max_nodal_error),
-                ]
-            )
-
-
-def write_rates_csv(path, fits) -> None:
-    with open(path, "w", newline="") as fp:
-        wr = csv.writer(fp, lineterminator="\n")
-        wr.writerow(["axis", "k", "equation", "slope", "intercept", "r_squared", "reliable"])
-        for f in fits:
-            wr.writerow(
-                [
-                    f.axis,
-                    f.degree,
-                    f.equation,
-                    format_float(f.slope),
-                    format_float(f.intercept),
-                    format_float(f.r_squared),
-                    int(f.reliable),
-                ]
-            )
-
-
-def write_errors_csv(path, report: ErrorReport) -> None:
-    with open(path, "w", newline="") as fp:
-        wr = csv.writer(fp, lineterminator="\n")
-        wr.writerow(["time", "equation", "l2_error", "max_nodal_error"])
-        for t, l2s, mxs in zip(report.times, report.l2_moving, report.max_nodal):
-            for i, (l2, mx) in enumerate(zip(l2s, mxs)):
-                wr.writerow([format_float(t), i, format_float(l2), format_float(mx)])
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([format_float(v) if isinstance(v, float) else v for v in row])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .discretization import FESpace
+from .discretization import FESpace, sample
 from .geometry import BoundaryMotion
 
 __all__ = [
@@ -161,12 +161,7 @@ def assemble_load(space: FESpace, problem, i: int, t: float) -> np.ndarray:
     motion = problem.motion
     f = problem.forcing[i]
     x_q = motion.to_moving(space.element_quad_points, t)
-    try:
-        fv = np.asarray(f(x_q, t), dtype=float)
-        if fv.shape != x_q.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        fv = np.array([[float(f(x, t)) for x in row] for row in x_q])
+    fv = sample(f, x_q, t)
     if not np.all(np.isfinite(fv)):
         e_bad, q_bad = np.argwhere(~np.isfinite(fv))[0]
         raise ValueError(

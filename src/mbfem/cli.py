@@ -12,7 +12,6 @@ for identical configs.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -20,14 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (
-    ErrorTracker,
-    convergence_study,
-    format_float,
-    write_errors_csv,
-    write_rates_csv,
-    write_study_csv,
-)
+from .analysis import ErrorTracker, convergence_study, format_float, take_due, write_rows
 from .discretization import build_space, natural_cubic_spline
 from .geometry import BoundaryMotion, fixed_interval
 from .problems import ProblemSpec, example1, example2, validate
@@ -167,12 +159,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"nt must be >= 1, got {nt}")
     if any(d < 1 for d in k):
         raise ConfigError(f"k must be >= 1, got {k}")
-    if any(d <= 0.0 for d in delta):
-        raise ConfigError(f"delta must be positive, got {delta}")
-    q = _one(table, "q", int, default=-1)  # -1: leave the k+2 default to the space builder
-    if q == -1:
-        q = None
-    elif q < 1:
+    if not all(math.isfinite(d) and d > 0.0 for d in delta):
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
+    q = _one(table, "q", int) if "q" in table else None  # None: the space builder's k+2
+    if q is not None and q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
 
     snapshot_times = _many(table, "snapshot_time", float)
@@ -335,7 +325,11 @@ def _forcing_from_specs(specs, key: str):
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape)
         for fx, ft in terms:
-            total = total + fx(x) * ft(t)
+            try:
+                ftv = ft(t)
+            except OverflowError:  # math.exp and float ** raise where numpy gives inf
+                ftv = math.inf
+            total = total + fx(x) * ftv
         return total if total.shape else float(total)
 
     return f
@@ -375,8 +369,8 @@ def parse_problem(text: str) -> ProblemSpec:
     table = _collect(pairs, base | per_equation, "problem")
 
     t_final = _one(table, "T", float)
-    if t_final <= 0.0:
-        raise ConfigError(f"T must be positive, got {t_final}")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ConfigError(f"T must be positive and finite, got {t_final}")
     motion = _motion_from_table(table, t_final)
 
     diffusion = []
@@ -419,11 +413,8 @@ class SnapshotRecorder:
         self.rows = []
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
-        hit = [w for w in self.pending if abs(time - w) <= self.tol]
-        if not hit:
+        if not take_due(self.pending, time, self.tol):
             return
-        for w in hit:
-            self.pending.remove(w)
         y = self.space.dof_positions
         x = self.problem.motion.to_moving(y, time) if self.emit_moving else y
         for i in range(self.problem.ne):
@@ -432,11 +423,7 @@ class SnapshotRecorder:
 
 
 def _write_snapshots(path, rows) -> None:
-    with open(path, "w", newline="") as fp:
-        wr = csv.writer(fp, lineterminator="\n")
-        wr.writerow(["time", "equation", "y", "x", "value"])
-        for t, i, y, x, v in rows:
-            wr.writerow([format_float(t), i, format_float(y), format_float(x), format_float(v)])
+    write_rows(path, ["time", "equation", "y", "x", "value"], rows)
 
 
 def _load_config(args) -> RunConfig:
@@ -483,7 +470,15 @@ def cmd_solve(args) -> int:
     written = [snap_path]
     if tracker is not None:
         err_path = os.path.join(config.outdir, "errors.csv")
-        write_errors_csv(err_path, tracker.report(result.runtime))
+        write_rows(
+            err_path,
+            ["time", "equation", "l2_error", "max_nodal_error"],
+            [
+                (r.time, i, l2, mx)
+                for r in tracker.records
+                for i, (l2, mx) in enumerate(zip(r.l2_moving, r.max_nodal))
+            ],
+        )
         written.append(err_path)
 
     print(
@@ -504,14 +499,21 @@ def cmd_study(args) -> int:
         mesh_sizes=config.nt,
         deltas=config.delta,
         q=config.q,
-        n_jobs=args.jobs,
     )
 
     os.makedirs(config.outdir, exist_ok=True)
     study_path = os.path.join(config.outdir, "study.csv")
     rates_path = os.path.join(config.outdir, "rates.csv")
-    write_study_csv(study_path, result.rows)
-    write_rates_csv(rates_path, result.fits)
+    write_rows(
+        study_path,
+        ["axis", "k", "h", "delta", "equation", "l2_error", "max_nodal_error"],
+        [(r.axis, r.k, r.h, r.delta, r.equation, r.l2_error, r.max_nodal_error) for r in result.rows],
+    )
+    write_rows(
+        rates_path,
+        ["axis", "k", "equation", "slope", "intercept", "r_squared", "reliable"],
+        [(f.axis, f.degree, f.equation, f.slope, f.intercept, f.r_squared, int(f.reliable)) for f in result.fits],
+    )
 
     for fit in result.fits:
         flag = "" if fit.reliable else "  [unreliable fit]"
@@ -554,12 +556,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to a key=value run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides out= in the config)")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent runs in a study")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed for validate")
+        if name == "validate":
+            p.add_argument("--seed", type=int, default=0, help="sampling seed of the diffusion-bounds check")
         p.set_defaults(handler=handler)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return args.handler(args)
     except ConfigError as exc:

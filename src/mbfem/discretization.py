@@ -115,14 +115,14 @@ class FESpace:
         k = self.degree
         return slice(element * k, element * k + k + 1)
 
-    def eval_basis(self, element: int, local_point):
+    def eval_basis(self, local_point):
         """Shape values and reference derivatives at points in [-1, 1].
 
-        Returns (values, derivatives) with shape (npts, k + 1); values sum
-        to 1, derivatives (taken on the reference element) sum to 0.
+        Every element shares the reference nodes, so the result holds for
+        all of them.  Returns (values, derivatives) with shape
+        (npts, k + 1); values sum to 1, derivatives (taken on the
+        reference element) sum to 0.
         """
-        if not 0 <= element < self.n_elements:
-            raise IndexError(f"element {element} out of range")
         nodes = np.linspace(-1.0, 1.0, self.degree + 1)
         return lagrange_table(nodes, local_point)
 
@@ -175,15 +175,19 @@ def build_space(nt: int, k: int, q: int | None = None) -> FESpace:
     return space_from_breakpoints(np.linspace(0.0, 1.0, nt + 1), k, q)
 
 
-def _sample(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate fn at pts, vectorized when the callable supports it."""
+def sample(fn, pts: np.ndarray, *args) -> np.ndarray:
+    """fn(pts, *args) as a float array of pts' shape.
+
+    One vectorized call when the callable supports it, else one scalar
+    call per point in row-major order.
+    """
     try:
-        out = np.asarray(fn(pts), dtype=float)
+        out = np.asarray(fn(pts, *args), dtype=float)
         if out.shape == pts.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(p)) for p in pts])
+    return np.array([float(fn(p, *args)) for p in pts.ravel()]).reshape(pts.shape)
 
 
 def interpolate(space: FESpace, u) -> np.ndarray:
@@ -192,7 +196,7 @@ def interpolate(space: FESpace, u) -> np.ndarray:
     The endpoint coefficients are forced to zero, matching the
     homogeneous-Dirichlet trial space.
     """
-    vals = _sample(u, space.dof_positions)
+    vals = sample(u, space.dof_positions)
     if not np.all(np.isfinite(vals)):
         bad = space.dof_positions[~np.isfinite(vals)]
         raise ValueError(f"non-finite sample of the interpolated function at y={bad[0]}")
@@ -219,7 +223,7 @@ def evaluate_expansion(space: FESpace, coeffs, y) -> np.ndarray:
         mask = elems == e
         a, b = space.breakpoints[e], space.breakpoints[e + 1]
         xi = 2.0 * (y[mask] - a) / (b - a) - 1.0
-        vals, _ = space.eval_basis(e, xi)
+        vals, _ = space.eval_basis(xi)
         out[mask] = vals @ c[space.element_dofs(e)]
     return out
 

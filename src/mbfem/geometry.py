@@ -55,8 +55,8 @@ class BoundaryMotion:
         """Width beta(t) - alpha(t) of the interval; strictly positive."""
         self._check_time(t)
         g = self.beta(t) - self.alpha(t)
-        if g <= 0.0:
-            raise ValueError(f"nonpositive interval width gamma({t}) = {g}")
+        if not g > 0.0:  # also catches NaN
+            raise ValueError(f"interval width gamma({t}) = {g} is not positive")
         return g
 
     def gamma_prime(self, t: float) -> float:

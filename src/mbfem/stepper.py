@@ -101,11 +101,7 @@ def _solve_equation(ops, b2, c_half, a_i, dt, v_prev, load, step_label):
 
 
 def bootstrap_first_step(
-    state: SchemeState,
-    ops: OperatorSet,
-    problem,
-    motion: BoundaryMotion | None = None,
-    dt: float | None = None,
+    state: SchemeState, ops: OperatorSet, problem, dt: float | None = None
 ) -> SchemeState:
     """Predictor-corrector step producing V^(1) with second-order accuracy.
 
@@ -117,8 +113,7 @@ def bootstrap_first_step(
     """
     if state.t_index != 0:
         raise ValueError(f"bootstrap expects the initial state, got step {state.t_index}")
-    if motion is None:
-        motion = problem.motion
+    motion = problem.motion
     if dt is None:
         dt = state.delta
     t0 = state.time
@@ -161,7 +156,6 @@ def advance(
     state: SchemeState,
     ops: OperatorSet,
     problem,
-    motion: BoundaryMotion | None = None,
     dt: float | None = None,
     extrapolate: bool = True,
 ) -> SchemeState:
@@ -174,8 +168,7 @@ def advance(
     """
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
-    if motion is None:
-        motion = problem.motion
+    motion = problem.motion
     if dt is None:
         dt = state.delta
         t_new = (state.t_index + 1) * state.delta
@@ -230,8 +223,10 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     If T/delta is not an integer, one shortened final step lands exactly
     on T (see `advance`).
     """
-    if delta <= 0.0:
-        raise ValueError(f"time step must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"time step must be positive and finite, got {delta}")
+    if not math.isfinite(problem.T):
+        raise ValueError(f"final time must be finite, got {problem.T}")
     ratio = problem.T / delta
     if ratio > 1e9:
         raise ValueError(f"T/delta = {ratio:.3g} exceeds the step-count limit")

@@ -9,7 +9,8 @@ and adaptive-quadrature oracle, 6-7 cover interpolation order and
 assembly correctness, 8 the degenerate fixed-interval limit, and 9 the
 spline benchmark regression: byte-identical reruns, and agreement with a
 fixture written by another library build to 1e-12 of its largest value.
-Full suite runs in about a minute.
+The full suite takes about 90 s on a 2-core Xeon (Python 3.11), two
+thirds of it in criteria 1 and 2.
 """
 
 import csv
@@ -51,7 +52,7 @@ def report(n: int, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_spatial_order_degree_2():
     study = convergence_study(
-        example1(), degrees=[2], mesh_sizes=[4, 8, 16, 32], deltas=[1.0 / 5000.0], n_jobs=4
+        example1(), degrees=[2], mesh_sizes=[4, 8, 16, 32], deltas=[1.0 / 5000.0]
     )
     slopes = [f.slope for f in study.fits]
     ok = all(2.75 <= s <= 3.25 for s in slopes)
@@ -65,7 +66,7 @@ def test_criterion_1_spatial_order_degree_2():
 
 def test_criterion_2_spatial_order_degree_3():
     study = convergence_study(
-        example1(), degrees=[3], mesh_sizes=[4, 8, 16, 32], deltas=[1.0 / 5000.0], n_jobs=4
+        example1(), degrees=[3], mesh_sizes=[4, 8, 16, 32], deltas=[1.0 / 5000.0]
     )
     slopes = [f.slope for f in study.fits]
     ok = all(3.75 <= s <= 4.25 for s in slopes)
@@ -83,7 +84,6 @@ def test_criterion_3_temporal_order():
         degrees=[3],
         mesh_sizes=[32],
         deltas=[1.0 / 20.0, 1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0],
-        n_jobs=4,
     )
     slopes = [f.slope for f in study.fits]
     ok = all(1.75 <= s <= 2.25 for s in slopes)

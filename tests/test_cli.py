@@ -1,10 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mbfem
 from mbfem.cli import ConfigError, main, parse_config, parse_problem
 from mbfem.problems import _Q1_COEFFS, _ex1_motion, _quartic
 
@@ -39,6 +41,23 @@ def test_parse_config_zero_delta():
         parse_config("problem=example1 nt=4 k=2 delta=0")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_parse_config_rejects_non_finite_delta(value):
+    with pytest.raises(ConfigError, match="delta"):
+        parse_config(f"problem=example1 nt=4 k=2 delta={value}")
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_parse_config_rejects_q_below_one(value):
+    # -1 must not be mistaken for an unset q
+    with pytest.raises(ConfigError, match="q must be"):
+        parse_config(f"problem=example1 nt=4 k=2 delta=0.01 q={value}")
+
+
+def test_parse_config_explicit_q():
+    assert parse_config("problem=example1 nt=4 k=2 delta=0.01 q=5").q == 5
+
+
 def test_parse_config_unknown_key_has_line_number():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("problem=example1 nt=4\nwavelength=3 k=2 delta=0.01")
@@ -55,8 +74,9 @@ def test_parse_config_repeatable_and_comma_values():
 def test_parse_config_T_override():
     config = parse_config("problem=example1 nt=4 k=2 delta=0.01 T=1.5")
     assert config.problem.T == 1.5
-    with pytest.raises(ConfigError, match="time domain"):
-        parse_config("problem=example1 nt=4 k=2 delta=0.01 T=99")
+    for value in ("99", "inf", "nan"):
+        with pytest.raises(ConfigError, match="time domain"):
+            parse_config(f"problem=example1 nt=4 k=2 delta=0.01 T={value}")
 
 
 def test_parse_config_snapshot_outside_T():
@@ -114,6 +134,13 @@ def test_parse_problem_forcing_terms_sum():
     assert np.allclose(p.forcing[0](x, 1.0), expected, rtol=1e-14)
     assert p.diffusion_bounds[0] == (1.0, 2.0)
     assert p.diffusion[0](0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_parse_problem_rejects_non_finite_T(value):
+    text = f"ne=1 T={value}\nmotion=fixed\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match="T must be"):
+        parse_problem(text)
 
 
 def test_parse_problem_rejects_nonpositive_diffusion():
@@ -220,6 +247,28 @@ def test_solve_user_problem_file(tmp_path):
     assert not (out / "errors.csv").exists()  # no exact solutions
 
 
+def test_solve_rejects_infinite_delta(tmp_path, capsys):
+    # must not run "0 steps" and write the t=0 data as the T snapshot
+    config = write(tmp_path, "run.cfg", "problem=example2 nt=4 k=2 delta=inf\n")
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "delta" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("factor", ["texp:800", "tpow:1e5"])
+def test_solve_reports_forcing_overflow(tmp_path, capsys, factor):
+    write(
+        tmp_path,
+        "hot.prob",
+        f"ne=1 T=1\nmotion=fixed\ndiffusion1=const:1\ninitial1=poly:0,1,-1\nforcing1=gaussx;{factor}\n",
+    )
+    config = write(tmp_path, "run.cfg", "problem=hot.prob nt=4 k=1 delta=0.01\n")
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed: forcing 0 returned a non-finite value")
+    assert "t=" in err
+
+
 def test_solve_reports_config_error(tmp_path, capsys):
     config = write(tmp_path, "run.cfg", "problem=example1 nt=4 nt=8 k=2 delta=0.01\n")
     assert main(["solve", "--config", config]) == 2
@@ -236,7 +285,7 @@ def test_study_spatial(tmp_path, capsys):
         "problem=example1 k=2 delta=0.01 T=0.5\nnt=4,8,16\n",
     )
     out = tmp_path / "o"
-    assert main(["study", "--config", config, "--out", str(out), "--jobs", "3"]) == 0
+    assert main(["study", "--config", config, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "slope=" in printed
 
@@ -256,7 +305,7 @@ def test_study_temporal(tmp_path):
         "problem=example1 k=3 nt=32\ndelta=0.05,0.025,0.0125\n",
     )
     out = tmp_path / "o"
-    assert main(["study", "--config", config, "--out", str(out), "--jobs", "3"]) == 0
+    assert main(["study", "--config", config, "--out", str(out)]) == 0
     rates = read_csv(out / "rates.csv")
     assert all(r[0] == "delta" for r in rates[1:])
     slopes = [float(r[3]) for r in rates[1:]]
@@ -280,6 +329,22 @@ def test_validate_example1(tmp_path, capsys):
     assert "overall: PASS" in out
 
 
+def test_validate_rejects_a_nan_width(tmp_path, capsys):
+    # alpha = 0/0: every sampled width is NaN, which must not pass H1
+    write(
+        tmp_path,
+        "nan.prob",
+        "ne=1 T=1 motion=rational\nalpha_num=0 alpha_den=0 beta_num=1\n"
+        "diffusion1=const:1\ninitial1=poly:0,1,-1\n",
+    )
+    config = write(tmp_path, "v.cfg", "problem=nan.prob nt=4 k=1 delta=0.01\n")
+    with np.errstate(invalid="ignore"):
+        assert main(["validate", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert "= nan is not positive" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_validate_fixed_domain_fails_strict_then_warns_relaxed(tmp_path, capsys):
     write(
         tmp_path,
@@ -299,12 +364,30 @@ def test_validate_fixed_domain_fails_strict_then_warns_relaxed(tmp_path, capsys)
 # --- console entry -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_seed_is_rejected_where_it_is_not_read(tmp_path, command):
+    config = write(tmp_path, "run.cfg", "problem=example1 nt=4 k=2 delta=0.01\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, "--seed", "2"])
+    assert exc.value.code == 2
+
+
+def test_validate_takes_a_seed(tmp_path, capsys):
+    config = write(tmp_path, "run.cfg", "problem=example1 nt=4 k=2 delta=0.01\n")
+    assert main(["validate", "--config", config, "--seed", "3"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_module_entry_point(tmp_path):
     config = write(tmp_path, "run.cfg", "problem=example2 nt=4 k=2 delta=0.05\n")
+    # the child imports the same mbfem as this process, installed or not
+    src = os.path.dirname(os.path.dirname(mbfem.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "mbfem.cli", "solve", "--config", config, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "snapshots.csv").exists()

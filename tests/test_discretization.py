@@ -55,13 +55,13 @@ def test_space_rejects_bad_arguments():
 def test_basis_cardinality():
     space = build_space(3, 3)
     nodes = np.linspace(-1.0, 1.0, 4)
-    vals, _ = space.eval_basis(0, nodes)
+    vals, _ = space.eval_basis(nodes)
     assert np.allclose(vals, np.eye(4), atol=1e-13)
 
 
 def test_basis_linear_midpoint():
     space = build_space(2, 1)
-    vals, _ = space.eval_basis(1, np.array([0.0]))
+    vals, _ = space.eval_basis(np.array([0.0]))
     assert np.allclose(vals, [[0.5, 0.5]], atol=1e-15)
 
 
@@ -69,7 +69,7 @@ def test_basis_quadratic_matches_closed_form():
     # cardinal quadratics on nodes {-1, 0, 1}
     space = build_space(4, 2)
     pts = gauss_legendre(3).points
-    vals, ders = space.eval_basis(2, pts)
+    vals, ders = space.eval_basis(pts)
     expected = np.column_stack([pts * (pts - 1.0) / 2.0, 1.0 - pts**2, pts * (pts + 1.0) / 2.0])
     expected_d = np.column_stack([pts - 0.5, -2.0 * pts, pts + 0.5])
     assert np.allclose(vals, expected, atol=1e-13)

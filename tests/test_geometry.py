@@ -110,6 +110,21 @@ def test_degenerate_width_rejected():
         m.gamma(0.5)
 
 
+def test_nan_width_rejected():
+    # NaN compares false with everything, so "g <= 0" alone would let it pass
+    m = BoundaryMotion(
+        alpha=lambda t: math.nan,
+        beta=lambda t: 1.0,
+        alpha_prime=lambda t: 0.0,
+        beta_prime=lambda t: 0.0,
+        T=1.0,
+    )
+    with pytest.raises(ValueError, match="nan is not positive"):
+        m.gamma(0.5)
+    with pytest.raises(ValueError):
+        m.coeff_b2(0.5)
+
+
 def test_fixed_interval_rejects_empty():
     with pytest.raises(ValueError):
         fixed_interval(1.0, 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbfem import ProblemSpec, example1, example1_forcing, example2, fixed_interval, validate
+from mbfem import BoundaryMotion, ProblemSpec, example1, example1_forcing, example2, fixed_interval, validate
 from mbfem.problems import (
     _Q1_COEFFS,
     _Q1_INTEGRAL,
@@ -168,6 +168,20 @@ def test_validate_example1_passes():
 def test_validate_example2_passes():
     report = validate(example2())
     assert report.status == "pass", str(report)
+
+
+def test_validate_fails_a_nan_width():
+    nan_motion = BoundaryMotion(
+        alpha=lambda t: math.nan,
+        beta=lambda t: 1.0,
+        alpha_prime=lambda t: -1.0,
+        beta_prime=lambda t: 1.0,
+        T=1.0,
+    )
+    report = validate(replace(example2(), motion=nan_motion))
+    width = next(c for c in report.checks if c.name == "H1 positive width")
+    assert width.status == "fail", str(report)
+    assert not report.passed
 
 
 def test_validate_flags_unbounded_diffusion():

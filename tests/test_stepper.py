@@ -175,6 +175,18 @@ def test_runs_are_deterministic():
         assert np.array_equal(va, vb)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_run_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite"):
+        run(zero_problem(), build_space(2, 1), delta)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_run_rejects_non_finite_final_time(T):
+    with pytest.raises(ValueError, match="final time"):
+        run(zero_problem(T=T), build_space(2, 1), 0.1)
+
+
 def test_run_rejects_bad_delta():
     p = zero_problem()
     space = build_space(2, 1)
