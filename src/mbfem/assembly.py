@@ -13,10 +13,11 @@ re-assembled during time stepping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .discretization import FESpace, sample
 from .geometry import BoundaryMotion
@@ -72,14 +73,35 @@ class BandedMatrix:
         return BandedMatrix(data=self.data[:, 1:-1], kb=self.kb)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((self.kb, self.kb), self.data, rhs, check_finite=False)
+        """Solution x of A x = rhs, by the LAPACK routine scipy's
+        `solve_banded` picks for this shape: one division for a 1x1 system,
+        tridiagonal `dgtsv` for kb == 1, banded LU `dgbsv` otherwise.
 
-
-def _band_accumulate(data: np.ndarray, kb: int, g0: int, local: np.ndarray) -> None:
-    m = local.shape[0]
-    for li in range(m):
-        for lj in range(m):
-            data[kb + li - lj, g0 + lj] += local[li, lj]
+        Raises LinAlgError on an exactly singular system.  Neither `data`
+        nor `rhs` is modified.
+        """
+        kb, n = self.kb, self.n
+        if n == 0:
+            return np.empty(0)
+        if n == 1:
+            pivot = self.data[kb, 0]
+            if pivot == 0.0:
+                raise LinAlgError("singular matrix")
+            return rhs / pivot
+        if kb == 1:
+            a = self.data
+            *_, x, info = dgtsv(a[2, :-1], a[1], a[0, 1:], rhs)
+        else:
+            # gbsv needs kb spare rows above the band for the fill-in of
+            # row pivoting; Fortran order lets it factor in place
+            ab = np.zeros((3 * kb + 1, n), order="F")
+            ab[kb:] = self.data
+            *_, x, info = dgbsv(kb, kb, ab, rhs, overwrite_ab=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -96,39 +118,65 @@ class OperatorSet:
     conv_const: BandedMatrix
     conv_linear: BandedMatrix
     nonlocal_weights: np.ndarray
+    # Work arrays of the time steps taken with these operators, filled by
+    # the stepper on its first step; they are freed with this object.
+    step_work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _scatter_blocks(data: np.ndarray, kb: int, local: np.ndarray) -> None:
+    """Add the (nt, m, m) element blocks into band storage, one (li, lj)
+    pair at a time over all elements; within one pair the elements hit
+    distinct columns."""
+    nt, m, _ = local.shape
+    step = m - 1
+    for li in range(m):
+        for lj in range(m):
+            data[kb + li - lj, lj : lj + nt * step : step] += local[:, li, lj]
+
+
+def _scatter_vectors(out: np.ndarray, local: np.ndarray) -> None:
+    """Add the (nt, k + 1) element vectors into the global vector: each
+    entry is 0.0 plus one term, or two at a node shared by two elements."""
+    nt, m = local.shape
+    k = m - 1
+    body = out[:-1].reshape(nt, k)
+    body += local[:, :k]
+    out[k::k] += local[:, k]
 
 
 def assemble_static(space: FESpace) -> OperatorSet:
     """Assemble all five time-independent arrays by Gauss quadrature.
 
-    Elements are visited in order, so assembly is bit-reproducible.  Mass
-    and stiffness local blocks are formed as S'S with S the shape table
-    scaled by sqrt(weight), which makes them symmetric to the last bit.
+    The local blocks of all elements are formed at once by batched matrix
+    products and added into the bands one local index pair at a time.
+    Every band entry is 0.0 plus at most two element terms (two only on
+    the diagonal at a node two elements share), and such a sum does not
+    depend on the order of its terms, so the scatter adds nothing
+    order-dependent to the local blocks.  Mass and stiffness local blocks
+    are formed as S'S with S the shape table scaled by sqrt(weight), which
+    makes them symmetric to the last bit.  The bands are stored in Fortran
+    order, so that the interior columns the solver reads are contiguous.
     """
     k = space.degree
     n = space.n_dofs
     width = 2 * k + 1
-    mass = np.zeros((width, n))
-    stiff = np.zeros((width, n))
-    conv0 = np.zeros((width, n))
-    conv1 = np.zeros((width, n))
+    mass, stiff, conv0, conv1 = (np.zeros((width, n), order="F") for _ in range(4))
     weights = np.zeros(n)
 
     V = space.shape_values
     D = space.shape_derivs
     w = space.quad.weights
-    for e in range(space.n_elements):
-        jac = space.jacobians[e]
-        y_q = space.element_quad_points[e]
-        sv = V * np.sqrt(w * jac)[:, None]
-        sd = D * np.sqrt(w / jac)[:, None]
-        g0 = e * k
-        _band_accumulate(mass, k, g0, sv.T @ sv)
-        _band_accumulate(stiff, k, g0, sd.T @ sd)
-        # the jacobians of dy and d/dy cancel in the convection integrals
-        _band_accumulate(conv0, k, g0, V.T @ (w[:, None] * D))
-        _band_accumulate(conv1, k, g0, V.T @ ((w * y_q)[:, None] * D))
-        weights[g0 : g0 + k + 1] += jac * (w @ V)
+    jac = space.jacobians[:, None]
+    SV = V * np.sqrt(w * jac)[:, :, None]
+    SD = D * np.sqrt(w / jac)[:, :, None]
+    _scatter_blocks(mass, k, SV.transpose(0, 2, 1) @ SV)
+    _scatter_blocks(stiff, k, SD.transpose(0, 2, 1) @ SD)
+    # the jacobians of dy and d/dy cancel in the convection integrals, so
+    # the constant piece is the same block on every element
+    conv0_block = V.T @ (w[:, None] * D)
+    _scatter_blocks(conv0, k, np.broadcast_to(conv0_block, (space.n_elements,) + conv0_block.shape))
+    _scatter_blocks(conv1, k, V.T @ ((w * space.element_quad_points)[:, :, None] * D))
+    _scatter_vectors(weights, jac * (w @ V))
 
     return OperatorSet(
         space=space,
@@ -168,12 +216,10 @@ def assemble_load(space: FESpace, problem, i: int, t: float) -> np.ndarray:
             f"forcing {i} returned a non-finite value at x={x_q[e_bad, q_bad]}, t={t}"
         )
 
-    k = space.degree
     w = space.quad.weights
     contrib = (fv * w[None, :]) @ space.shape_values * space.jacobians[:, None]
     out = np.zeros(space.n_dofs)
-    for e in range(space.n_elements):
-        out[e * k : e * k + k + 1] += contrib[e]
+    _scatter_vectors(out, contrib)
     return out
 
 

@@ -207,6 +207,21 @@ def _rational_fn(num_coeffs, den_coeffs):
     return f, fp
 
 
+def _poles(den_coeffs, t_final: float) -> np.ndarray:
+    """Real roots of a denominator polynomial in [0, t_final], ascending.
+
+    Rounding splits a double root into a complex pair a few 1e-9 off the
+    real axis, so a root whose imaginary part is below 1e-6 of its size
+    counts as real: near such a pair the denominator comes within about
+    1e-12 of zero, a pole for every practical purpose.
+    """
+    with np.errstate(all="ignore"):
+        roots = np.polynomial.Polynomial(den_coeffs).roots()
+    real = roots.real[np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))]
+    tol = 1e-12 * max(1.0, t_final)
+    return np.sort(real[(real >= -tol) & (real <= t_final + tol)])
+
+
 def _motion_from_table(table, t_final: float) -> BoundaryMotion:
     family = _one(table, "motion", str, default="fixed")
     if family == "fixed":
@@ -216,15 +231,29 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
             raise ConfigError(f"fixed interval needs a < b, got [{a}, {b}]")
         return fixed_interval(a, b, T=t_final)
     if family == "rational":
-        alpha_num = _many(table, "alpha_num", float)
-        beta_num = _many(table, "beta_num", float)
-        if not alpha_num or not beta_num:
+        coeffs = {
+            key: _many(table, key, float, default=default)
+            for key, default in (("alpha_num", ()), ("alpha_den", (1.0,)), ("beta_num", ()), ("beta_den", (1.0,)))
+        }
+        if not coeffs["alpha_num"] or not coeffs["beta_num"]:
             raise ConfigError("rational motion needs alpha_num and beta_num coefficients")
-        alpha, alpha_p = _rational_fn(alpha_num, _many(table, "alpha_den", float, default=(1.0,)))
-        beta, beta_p = _rational_fn(beta_num, _many(table, "beta_den", float, default=(1.0,)))
+        for key, c in coeffs.items():
+            if not all(math.isfinite(v) for v in c):
+                raise ConfigError(f"key {key!r}: coefficients must be finite, got {c}")
+        for boundary in ("alpha", "beta"):
+            poles = _poles(coeffs[f"{boundary}_den"], t_final)
+            if poles.size:
+                raise ConfigError(
+                    f"the denominator of {boundary} ({boundary}_den) has a root at t = {poles[0]:.6g} in [0, {t_final}]"
+                )
+        alpha, alpha_p = _rational_fn(coeffs["alpha_num"], coeffs["alpha_den"])
+        beta, beta_p = _rational_fn(coeffs["beta_num"], coeffs["beta_den"])
         motion = BoundaryMotion(alpha=alpha, beta=beta, alpha_prime=alpha_p, beta_prime=beta_p, T=t_final)
-        for t in np.linspace(0.0, t_final, 101):
-            motion.gamma(float(t))  # raises if the width closes
+        # an all-zero denominator has no roots to find; its width is NaN,
+        # which gamma reports without numpy's warnings
+        with np.errstate(all="ignore"):
+            for t in np.linspace(0.0, t_final, 101):
+                motion.gamma(float(t))  # raises if the width closes
         return motion
     raise ConfigError(f"unknown motion family {family!r} (fixed, rational)")
 
@@ -253,6 +282,8 @@ def _diffusion_from_spec(spec: str, ne: int, key: str):
         c = _floats(rest, key)
         if len(c) != ne + 1:
             raise ConfigError(f"key {key!r}: affine_inverse needs {ne + 1} coefficients, got {len(c)}")
+        if not all(math.isfinite(v) for v in c):
+            raise ConfigError(f"key {key!r}: affine_inverse coefficients must be finite, got {c}")
         c0, weights = c[0], c[1:]
         lo = c0 + sum(min(0.0, w) for w in weights)
         hi = c0 + sum(max(0.0, w) for w in weights)
@@ -276,8 +307,8 @@ def _diffusion_from_spec(spec: str, ne: int, key: str):
         return (lambda *r, _j=j - 1: math.exp(-r[_j] * r[_j])), (0.0, 1.0)
     if family == "const":
         c = _floats(rest, key)
-        if len(c) != 1 or c[0] <= 0.0:
-            raise ConfigError(f"key {key!r}: const needs one positive value")
+        if len(c) != 1 or not (math.isfinite(c[0]) and c[0] > 0.0):
+            raise ConfigError(f"key {key!r}: const needs one positive finite value")
         return (lambda *r, _c=c[0]: _c), (c[0], c[0])
     raise ConfigError(f"key {key!r}: unknown diffusion family {family!r}")
 

@@ -327,7 +327,7 @@ def validate(
 
     ap = np.array([motion.alpha_prime(t) for t in times])
     bp = np.array([motion.beta_prime(t) for t in times])
-    n_bad = int(np.sum(ap >= 0.0) + np.sum(bp <= 0.0))
+    n_bad = int(np.count_nonzero((ap >= 0.0) | (bp <= 0.0)))
     if n_bad == 0:
         checks.append(
             CheckResult("H2 boundary monotonicity", "pass", "alpha' < 0 < beta' at all samples")

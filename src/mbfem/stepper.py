@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .assembly import OperatorSet, assemble_load, assemble_static, diffusion_scalar, nonlocal_value
+from .assembly import BandedMatrix, OperatorSet, assemble_load, assemble_static, diffusion_scalar, nonlocal_value
 from .discretization import FESpace, interpolate
 from .geometry import BoundaryMotion
 
@@ -68,36 +68,81 @@ def initialize(space: FESpace, problem, delta: float) -> SchemeState:
     return SchemeState(t_index=0, time=0.0, delta=delta, current=tuple(vecs), previous=None)
 
 
-def _midpoint_system(ops: OperatorSet, motion: BoundaryMotion, t_mid: float):
-    """Shared per-step pieces: b2, and the convection band data C/2."""
-    g = motion.gamma(t_mid)
-    b2 = motion.coeff_b2(t_mid)
-    c_half = 0.5 * (
-        (motion.alpha_prime(t_mid) / g) * ops.conv_const.data
-        + (motion.gamma_prime(t_mid) / g) * ops.conv_linear.data
-    )
-    return b2, c_half
+class _StepKernel:
+    """The band arithmetic of the steps taken with one OperatorSet.
+
+    Per equation a step needs the interior LHS band and the full RHS band
+
+        M/d + (a_i b2 K - C)/2 = M/d + (a_i b2/2) K - C/2,
+        M/d - (a_i b2 K - C)/2 = M/d - (a_i b2/2) K + C/2,
+
+    of which only a_i, b2, C and d change between steps.  M/d is kept
+    until d changes and C/2 is formed once per step; each equation then
+    writes its bands into the same work arrays, with the operand order of
+    the expressions above, so every entry is the one those expressions
+    give.  The arrays are Fortran-ordered like the operator bands, so an
+    interior column slice is contiguous.
+    """
+
+    def __init__(self, ops: OperatorSet):
+        kb = ops.mass.kb
+        self.mass = ops.mass.data
+        self.stiffness = ops.stiffness.data
+        self.conv_const = ops.conv_const.data
+        self.conv_linear = ops.conv_linear.data
+        width, n = self.mass.shape
+        self.dt = None
+        self.m_over_dt, self.c_half, self.scratch, self.diff_half, rhs_band = (
+            np.empty((width, n), order="F") for _ in range(5)
+        )
+        self.rhs_op = BandedMatrix(rhs_band, kb)
+        self.lhs = BandedMatrix(np.empty((width, n - 2), order="F"), kb)
+
+    def begin_step(self, motion: BoundaryMotion, t_mid: float, dt: float) -> float:
+        """Set M/dt and C/2 for a step of length dt about t_mid; return b2."""
+        if dt != self.dt:
+            np.divide(self.mass, dt, out=self.m_over_dt)
+            self.dt = dt
+        g = motion.gamma(t_mid)
+        b2 = motion.coeff_b2(t_mid)
+        c_half = self.c_half
+        np.multiply(motion.alpha_prime(t_mid) / g, self.conv_const, out=c_half)
+        np.multiply(motion.gamma_prime(t_mid) / g, self.conv_linear, out=self.scratch)
+        np.add(c_half, self.scratch, out=c_half)
+        np.multiply(0.5, c_half, out=c_half)
+        return b2
+
+    def solve(self, b2: float, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
+        """V^(n) of one equation from V^(n-1), its load and its diffusion
+        coefficient; `where` names the step and equation in errors."""
+        diff_half = self.diff_half
+        np.multiply(0.5 * a_i * b2, self.stiffness, out=diff_half)
+        lhs = self.lhs.data
+        np.add(self.m_over_dt[:, 1:-1], diff_half[:, 1:-1], out=lhs)
+        np.subtract(lhs, self.c_half[:, 1:-1], out=lhs)
+        rhs_band = self.rhs_op.data
+        np.subtract(self.m_over_dt, diff_half, out=rhs_band)
+        np.add(rhs_band, self.c_half, out=rhs_band)
+        rhs = self.rhs_op.matvec(v_prev) + load
+        v_new = np.zeros_like(v_prev)
+        try:
+            v_new[1:-1] = self.lhs.solve(rhs[1:-1])
+        except LinAlgError as exc:
+            cond = np.linalg.cond(self.lhs.toarray())
+            raise RuntimeError(
+                f"singular Crank-Nicolson system at {where} (condition estimate {cond:.3e})"
+            ) from exc
+        if not np.all(np.isfinite(v_new)):
+            raise RuntimeError(f"non-finite solution at {where}")
+        return v_new
 
 
-def _solve_equation(ops, b2, c_half, a_i, dt, v_prev, load, step_label):
-    from .assembly import BandedMatrix
-
-    m_over_dt = ops.mass.data / dt
-    diff_half = (0.5 * a_i * b2) * ops.stiffness.data
-    lhs = BandedMatrix(m_over_dt + diff_half - c_half, ops.mass.kb)
-    rhs_op = BandedMatrix(m_over_dt - diff_half + c_half, ops.mass.kb)
-    rhs = rhs_op.matvec(v_prev) + load
-    v_new = np.zeros_like(v_prev)
-    try:
-        v_new[1:-1] = lhs.interior().solve(rhs[1:-1])
-    except LinAlgError as exc:
-        cond = np.linalg.cond(lhs.interior().toarray())
-        raise RuntimeError(
-            f"singular Crank-Nicolson system at {step_label} (condition estimate {cond:.3e})"
-        ) from exc
-    if not np.all(np.isfinite(v_new)):
-        raise RuntimeError(f"non-finite solution at {step_label}")
-    return v_new
+def _kernel(ops: OperatorSet) -> _StepKernel:
+    """The step kernel of these operators, built on their first step."""
+    kernel = ops.step_work.get("kernel")
+    if kernel is None:
+        kernel = ops.step_work["kernel"] = _StepKernel(ops)
+    return kernel
 
 
 def bootstrap_first_step(
@@ -121,16 +166,17 @@ def bootstrap_first_step(
     ne = problem.ne
     w = ops.nonlocal_weights
 
-    b2, c_half = _midpoint_system(ops, motion, t_mid)
+    kernel = _kernel(ops)
+    b2 = kernel.begin_step(motion, t_mid, dt)
     loads = [assemble_load(ops.space, problem, i, t_mid) for i in range(ne)]
+    step_label = f"step 1 (t={t0 + dt})"
 
     l_init = [nonlocal_value(w, state.current[j], motion, t0) for j in range(ne)]
     predicted = []
     for i in range(ne):
         a_i = diffusion_scalar(problem, i, l_init)
-        predicted.append(
-            _solve_equation(ops, b2, c_half, a_i, dt, state.current[i], loads[i], "the predictor")
-        )
+        where = f"the predictor of {step_label}, equation {i}"
+        predicted.append(kernel.solve(b2, a_i, state.current[i], loads[i], where))
 
     l_mid = [
         nonlocal_value(w, 0.5 * (predicted[j] + state.current[j]), motion, t_mid)
@@ -139,9 +185,8 @@ def bootstrap_first_step(
     corrected = []
     for i in range(ne):
         a_i = diffusion_scalar(problem, i, l_mid)
-        corrected.append(
-            _solve_equation(ops, b2, c_half, a_i, dt, state.current[i], loads[i], "the corrector")
-        )
+        where = f"the corrector of {step_label}, equation {i}"
+        corrected.append(kernel.solve(b2, a_i, state.current[i], loads[i], where))
 
     return SchemeState(
         t_index=1,
@@ -178,7 +223,8 @@ def advance(
     ne = problem.ne
     w = ops.nonlocal_weights
 
-    b2, c_half = _midpoint_system(ops, motion, t_mid)
+    kernel = _kernel(ops)
+    b2 = kernel.begin_step(motion, t_mid, dt)
     loads = [assemble_load(ops.space, problem, i, t_mid) for i in range(ne)]
 
     if extrapolate:
@@ -187,11 +233,11 @@ def advance(
         extrap = list(state.current)
     l_bar = [nonlocal_value(w, extrap[j], motion, t_mid) for j in range(ne)]
 
-    step_label = f"step {state.t_index + 1}"
+    step_label = f"step {state.t_index + 1} (t={t_new})"
     new = []
     for i in range(ne):
         a_i = diffusion_scalar(problem, i, l_bar)
-        new.append(_solve_equation(ops, b2, c_half, a_i, dt, state.current[i], loads[i], step_label))
+        new.append(kernel.solve(b2, a_i, state.current[i], loads[i], f"{step_label}, equation {i}"))
 
     return SchemeState(
         t_index=state.t_index + 1,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from mbfem import (
     BandedMatrix,
@@ -13,6 +14,7 @@ from mbfem import (
     nonlocal_value,
 )
 from mbfem.assembly import diffusion_scalar
+from mbfem.discretization import sample
 from mbfem.problems import example1, example2
 
 
@@ -141,6 +143,100 @@ def test_banded_solve_matches_dense_solve():
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(a.n)
     assert np.allclose(a.solve(rhs), np.linalg.solve(a.toarray(), rhs), rtol=1e-12, atol=1e-14)
+
+
+# --- bit-identity with the element-loop implementations ---------------------
+# The vectorized assembly and the direct LAPACK solve keep the arithmetic of
+# the element loops and of scipy's solve_banded; these references are those
+# implementations, and the results must match them bit for bit.
+
+
+def loop_assemble_static(space):
+    """Mass, stiffness, both convection bands and the weights, one element
+    at a time."""
+    k = space.degree
+    n = space.n_dofs
+    bands = [np.zeros((2 * k + 1, n)) for _ in range(4)]
+    weights = np.zeros(n)
+    V, D, w = space.shape_values, space.shape_derivs, space.quad.weights
+    for e in range(space.n_elements):
+        jac = space.jacobians[e]
+        y_q = space.element_quad_points[e]
+        sv = V * np.sqrt(w * jac)[:, None]
+        sd = D * np.sqrt(w / jac)[:, None]
+        locals_ = (sv.T @ sv, sd.T @ sd, V.T @ (w[:, None] * D), V.T @ ((w * y_q)[:, None] * D))
+        for band, local in zip(bands, locals_):
+            for li in range(k + 1):
+                for lj in range(k + 1):
+                    band[k + li - lj, e * k + lj] += local[li, lj]
+        weights[e * k : e * k + k + 1] += jac * (w @ V)
+    return bands, weights
+
+
+def loop_assemble_load(space, problem, i, t):
+    k = space.degree
+    fv = sample(problem.forcing[i], problem.motion.to_moving(space.element_quad_points, t), t)
+    contrib = (fv * space.quad.weights[None, :]) @ space.shape_values * space.jacobians[:, None]
+    out = np.zeros(space.n_dofs)
+    for e in range(space.n_elements):
+        out[e * k : e * k + k + 1] += contrib[e]
+    return out
+
+
+# (nt, k, q): kb = 1 takes the tridiagonal path, (1, 2) has one interior
+# unknown, (1, 1) none; q = None is the default k + 2, q = 3 the fewest for k = 2
+BIT_GRID = [
+    (4096, 3, None),
+    (32, 2, None),
+    (4, 4, None),
+    (7, 1, None),
+    (16, 6, None),
+    (1, 1, None),
+    (1, 2, None),
+    (1, 3, None),
+    (33, 3, None),
+    (9, 3, 7),
+    (6, 2, 3),
+]
+
+
+@pytest.mark.parametrize("nt,k,q", BIT_GRID)
+def test_assemble_static_equals_the_element_loop(nt, k, q):
+    space = build_space(nt, k, q)
+    ops = assemble_static(space)
+    bands, weights = loop_assemble_static(space)
+    got = (ops.mass, ops.stiffness, ops.conv_const, ops.conv_linear)
+    for name, band, expected in zip(("mass", "stiffness", "conv_const", "conv_linear"), got, bands):
+        assert np.array_equal(band.data, expected), name
+    assert np.array_equal(ops.nonlocal_weights, weights)
+
+
+@pytest.mark.parametrize("nt,k,q", BIT_GRID)
+def test_assemble_load_equals_the_element_loop(nt, k, q):
+    space = build_space(nt, k, q)
+    p = example1()
+    for i, t in ((0, 0.0), (1, 0.37)):
+        assert np.array_equal(assemble_load(space, p, i, t), loop_assemble_load(space, p, i, t))
+
+
+@pytest.mark.parametrize("nt,k,q", BIT_GRID)
+def test_banded_solve_equals_solve_banded(nt, k, q):
+    # a Crank-Nicolson matrix of example1 at t = 0.25, dt = 1e-3
+    space = build_space(nt, k, q)
+    ops = assemble_static(space)
+    c_half = 0.5 * (-0.3 * ops.conv_const.data + 1.7 * ops.conv_linear.data)
+    lhs = BandedMatrix(ops.mass.data / 1e-3 + 0.8 * ops.stiffness.data - c_half, k).interior()
+    rhs = np.random.default_rng(nt * 10 + k).standard_normal(lhs.n)
+    expected = solve_banded((k, k), lhs.data, rhs)
+    assert np.array_equal(lhs.solve(rhs), expected)
+    assert np.array_equal(BandedMatrix(np.ascontiguousarray(lhs.data), k).solve(rhs), expected)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_banded_solve_raises_on_a_singular_system(k):
+    for n in (1, 5):
+        with pytest.raises(LinAlgError):
+            BandedMatrix(np.zeros((2 * k + 1, n)), k).solve(np.ones(n))
 
 
 # --- loads ------------------------------------------------------------------

@@ -149,6 +149,45 @@ def test_parse_problem_rejects_nonpositive_diffusion():
         parse_problem(text)
 
 
+@pytest.mark.parametrize(
+    "spec", ["const:nan", "const:inf", "affine_inverse:nan,0.1", "affine_inverse:1,nan"]
+)
+def test_parse_problem_rejects_non_finite_diffusion(spec):
+    # affine_inverse:1,nan used to be declared bounded in [1, 1]
+    text = f"ne=1 T=1\nmotion=fixed\ndiffusion1={spec}\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match="finite"):
+        parse_problem(text)
+
+
+POLE_MOTION = "motion=rational alpha_num=-0.000001 alpha_den=1,-4.01,4.020025 beta_num=1\n"
+
+
+def test_parse_problem_rejects_a_pole_on_the_time_domain():
+    # alpha_den has a double root at t = 4.01 / 8.04005 = 0.498753..., between
+    # the 101 times the width is sampled at
+    text = "ne=1 T=1 " + POLE_MOTION + "diffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match=r"denominator of alpha \(alpha_den\) has a root at t = 0\.498753"):
+        parse_problem(text)
+    # the same denominator is harmless when T stops short of its root
+    parse_problem(text.replace("T=1", "T=0.45"))
+
+
+def test_solve_and_validate_reject_a_pole(tmp_path, capsys):
+    write(tmp_path, "pole.prob", "ne=1 T=1 " + POLE_MOTION + "diffusion1=const:1\ninitial1=poly:0,1,-1\n")
+    config = write(tmp_path, "run.cfg", "problem=pole.prob nt=4 k=1 delta=0.01\n")
+    for command in ("solve", "validate"):
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "has a root at t = 0.498753" in captured.err
+        assert "PASS" not in captured.out
+
+
+def test_parse_problem_rejects_non_finite_motion_coefficients():
+    text = "ne=1 T=1 motion=rational alpha_num=0 alpha_den=1,nan beta_num=1\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match="finite"):
+        parse_problem(text)
+
+
 def test_parse_problem_rejects_unknown_family():
     text = "ne=1 T=1\nmotion=fixed\ndiffusion1=cubic:1\ninitial1=poly:0,1,-1\n"
     with pytest.raises(ConfigError, match="family"):
@@ -343,6 +382,22 @@ def test_validate_rejects_a_nan_width(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "= nan is not positive" in captured.err
     assert "PASS" not in captured.out
+
+
+def test_zero_denominator_fails_without_numpy_warnings(tmp_path, capsys):
+    # the test configuration turns a RuntimeWarning into an error, so this
+    # also checks that nothing numpy would print reaches stderr
+    write(
+        tmp_path,
+        "zero.prob",
+        "ne=1 T=1 motion=rational\nalpha_num=1 alpha_den=0 beta_num=1\n"
+        "diffusion1=const:1\ninitial1=poly:0,1,-1\n",
+    )
+    config = write(tmp_path, "v.cfg", "problem=zero.prob nt=4 k=1 delta=0.01\n")
+    assert main(["validate", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "is not positive" in err
+    assert "Warning" not in err
 
 
 def test_validate_fixed_domain_fails_strict_then_warns_relaxed(tmp_path, capsys):

@@ -206,6 +206,9 @@ def test_validate_flags_shrinking_domain():
     )
     report = validate(shrinking)  # alpha' = 0 violates strict monotonicity
     assert report.status == "fail"
+    # both boundaries violate it at every sample, which counts once
+    monotonicity = next(c for c in report.checks if c.name == "H2 boundary monotonicity")
+    assert monotonicity.detail.endswith("violated at 201 of 201 samples")
     relaxed = validate(shrinking, require_expanding=False)
     assert relaxed.status == "warn"
     assert relaxed.passed

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from mbfem import (
+    BandedMatrix,
     ProblemSpec,
+    advance,
     assemble_static,
     bootstrap_first_step,
     build_space,
@@ -17,6 +20,7 @@ from mbfem import (
     measure,
     run,
 )
+from mbfem.stepper import _StepKernel
 from conftest import heat_problem
 
 
@@ -194,3 +198,80 @@ def test_run_rejects_bad_delta():
         run(p, space, 0.0)
     with pytest.raises(ValueError):
         run(p, space, -0.1)
+
+
+# --- the step kernel against the plain band expressions ---------------------
+
+
+def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
+    """One equation's step written as plain band expressions, solved by
+    scipy's solve_banded: the arithmetic the kernel must reproduce."""
+    g = motion.gamma(t_mid)
+    c_half = 0.5 * (
+        (motion.alpha_prime(t_mid) / g) * ops.conv_const.data
+        + (motion.gamma_prime(t_mid) / g) * ops.conv_linear.data
+    )
+    m_over_dt = ops.mass.data / dt
+    diff_half = (0.5 * a_i * motion.coeff_b2(t_mid)) * ops.stiffness.data
+    kb = ops.mass.kb
+    rhs = BandedMatrix(m_over_dt - diff_half + c_half, kb).matvec(v_prev) + load
+    v_new = np.zeros_like(v_prev)
+    v_new[1:-1] = solve_banded((kb, kb), (m_over_dt + diff_half - c_half)[:, 1:-1], rhs[1:-1])
+    return v_new
+
+
+@pytest.mark.parametrize("nt,k", [(8, 1), (1, 2), (8, 3), (64, 2)])
+def test_step_kernel_equals_the_plain_expressions(nt, k):
+    p = example1()
+    space = build_space(nt, k)
+    ops = assemble_static(space)
+    kernel = _StepKernel(ops)
+    rng = np.random.default_rng(nt + k)
+    # a repeated dt keeps M/dt, a new one recomputes it
+    for t_mid, dt, a_i in ((0.105, 0.01, 1.7), (0.115, 0.01, 2.3), (0.1235, 0.007, 0.9)):
+        b2 = kernel.begin_step(p.motion, t_mid, dt)
+        for _ in range(2):
+            v_prev = rng.standard_normal(space.n_dofs)
+            v_prev[[0, -1]] = 0.0
+            load = rng.standard_normal(space.n_dofs)
+            got = kernel.solve(b2, a_i, v_prev, load, "a test step")
+            assert np.array_equal(got, plain_equation(ops, p.motion, t_mid, a_i, dt, v_prev, load))
+
+
+# --- failures name the step, its time and the equation ----------------------
+
+
+def second_equation_diffusion(a):
+    """example1 with the second diffusion coefficient fixed at a."""
+    p = example1()
+    return replace(
+        p,
+        diffusion=(p.diffusion[0], lambda r, s: a),
+        diffusion_bounds=(p.diffusion_bounds[0], (a, a)),
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_singular_system_names_step_time_and_equation(k):
+    # without mass and convection the matrix is a_i b2 K / 2, singular
+    # exactly when a_i = 0, which only the second equation has
+    p = second_equation_diffusion(0.0)
+    space = build_space(4, k)
+    ops = assemble_static(space)
+    zero = BandedMatrix(np.zeros_like(ops.mass.data), k)
+    singular = replace(ops, mass=zero, conv_const=zero, conv_linear=zero)
+    state = initialize(space, p, 0.01)
+    with pytest.raises(RuntimeError, match=r"singular Crank-Nicolson system at the predictor of step 1 \(t=0\.01\), equation 1 \(condition estimate"):
+        bootstrap_first_step(state, singular, p)
+    s1 = bootstrap_first_step(state, ops, p)
+    with pytest.raises(RuntimeError, match=r"singular Crank-Nicolson system at step 2 \(t=0\.02\), equation 1 \(condition estimate"):
+        advance(s1, singular, p)
+
+
+def test_non_finite_solution_names_step_time_and_equation():
+    # a declared diffusion of 1e308 overflows the second equation's bands
+    p = second_equation_diffusion(1e308)
+    space = build_space(4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
+            run(p, space, 0.01)
