@@ -64,14 +64,6 @@ class BandedMatrix:
                 a[j - d, j] = self.data[self.kb - d, j]
         return a
 
-    def interior(self) -> "BandedMatrix":
-        """Submatrix over dofs 1..n-2 (endpoint rows and columns dropped).
-
-        Same band layout: the sliced array's referenced entries are all
-        valid entries of the parent.
-        """
-        return BandedMatrix(data=self.data[:, 1:-1], kb=self.kb)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution x of A x = rhs, by the LAPACK routine scipy's
         `solve_banded` picks for this shape: one division for a 1x1 system,

@@ -102,10 +102,6 @@ class FESpace:
         return len(self.dof_positions)
 
     @property
-    def quad_points_per_element(self) -> int:
-        return self.quad.n
-
-    @property
     def h(self) -> float:
         """Largest element diameter."""
         return float(np.max(np.diff(self.breakpoints)))

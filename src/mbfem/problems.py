@@ -289,29 +289,27 @@ class ValidationReport:
         return "\n".join(f"{c.name}: {c.status.upper()} ({c.detail})" for c in self.checks)
 
 
-def validate(
-    problem: ProblemSpec,
-    n_times: int = 101,
-    arg_range: float = 10.0,
-    n_args: int = 21,
-    seed: int = 0,
-    require_expanding: bool = True,
-) -> ValidationReport:
+N_TIMES = 101
+ARG_RANGE = 10.0
+N_ARGS = 21
+
+
+def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True) -> ValidationReport:
     """Sample the scheme's hypotheses and report pass/warn/fail per check.
 
-    Checks: positive width over [0, T] (sampled at grid points and
-    midpoints), boundary monotonicity alpha' < 0 < beta' (downgraded to a
-    warning with require_expanding=False, since the assembly itself does
-    not break on shrinking domains), declared diffusion bounds over a
-    grid of nonlocal-argument values in [-arg_range, arg_range]^ne (random
-    sampling with the given seed when the grid would be too large), and
-    compatibility of the initial (and exact, when present) data with the
-    homogeneous Dirichlet condition.
+    Checks: positive width over [0, T] (sampled at N_TIMES grid points and
+    their midpoints), boundary monotonicity alpha' < 0 < beta' (downgraded
+    to a warning with require_expanding=False, since the assembly itself
+    does not break on shrinking domains), declared diffusion bounds over a
+    grid of N_ARGS^ne nonlocal-argument values in [-ARG_RANGE, ARG_RANGE]^ne
+    (20000 random samples with the given seed when the grid would be
+    larger), and compatibility of the initial (and exact, when present)
+    data with the homogeneous Dirichlet condition.
     """
     motion = problem.motion
     checks = []
 
-    grid = np.linspace(0.0, problem.T, n_times)
+    grid = np.linspace(0.0, problem.T, N_TIMES)
     times = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
     try:
         widths = np.array([motion.gamma(t) for t in times])
@@ -342,12 +340,12 @@ def validate(
             )
         )
 
-    if n_args**problem.ne <= 20000:
-        axes = [np.linspace(-arg_range, arg_range, n_args)] * problem.ne
+    if N_ARGS**problem.ne <= 20000:
+        axes = [np.linspace(-ARG_RANGE, ARG_RANGE, N_ARGS)] * problem.ne
         pts = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
     else:
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-arg_range, arg_range, size=(20000, problem.ne))
+        pts = rng.uniform(-ARG_RANGE, ARG_RANGE, size=(20000, problem.ne))
     for i in range(problem.ne):
         lo, hi = problem.diffusion_bounds[i]
         try:

@@ -137,12 +137,28 @@ class _StepKernel:
         return v_new
 
 
-def _kernel(ops: OperatorSet) -> _StepKernel:
-    """The step kernel of these operators, built on their first step."""
+def _begin_step(ops: OperatorSet, problem, t_mid: float, dt: float):
+    """The step kernel of these operators (built on their first step), set
+    up for a step of length dt about t_mid, with b2 and the ne loads."""
     kernel = ops.step_work.get("kernel")
     if kernel is None:
         kernel = ops.step_work["kernel"] = _StepKernel(ops)
-    return kernel
+    b2 = kernel.begin_step(problem.motion, t_mid, dt)
+    loads = [assemble_load(ops.space, problem, i, t_mid) for i in range(problem.ne)]
+    return kernel, b2, loads
+
+
+def _solve_all(step, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
+    """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
+    `label` names the step in errors.  An overflow in the band arithmetic
+    is reported by the kernel's non-finite-solution check alone."""
+    kernel, b2, loads = step
+    new = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(problem.ne):
+            a_i = diffusion_scalar(problem, i, nonlocal_values)
+            new.append(kernel.solve(b2, a_i, v_prev[i], loads[i], f"{label}, equation {i}"))
+    return tuple(new)
 
 
 def bootstrap_first_step(
@@ -158,42 +174,23 @@ def bootstrap_first_step(
     """
     if state.t_index != 0:
         raise ValueError(f"bootstrap expects the initial state, got step {state.t_index}")
-    motion = problem.motion
+    motion, w, v0 = problem.motion, ops.nonlocal_weights, state.current
     if dt is None:
         dt = state.delta
     t0 = state.time
     t_mid = t0 + 0.5 * dt
-    ne = problem.ne
-    w = ops.nonlocal_weights
-
-    kernel = _kernel(ops)
-    b2 = kernel.begin_step(motion, t_mid, dt)
-    loads = [assemble_load(ops.space, problem, i, t_mid) for i in range(ne)]
-    step_label = f"step 1 (t={t0 + dt})"
-
-    l_init = [nonlocal_value(w, state.current[j], motion, t0) for j in range(ne)]
-    predicted = []
-    for i in range(ne):
-        a_i = diffusion_scalar(problem, i, l_init)
-        where = f"the predictor of {step_label}, equation {i}"
-        predicted.append(kernel.solve(b2, a_i, state.current[i], loads[i], where))
-
-    l_mid = [
-        nonlocal_value(w, 0.5 * (predicted[j] + state.current[j]), motion, t_mid)
-        for j in range(ne)
-    ]
-    corrected = []
-    for i in range(ne):
-        a_i = diffusion_scalar(problem, i, l_mid)
-        where = f"the corrector of {step_label}, equation {i}"
-        corrected.append(kernel.solve(b2, a_i, state.current[i], loads[i], where))
-
+    step = _begin_step(ops, problem, t_mid, dt)
+    label = f"step 1 (t={t0 + dt})"
+    l_init = [nonlocal_value(w, v, motion, t0) for v in v0]
+    predicted = _solve_all(step, problem, l_init, v0, f"the predictor of {label}")
+    l_mid = [nonlocal_value(w, 0.5 * (p + v), motion, t_mid) for p, v in zip(predicted, v0)]
+    corrected = _solve_all(step, problem, l_mid, v0, f"the corrector of {label}")
     return SchemeState(
         t_index=1,
         time=t0 + dt,
         delta=state.delta,
-        current=tuple(corrected),
-        previous=state.current,
+        current=corrected,
+        previous=v0,
     )
 
 
@@ -213,37 +210,23 @@ def advance(
     """
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
-    motion = problem.motion
     if dt is None:
         dt = state.delta
         t_new = (state.t_index + 1) * state.delta
     else:
         t_new = state.time + dt
     t_mid = 0.5 * (state.time + t_new)
-    ne = problem.ne
-    w = ops.nonlocal_weights
-
-    kernel = _kernel(ops)
-    b2 = kernel.begin_step(motion, t_mid, dt)
-    loads = [assemble_load(ops.space, problem, i, t_mid) for i in range(ne)]
-
+    step = _begin_step(ops, problem, t_mid, dt)
+    v_bar = state.current
     if extrapolate:
-        extrap = [1.5 * state.current[j] - 0.5 * state.previous[j] for j in range(ne)]
-    else:
-        extrap = list(state.current)
-    l_bar = [nonlocal_value(w, extrap[j], motion, t_mid) for j in range(ne)]
-
-    step_label = f"step {state.t_index + 1} (t={t_new})"
-    new = []
-    for i in range(ne):
-        a_i = diffusion_scalar(problem, i, l_bar)
-        new.append(kernel.solve(b2, a_i, state.current[i], loads[i], f"{step_label}, equation {i}"))
-
+        v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
+    l_bar = [nonlocal_value(ops.nonlocal_weights, v, problem.motion, t_mid) for v in v_bar]
+    new = _solve_all(step, problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
     return SchemeState(
         t_index=state.t_index + 1,
         time=t_new,
         delta=state.delta,
-        current=tuple(new),
+        current=new,
         previous=state.current,
     )
 
@@ -280,32 +263,24 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     if abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio)):
         n_full = int(math.floor(ratio))
     remainder = problem.T - n_full * delta
-    tail = remainder > 1e-9 * delta
+    n_steps = n_full + 1 if remainder > 1e-9 * delta else n_full
 
     started = _time.perf_counter()
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
-    times = [state.time]
-    _notify(observers, state)
-
-    if n_full >= 1:
-        state = bootstrap_first_step(state, ops, problem)
+    times = []
+    while True:
         times.append(state.time)
         _notify(observers, state)
-        while state.t_index < n_full:
-            state = advance(state, ops, problem)
-            times.append(state.time)
-            _notify(observers, state)
-        if tail:
-            state = advance(state, ops, problem, dt=remainder, extrapolate=False)
+        if state.t_index == n_steps:
+            break
+        short = state.t_index == n_full  # the shortened final step lands on T
+        dt = remainder if short else None
+        if state.t_index == 0:
+            state = bootstrap_first_step(state, ops, problem, dt=dt)
+        else:
+            state = advance(state, ops, problem, dt=dt, extrapolate=not short)
+        if short:
             state = replace(state, time=problem.T)
-            times.append(state.time)
-            _notify(observers, state)
-    elif tail:
-        # T smaller than one step: a single shortened bootstrap
-        state = bootstrap_first_step(state, ops, problem, dt=remainder)
-        state = replace(state, time=problem.T)
-        times.append(state.time)
-        _notify(observers, state)
 
     return RunResult(final=state, times=times, runtime=_time.perf_counter() - started)

@@ -130,7 +130,7 @@ def test_banded_matvec_and_interior_match_dense():
     a = ops.mass
     x = rng.standard_normal(a.n)
     assert np.allclose(a.matvec(x), a.toarray() @ x, atol=1e-14)
-    inner = a.interior()
+    inner = BandedMatrix(a.data[:, 1:-1], a.kb)
     assert np.allclose(inner.toarray(), a.toarray()[1:-1, 1:-1], atol=0.0)
     xi = rng.standard_normal(inner.n)
     assert np.allclose(inner.matvec(xi), inner.toarray() @ xi, atol=1e-14)
@@ -225,7 +225,7 @@ def test_banded_solve_equals_solve_banded(nt, k, q):
     space = build_space(nt, k, q)
     ops = assemble_static(space)
     c_half = 0.5 * (-0.3 * ops.conv_const.data + 1.7 * ops.conv_linear.data)
-    lhs = BandedMatrix(ops.mass.data / 1e-3 + 0.8 * ops.stiffness.data - c_half, k).interior()
+    lhs = BandedMatrix((ops.mass.data / 1e-3 + 0.8 * ops.stiffness.data - c_half)[:, 1:-1], k)
     rhs = np.random.default_rng(nt * 10 + k).standard_normal(lhs.n)
     expected = solve_banded((k, k), lhs.data, rhs)
     assert np.array_equal(lhs.solve(rhs), expected)

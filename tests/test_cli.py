@@ -17,6 +17,19 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def solve_in_child(tmp_path, config):
+    """`python -m mbfem.cli solve` in a child process that imports the same
+    mbfem as this one, installed or not."""
+    src = os.path.dirname(os.path.dirname(mbfem.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "mbfem.cli", "solve", "--config", config, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 # --- config parsing ----------------------------------------------------------
 
 
@@ -308,6 +321,20 @@ def test_solve_reports_forcing_overflow(tmp_path, capsys, factor):
     assert "t=" in err
 
 
+def test_solve_reports_band_overflow_as_one_line(tmp_path):
+    # a child process, so that numpy warnings would reach its stderr as
+    # they do for a user instead of going to pytest's warning filter
+    write(
+        tmp_path,
+        "huge.prob",
+        "ne=1 T=1\nmotion=fixed\ndiffusion1=const:1e308\ninitial1=poly:0,1,-1\n",
+    )
+    config = write(tmp_path, "run.cfg", "problem=huge.prob nt=4 k=2 delta=0.01\n")
+    proc = solve_in_child(tmp_path, config)
+    assert proc.returncode == 1
+    assert proc.stderr == "solve failed: non-finite solution at the predictor of step 1 (t=0.01), equation 0\n"
+
+
 def test_solve_reports_config_error(tmp_path, capsys):
     config = write(tmp_path, "run.cfg", "problem=example1 nt=4 nt=8 k=2 delta=0.01\n")
     assert main(["solve", "--config", config]) == 2
@@ -435,14 +462,6 @@ def test_validate_takes_a_seed(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     config = write(tmp_path, "run.cfg", "problem=example2 nt=4 k=2 delta=0.05\n")
-    # the child imports the same mbfem as this process, installed or not
-    src = os.path.dirname(os.path.dirname(mbfem.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mbfem.cli", "solve", "--config", config, "--out", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = solve_in_child(tmp_path, config)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "snapshots.csv").exists()

@@ -38,7 +38,7 @@ def test_space_shapes_quadratic():
     space = build_space(4, 2, 3)
     assert space.n_dofs == 9
     assert space.h == pytest.approx(0.25)
-    assert space.quad_points_per_element == 3
+    assert space.quad.n == 3
 
 
 def test_space_rejects_bad_arguments():

@@ -159,6 +159,21 @@ def test_observers_do_not_change_results():
     assert len(seen) == bare.n_steps + 1
 
 
+@pytest.mark.parametrize(
+    "T,delta,levels",
+    [
+        (0.5, 0.125, [(0, 0.0), (1, 0.125), (2, 0.25), (3, 0.375), (4, 0.5)]),  # whole steps only
+        (0.625, 0.25, [(0, 0.0), (1, 0.25), (2, 0.5), (3, 0.625)]),  # shortened final step
+        (0.1, 0.5, [(0, 0.0), (1, 0.1)]),  # T < delta: one shortened bootstrap
+    ],
+)
+def test_observers_see_every_level_once(T, delta, levels):
+    seen = []
+    result = run(zero_problem(T=T), build_space(2, 1), delta, observers=[lambda n, t, v: seen.append((n, t))])
+    assert seen == levels
+    assert result.times == [t for _, t in seen]
+
+
 def test_observer_vectors_are_read_only():
     p = zero_problem()
     space = build_space(2, 1)
@@ -272,6 +287,5 @@ def test_non_finite_solution_names_step_time_and_equation():
     # a declared diffusion of 1e308 overflows the second equation's bands
     p = second_equation_diffusion(1e308)
     space = build_space(4, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
-            run(p, space, 0.01)
+    with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
+        run(p, space, 0.01)
