@@ -238,9 +238,13 @@ def convergence_study(problem, degrees, mesh_sizes, deltas, q: int | None = None
     return StudyResult(rows=rows, fits=fits)
 
 
+# Every float written to CSV: 17 significant digits round-trip binary64 exactly.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x) -> str:
-    """17 significant digits: round-trip exact for binary64."""
-    return f"{float(x):.17g}"
+    """One float as FLOAT_FORMAT writes it."""
+    return FLOAT_FORMAT % float(x)
 
 
 def write_rows(path, header, rows) -> None:

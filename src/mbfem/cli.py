@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import ErrorTracker, convergence_study, format_float, take_due, write_rows
+from .analysis import FLOAT_FORMAT, ErrorTracker, convergence_study, format_float, take_due, write_rows
 from .discretization import build_space, natural_cubic_spline
 from .geometry import BoundaryMotion, fixed_interval
 from .problems import ProblemSpec, example1, example2, validate
@@ -432,29 +432,67 @@ def parse_problem(text: str) -> ProblemSpec:
 # Subcommands.
 
 
+class SnapshotRows:
+    """Recorded snapshots as array blocks, one per snapshot hit.
+
+    A block is (time, x, vectors): the level's time, the dof positions in
+    the moving domain (`y` itself when they are not emitted), and the ne
+    value vectors, kept by reference.  len() is the number of CSV rows the
+    blocks make, one per (time, equation, dof).
+    """
+
+    def __init__(self, y):
+        self.y = y
+        self.blocks = []
+
+    def append(self, time: float, x, vectors) -> None:
+        self.blocks.append((time, x, vectors))
+
+    def __len__(self) -> int:
+        return len(self.y) * sum(len(vectors) for _, _, vectors in self.blocks)
+
+
 class SnapshotRecorder:
-    """Observer that collects (time, equation, y, x, value) rows."""
+    """Observer that keeps the levels at the requested times in `rows`."""
 
     def __init__(self, problem, space, times, tol: float, emit_moving: bool = True):
         self.problem = problem
-        self.space = space
         self.pending = sorted(times)
         self.tol = tol
         self.emit_moving = emit_moving
-        self.rows = []
+        self.rows = SnapshotRows(space.dof_positions)
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
         if not take_due(self.pending, time, self.tol):
             return
-        y = self.space.dof_positions
+        y = self.rows.y
         x = self.problem.motion.to_moving(y, time) if self.emit_moving else y
-        for i in range(self.problem.ne):
-            for j in range(self.space.n_dofs):
-                self.rows.append((time, i, y[j], x[j], vectors[i][j]))
+        self.rows.append(time, x, vectors)
 
 
-def _write_snapshots(path, rows) -> None:
-    write_rows(path, ["time", "equation", "y", "x", "value"], rows)
+def _format_column(values) -> list[str]:
+    return [FLOAT_FORMAT % v for v in values.tolist()]
+
+
+def _write_snapshots(path, rows: SnapshotRows) -> None:
+    """Write snapshots.csv: one (time, equation, y, x, value) line per row.
+
+    The bytes are those write_rows gives for the same rows.  Each column is
+    formatted once (y once per file, x once per time) and each (time,
+    equation) block is written as one string: a template holding the
+    block's fixed fields, filled with the value vector in one `%` (the
+    fixed fields are formatted numbers, so they hold no '%').
+    """
+    ys = _format_column(rows.y)
+    with open(path, "w", newline="") as fp:
+        fp.write("time,equation,y,x,value\n")
+        for time, x, vectors in rows.blocks:
+            xs = ys if x is rows.y else _format_column(x)
+            fields = [f"{a},{b},{FLOAT_FORMAT}" for a, b in zip(ys, xs)]
+            t = format_float(time)
+            for i, v in enumerate(vectors):
+                lead = f"{t},{i},"
+                fp.write((lead + ("\n" + lead).join(fields) + "\n") % tuple(v.tolist()))
 
 
 def _load_config(args) -> RunConfig:

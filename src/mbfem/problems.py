@@ -128,6 +128,19 @@ def _ex1_a2(r, s):
     return 3.0 + 2.0 / (1.0 + r * r) - 1.0 / (1.0 + s * s)
 
 
+def _ex1_check_domain(x, t) -> None:
+    """Raise ValueError unless t is in [0, 3] and x in [alpha(t), beta(t)],
+    each up to a tolerance; NaN counts as outside.  Each range is one fused
+    test with one reduction: the forcing runs at every step."""
+    if not np.logical_and(-1e-12 <= t, t <= 3.0 + 1e-12).all():
+        raise ValueError(f"time {t} outside the domain [0, 3]")
+    tol = 1e-9 * 3.5
+    a_bnd = -t / (1.0 + t)
+    b_bnd = 1.0 + 2.0 * t / (1.0 + t)
+    if not np.logical_and(a_bnd - tol <= x, x <= b_bnd + tol).all():
+        raise ValueError(f"position {x} outside the moving interval at t={t}")
+
+
 def example1_forcing(i: int, x, t):
     """Derived forcing of the first benchmark, equation i (0-based).
 
@@ -141,14 +154,7 @@ def example1_forcing(i: int, x, t):
     """
     if i not in (0, 1):
         raise IndexError(f"equation index {i} out of range for a two-equation system")
-    if np.any(t < -1e-12) or np.any(t > 3.0 + 1e-12):
-        raise ValueError(f"time {t} outside the domain [0, 3]")
-    a_bnd = -t / (1.0 + t)
-    b_bnd = 1.0 + 2.0 * t / (1.0 + t)
-    tol = 1e-9 * 3.5
-    if np.any(x < a_bnd - tol) or np.any(x > b_bnd + tol):
-        raise ValueError(f"position {x} outside the moving interval at t={t}")
-
+    _ex1_check_domain(x, t)
     z = _ex1_z(x, t)
     gamma = (1.0 + 4.0 * t) / (1.0 + t)
     dt2 = (1.0 + t) ** 2

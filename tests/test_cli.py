@@ -1,3 +1,4 @@
+import copy
 import csv
 import os
 import subprocess
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import mbfem
-from mbfem.cli import ConfigError, main, parse_config, parse_problem
+from mbfem import build_space, cli, example1, run, write_rows
+from mbfem.cli import ConfigError, SnapshotRecorder, SnapshotRows, main, parse_config, parse_problem
 from mbfem.problems import _Q1_COEFFS, _ex1_motion, _quartic
 
 
@@ -282,6 +284,138 @@ def test_solve_is_deterministic(tmp_path):
     assert main(["solve", "--config", config, "--out", str(a)]) == 0
     assert main(["solve", "--config", config, "--out", str(b)]) == 0
     assert (a / "snapshots.csv").read_bytes() == (b / "snapshots.csv").read_bytes()
+
+
+# --- snapshot output -----------------------------------------------------------
+
+SNAPSHOT_HEADER = ["time", "equation", "y", "x", "value"]
+
+
+def reference_snapshots(path, rows):
+    """The snapshot path the array blocks replaced: one tuple per value,
+    written by write_rows."""
+    write_rows(
+        path,
+        SNAPSHOT_HEADER,
+        [
+            (time, i, rows.y[j], x[j], v[j])
+            for time, x, vectors in rows.blocks
+            for i, v in enumerate(vectors)
+            for j in range(len(rows.y))
+        ],
+    )
+
+
+def assert_writers_agree(tmp_path, rows):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    cli._write_snapshots(new, rows)
+    reference_snapshots(ref, rows)
+    assert new.read_bytes() == ref.read_bytes()
+    assert len(rows) == len(new.read_bytes().splitlines()) - 1
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_snapshot_writer_matches_row_writer_on_edge_values(tmp_path):
+    edge = np.array([-0.0, 5e-324, 1e16, 0.1, -1e300, 0.30000000000000004, 1.0 - 2.0**-53])
+    y = np.linspace(0.0, 1.0, len(edge))
+    rows = SnapshotRows(y)
+    rows.append(0.0, y, (edge, -edge[::-1]))
+    rows.append(0.30000000000000004, edge[::-1].copy(), (y, edge))
+    rows.append(1e16, edge, (np.full_like(y, 5e-324), np.full_like(y, -0.0)))
+    assert_writers_agree(tmp_path, rows)
+
+
+def _coupled_problem(ne):
+    lines = [f"ne={ne} T=0.2 motion=rational alpha_num=0,-0.5 alpha_den=1,1 beta_num=1,1.5 beta_den=1,1"]
+    for i in range(1, ne + 1):
+        lines += [f"diffusion{i}=const:{i}", f"initial{i}=poly:0,{i},-{i}", f"forcing{i}=gaussx;texp:-{i}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "problem_text, config",
+    [
+        (None, "problem=example1 nt=1 k=1 delta=0.25 T=1 snapshot_time=0.5"),
+        (None, "problem=example1 nt=4 k=2 delta=0.05 T=0.5 snapshot_time=0.1 emit_moving=false"),
+        (None, "problem=example1 nt=8 k=3 delta=0.03 T=1 snapshot_time=0.3"),
+        (_coupled_problem(1), "problem=p.prob nt=8 k=2 delta=0.02 snapshot_time=0.1"),
+        (_coupled_problem(8), "problem=p.prob nt=4 k=3 delta=0.02 snapshot_time=0.06,0.1"),
+    ],
+    ids=["2-dofs", "fixed-x", "short-final-step", "ne1", "ne8"],
+)
+def test_solve_snapshots_match_row_writer_and_parse_back(tmp_path, monkeypatch, problem_text, config):
+    if problem_text is not None:
+        write(tmp_path, "p.prob", problem_text)
+    captured = []
+    write_snapshots = cli._write_snapshots
+
+    def capture(path, rows):
+        captured.append(rows)
+        write_snapshots(path, rows)
+
+    monkeypatch.setattr(cli, "_write_snapshots", capture)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write(tmp_path, "run.cfg", config + "\n"), "--out", str(out)]) == 0
+    (rows,) = captured
+    assert_writers_agree(tmp_path, rows)
+
+    # every float field reads back bit for bit as the recorded arrays
+    body = read_csv(out / "snapshots.csv")[1:]
+    assert len(body) == len(rows)
+    n = len(rows.y)
+    expected = [
+        (time, i, rows.y, x, v) for time, x, vectors in rows.blocks for i, v in enumerate(vectors)
+    ]
+    for b, (time, i, y, x, v) in enumerate(expected):
+        block = body[b * n : (b + 1) * n]
+        assert all(r[1] == str(i) for r in block)
+        for column, want in ((0, np.full(n, time)), (2, y), (3, x), (4, v)):
+            assert np.array_equal(bits([float(r[column]) for r in block]), bits(want))
+
+
+def _record(problem, space, delta, times):
+    """Run with a SnapshotRecorder; returns it, its row-count growth per
+    observer call, and deep copies of what it stored, taken inside the call
+    that stored it."""
+    recorder = SnapshotRecorder(problem, space, times, tol=delta / 2)
+    growth, stored = [], []
+
+    def observe(step, time, vectors):
+        before = len(recorder.rows)
+        recorder(step, time, vectors)
+        growth.append(len(recorder.rows) - before)
+        if growth[-1]:
+            stored.append(copy.deepcopy(recorder.rows.blocks[-1]))
+
+    run(problem, space, delta, observers=[observe])
+    return recorder, growth, stored
+
+
+def test_recorder_row_count_grows_by_one_level_per_hit():
+    problem, space = example1(), build_space(4, 2)
+    recorder, growth, _ = _record(problem, space, 0.05, [0.1, 0.5, problem.T])
+    level = problem.ne * space.n_dofs
+    assert sorted(set(growth)) == [0, level]
+    assert growth.count(level) == 3
+    assert len(recorder.rows) == 3 * level
+
+
+def test_recorded_arrays_are_not_reused_by_the_stepper():
+    problem, space = example1(), build_space(4, 2)
+    y = space.dof_positions.copy()
+    recorder, _, stored = _record(problem, space, 0.05, [0.05, problem.T])
+    assert len(recorder.rows.blocks) == len(stored) == 2
+    for (time, x, vectors), (time0, x0, vectors0) in zip(recorder.rows.blocks, stored):
+        assert time == time0
+        assert np.array_equal(bits(x), bits(x0))
+        assert len(vectors) == len(vectors0) == problem.ne
+        for v, v0 in zip(vectors, vectors0):
+            assert np.array_equal(bits(v), bits(v0))
+    assert np.array_equal(bits(space.dof_positions), bits(y))
+    assert recorder.rows.y is space.dof_positions
 
 
 def test_solve_user_problem_file(tmp_path):

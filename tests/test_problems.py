@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mbfem import BoundaryMotion, ProblemSpec, example1, example1_forcing, example2, fixed_interval, validate
@@ -11,6 +13,7 @@ from mbfem.problems import (
     _Q1_INTEGRAL,
     _Q2_COEFFS,
     _Q2_INTEGRAL,
+    _ex1_check_domain,
     _ex1_z,
     _quartic,
 )
@@ -85,6 +88,74 @@ def test_forcing_rejects_points_outside_domain():
         example1_forcing(0, 5.0, 0.0)
     with pytest.raises(ValueError):
         example1_forcing(0, 0.5, 4.0)
+
+
+T_EDGES = (-1e-12, 0.0, 3.0, 3.0 + 1e-12)
+X_TOL = 1e-9 * 3.5
+
+
+def old_domain_error(x, t):
+    """The range checks example1_forcing made before they were fused: the
+    reference the fused checks must agree with."""
+    if np.any(t < -1e-12) or np.any(t > 3.0 + 1e-12):
+        return f"time {t} outside the domain [0, 3]"
+    a_bnd = -t / (1.0 + t)
+    b_bnd = 1.0 + 2.0 * t / (1.0 + t)
+    if np.any(x < a_bnd - X_TOL) or np.any(x > b_bnd + X_TOL):
+        return f"position {x} outside the moving interval at t={t}"
+    return None
+
+
+def new_domain_error(x, t):
+    try:
+        _ex1_check_domain(x, t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def near(edges):
+    """One of the edges, or its neighbour one ulp below or above it."""
+    return st.builds(
+        lambda e, step: float(np.nextafter(e, step * math.inf)) if step else e,
+        st.sampled_from(edges),
+        st.sampled_from((-1, 0, 1)),
+    )
+
+
+ODD = st.sampled_from((math.inf, -math.inf, math.nan))
+T_VALUE = st.one_of(near(T_EDGES), st.floats(0.0, 3.0), st.floats(-0.5, 3.5), ODD)
+
+
+@st.composite
+def domain_args(draw):
+    """(x, t): t a scalar or an array, x a scalar or an array that
+    broadcasts with it, values on or next to the interval ends and the
+    ends widened by the tolerance."""
+    n_t = draw(st.sampled_from((0, 1, 3)))  # 0: scalar t
+    ts = [draw(T_VALUE) for _ in range(max(n_t, 1))]
+    n_x = n_t if n_t else draw(st.sampled_from((0, 1, 4)))
+    xs = []
+    for j in range(max(n_x, 1)):
+        tj = ts[j % len(ts)]
+        tj = min(max(tj, 0.0), 3.0) if math.isfinite(tj) else 0.0
+        a_bnd, b_bnd = -tj / (1.0 + tj), 1.0 + 2.0 * tj / (1.0 + tj)
+        edges = (a_bnd - X_TOL, a_bnd, b_bnd, b_bnd + X_TOL)
+        xs.append(draw(st.one_of(near(edges), st.floats(-1.0, 3.0), ODD)))
+    t = np.array(ts) if n_t else ts[0]
+    x = np.array(xs) if n_x else xs[0]
+    return x, t
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(domain_args())
+def test_fused_domain_checks_agree_with_the_old_ones(args):
+    x, t = args
+    old, new = old_domain_error(x, t), new_domain_error(x, t)
+    if np.isnan(x).any() or np.isnan(t).any():
+        assert old is None or new is not None  # NaN may only be rejected more often
+    else:
+        assert new == old
 
 
 def test_diffusion_bounds_hold_on_declared_ranges():
