@@ -16,7 +16,7 @@ problem = example1()
 space = build_space(16, 3)
 delta = 0.01
 
-tracker = ErrorTracker(problem, space, times=[0.5, 1.0, 2.0, 3.0], tol=delta / 2.0)
+tracker = ErrorTracker(problem, space, times=[0.5, 1.0, 2.0, 3.0], delta=delta)
 result = run(problem, space, delta, observers=[tracker])
 print(f"{result.n_steps} steps, {space.n_dofs} dofs, {result.runtime:.2f}s\n")
 

@@ -9,6 +9,7 @@ in log-log coordinates.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import FESpace, build_space, gauss_legendre
-from .stepper import SchemeState, run
+from .stepper import SchemeState, level_grid, run
 
 __all__ = [
     "ErrorRecord",
@@ -48,8 +49,6 @@ class ErrorRecord:
 class RateFit:
     """Least-squares slope of log(error) against log(h or delta)."""
 
-    abscissae: tuple[float, ...]
-    errors: tuple[float, ...]
     slope: float
     intercept: float
     r_squared: float
@@ -122,34 +121,49 @@ def measure(state: SchemeState, problem, space: FESpace) -> ErrorRecord:
     return ErrorRecord(time=t, l2_moving=tuple(l2), max_nodal=tuple(mx))
 
 
-def take_due(pending: list, time: float, tol: float) -> bool:
-    """Remove from `pending` every requested time within tol of `time`.
+def due_times(times, T: float, delta: float) -> list[float]:
+    """Each requested time snapped to the nearest level of a run from 0 to
+    T with step delta (the earlier of two equally near), sorted.
 
-    Returns whether any was removed, so each request is matched once.
-    Shared by the observers that act at requested times.
+    Shared by the observers that act at requested times, which then match
+    levels exactly; a request outside [0, T] is a ValueError.
     """
-    hit = [w for w in pending if abs(time - w) <= tol]
-    for w in hit:
-        pending.remove(w)
-    return bool(hit)
+    levels = level_grid(T, delta)[2].tolist()
+    due = []
+    for w in times:
+        if not 0.0 <= w <= T:
+            raise ValueError(f"requested time {w} outside [0, {T}]")
+        i = bisect.bisect_left(levels, w)  # levels[i - 1] < w <= levels[i]
+        due.append(min(levels[max(i - 1, 0) : i + 1], key=lambda t: abs(t - w)))
+    return sorted(due)
+
+
+def take_due(pending: list, time: float) -> bool:
+    """Remove `time` from `pending`, the observer's `due_times`.
+
+    Returns whether it was there, so each level is acted on once.
+    """
+    hit = time in pending
+    if hit:
+        pending[:] = [w for w in pending if w != time]
+    return hit
 
 
 class ErrorTracker:
     """Run observer that measures errors at selected times.
 
-    A level is measured when it is within `tol` of a requested time, each
-    request matched once.
+    Each requested time is measured at the level nearest to it in a run
+    with step `delta` (see `due_times`).
     """
 
-    def __init__(self, problem, space: FESpace, times, tol: float = 1e-9):
+    def __init__(self, problem, space: FESpace, times, delta: float):
         self.problem = problem
         self.space = space
-        self.pending = sorted(times)
-        self.tol = tol
+        self.pending = due_times(times, problem.T, delta)
         self.records: list[ErrorRecord] = []
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
-        if not take_due(self.pending, time, self.tol):
+        if not take_due(self.pending, time):
             return
         state = SchemeState(
             t_index=step_index, time=time, delta=0.0, current=tuple(vectors), previous=None
@@ -171,8 +185,6 @@ def fit_slope(points, axis: str = "", degree: int | None = None, equation: int |
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateFit(
-        abscissae=tuple(a for a, _ in pts),
-        errors=tuple(e for _, e in pts),
         slope=float(slope),
         intercept=float(intercept),
         r_squared=min(max(r2, 0.0), 1.0),

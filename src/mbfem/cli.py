@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import FLOAT_FORMAT, ErrorTracker, convergence_study, format_float, take_due, write_rows
+from .analysis import FLOAT_FORMAT, ErrorTracker, convergence_study, due_times, format_float, take_due, write_rows
 from .discretization import build_space, natural_cubic_spline
 from .geometry import BoundaryMotion, fixed_interval
 from .problems import ProblemSpec, example1, example2, validate
@@ -51,7 +51,6 @@ _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0":
 @dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec
-    problem_name: str
     nt: tuple[int, ...]
     k: tuple[int, ...]
     delta: tuple[float, ...]
@@ -171,7 +170,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     return RunConfig(
         problem=problem,
-        problem_name=name,
         nt=nt,
         k=k,
         delta=delta,
@@ -227,6 +225,8 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
     if family == "fixed":
         a = _one(table, "a", float, default=0.0)
         b = _one(table, "b", float, default=1.0)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"fixed interval ends must be finite, got [{a}, {b}]")
         if b <= a:
             raise ConfigError(f"fixed interval needs a < b, got [{a}, {b}]")
         return fixed_interval(a, b, T=t_final)
@@ -453,17 +453,17 @@ class SnapshotRows:
 
 
 class SnapshotRecorder:
-    """Observer that keeps the levels at the requested times in `rows`."""
+    """Observer that keeps the levels at the requested times in `rows`,
+    each time snapped to a level of a run with step `delta` (`due_times`)."""
 
-    def __init__(self, problem, space, times, tol: float, emit_moving: bool = True):
+    def __init__(self, problem, space, times, delta: float, emit_moving: bool = True):
         self.problem = problem
-        self.pending = sorted(times)
-        self.tol = tol
+        self.pending = due_times(times, problem.T, delta)
         self.emit_moving = emit_moving
         self.rows = SnapshotRows(space.dof_positions)
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
-        if not take_due(self.pending, time, self.tol):
+        if not take_due(self.pending, time):
             return
         y = self.rows.y
         x = self.problem.motion.to_moving(y, time) if self.emit_moving else y
@@ -520,11 +520,11 @@ def cmd_solve(args) -> int:
     space = build_space(nt, k, config.q)
 
     times = set(config.snapshot_times) | {problem.T}
-    recorder = SnapshotRecorder(problem, space, times, tol=delta / 2, emit_moving=config.emit_moving)
+    recorder = SnapshotRecorder(problem, space, times, delta, emit_moving=config.emit_moving)
     observers = [recorder]
     tracker = None
     if problem.exact is not None:
-        tracker = ErrorTracker(problem, space, times=sorted(times), tol=delta / 2)
+        tracker = ErrorTracker(problem, space, times, delta)
         observers.append(tracker)
 
     try:
@@ -551,7 +551,7 @@ def cmd_solve(args) -> int:
         written.append(err_path)
 
     print(
-        f"{problem.name or config.problem_name}: {result.n_steps} steps to T={format_float(problem.T)} "
+        f"{problem.name}: {result.n_steps} steps to T={format_float(problem.T)} "
         f"({space.n_dofs} dofs, degree {k}) in {result.runtime:.2f}s"
     )
     for path in written:

@@ -1,18 +1,18 @@
 """Moving-boundary geometry.
 
 Evaluates the boundary curves of a moving interval (alpha(t), beta(t)),
-the boundary-fixing change of variables y = (x - alpha(t)) / gamma(t)
-with gamma = beta - alpha, and the coefficients of the transformed
-equation: the advection coefficient b1(y, t) = (alpha' + gamma' y) / gamma
-and the diffusion scaling b2(t) = 1 / gamma(t)^2.
+its width gamma = beta - alpha, the map x = alpha(t) + gamma(t) y back
+from the fixed coordinate y = (x - alpha(t)) / gamma(t), and the diffusion
+scaling b2(t) = 1 / gamma(t)^2 of the transformed equation.  Its advection
+coefficient b1(y, t) = (alpha' + gamma' y) / gamma enters the scheme
+through the convection matrices (see `stepper`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 __all__ = ["BoundaryMotion", "fixed_interval"]
 
@@ -64,32 +64,10 @@ class BoundaryMotion:
         self._check_time(t)
         return self.beta_prime(t) - self.alpha_prime(t)
 
-    def coeff_b1(self, y, t: float):
-        """Advection coefficient (alpha'(t) + gamma'(t) y) / gamma(t).
-
-        `y` may be a scalar or an array of reference coordinates in [0, 1].
-        """
-        g = self.gamma(t)
-        if np.any(y < -1e-12) or np.any(y > 1.0 + 1e-12):
-            raise ValueError("reference coordinate outside [0, 1]")
-        return (self.alpha_prime(t) + self.gamma_prime(t) * y) / g
-
     def coeff_b2(self, t: float) -> float:
         """Diffusion scaling 1 / gamma(t)^2."""
         g = self.gamma(t)
         return 1.0 / (g * g)
-
-    def to_fixed(self, x, t: float):
-        """Map physical coordinates in [alpha(t), beta(t)] to [0, 1]."""
-        self._check_time(t)
-        a = self.alpha(t)
-        b = self.beta(t)
-        tol = 1e-12 * max(1.0, abs(a), abs(b))
-        if np.any(x < a - tol) or np.any(x > b + tol):
-            raise ValueError(
-                f"position outside the interval [{a}, {b}] at t={t}"
-            )
-        return (x - a) / (b - a)
 
     def to_moving(self, y, t: float):
         """Map reference coordinates in [0, 1] to [alpha(t), beta(t)]."""
@@ -99,6 +77,8 @@ class BoundaryMotion:
 
 def fixed_interval(a: float = 0.0, b: float = 1.0, T: float = 1.0) -> BoundaryMotion:
     """Degenerate motion with still boundaries (a cylindrical domain)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
     return BoundaryMotion(

@@ -194,32 +194,25 @@ def bootstrap_first_step(
     )
 
 
-def advance(
-    state: SchemeState,
-    ops: OperatorSet,
-    problem,
-    dt: float | None = None,
-    extrapolate: bool = True,
-) -> SchemeState:
+def advance(state: SchemeState, ops: OperatorSet, problem, dt: float | None = None) -> SchemeState:
     """One linearized Crank-Nicolson step from level n >= 1 to n + 1.
 
-    With extrapolate=False the diffusion arguments use V^(n) instead of
-    3/2 V^(n) - 1/2 V^(n-1); this first-order freeze is used only for a
-    shortened final step, where the constant-step extrapolation weights
-    would not hold.
+    An explicit dt (the shortened final step) takes the diffusion
+    arguments at V^(n) instead of 3/2 V^(n) - 1/2 V^(n-1): the
+    extrapolation weights hold only for a step of the run's own delta,
+    so that step is first-order frozen.
     """
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
+    v_bar = state.current
     if dt is None:
         dt = state.delta
         t_new = (state.t_index + 1) * state.delta
+        v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
     else:
         t_new = state.time + dt
     t_mid = 0.5 * (state.time + t_new)
     step = _begin_step(ops, problem, t_mid, dt)
-    v_bar = state.current
-    if extrapolate:
-        v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
     l_bar = [nonlocal_value(ops.nonlocal_weights, v, problem.motion, t_mid) for v in v_bar]
     new = _solve_all(step, problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
     return SchemeState(
@@ -244,26 +237,40 @@ def _notify(observers, state: SchemeState) -> None:
         obs(state.t_index, state.time, frozen)
 
 
+def level_grid(T: float, delta: float) -> tuple[int, float, np.ndarray]:
+    """The time levels of a run from 0 to T with step delta.
+
+    Returns (n_full, remainder, times): level n <= n_full sits at
+    n * delta, and when T - n_full * delta exceeds 1e-9 delta one
+    shortened final step of that remainder lands exactly on T.
+    """
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"time step must be positive and finite, got {delta}")
+    if not math.isfinite(T):
+        raise ValueError(f"final time must be finite, got {T}")
+    ratio = T / delta
+    if ratio > 1e9:
+        raise ValueError(f"T/delta = {ratio:.3g} exceeds the step-count limit")
+    n_full = int(round(ratio))
+    if abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio)):
+        n_full = int(math.floor(ratio))
+    remainder = T - n_full * delta
+    times = np.arange(n_full + 1) * delta  # n * delta, as advance computes it
+    if remainder > 1e-9 * delta:
+        times = np.append(times, T)
+    return n_full, remainder, times
+
+
 def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
-    """Integrate the problem from 0 to problem.T.
+    """Integrate the problem from 0 to problem.T over `level_grid`'s levels.
 
     Observers are callables (step_index, time, coefficient_vectors)
     invoked at every level including 0; the vectors are read-only copies.
     If T/delta is not an integer, one shortened final step lands exactly
     on T (see `advance`).
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"time step must be positive and finite, got {delta}")
-    if not math.isfinite(problem.T):
-        raise ValueError(f"final time must be finite, got {problem.T}")
-    ratio = problem.T / delta
-    if ratio > 1e9:
-        raise ValueError(f"T/delta = {ratio:.3g} exceeds the step-count limit")
-    n_full = int(round(ratio))
-    if abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio)):
-        n_full = int(math.floor(ratio))
-    remainder = problem.T - n_full * delta
-    n_steps = n_full + 1 if remainder > 1e-9 * delta else n_full
+    n_full, remainder, grid = level_grid(problem.T, delta)
+    n_steps = len(grid) - 1
 
     started = _time.perf_counter()
     ops = assemble_static(space)
@@ -279,7 +286,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
         if state.t_index == 0:
             state = bootstrap_first_step(state, ops, problem, dt=dt)
         else:
-            state = advance(state, ops, problem, dt=dt, extrapolate=not short)
+            state = advance(state, ops, problem, dt=dt)
         if short:
             state = replace(state, time=problem.T)
 

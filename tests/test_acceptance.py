@@ -24,19 +24,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbfem import (
-    ErrorTracker,
-    assemble_static,
-    build_space,
-    convergence_study,
-    example1,
-    example1_forcing,
-    fit_slope,
-    interpolate,
-    l2_error_vs_function,
-    measure,
-    run,
-)
+from mbfem import ErrorTracker, build_space, convergence_study, example1, run
+from mbfem.analysis import fit_slope, l2_error_vs_function, measure
+from mbfem.assembly import assemble_static
+from mbfem.discretization import interpolate
+from mbfem.problems import example1_forcing
 from mbfem.cli import main
 
 from conftest import heat_problem
@@ -99,7 +91,7 @@ def test_criterion_4_reference_error_magnitudes():
     problem = replace(example1(), T=1.0)
     space = build_space(4, 5)
     delta = 1e-4
-    tracker = ErrorTracker(problem, space, times=[0.5, 1.0], tol=delta / 2.0)
+    tracker = ErrorTracker(problem, space, times=[0.5, 1.0], delta=delta)
     run(problem, space, delta, observers=[tracker])
     by_time = {round(r.time, 6): r.max_nodal for r in tracker.records}
 

@@ -4,19 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mbfem import (
-    ErrorTracker,
-    ProblemSpec,
-    build_space,
-    convergence_study,
-    fit_slope,
-    fixed_interval,
-    interpolate,
-    l2_error_vs_function,
-    measure,
-    run,
-    write_rows,
-)
+from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, fixed_interval, run
+from mbfem.analysis import due_times, fit_slope, l2_error_vs_function, measure, write_rows
+from mbfem.discretization import interpolate
 from mbfem.stepper import SchemeState
 from conftest import heat_problem
 
@@ -73,7 +63,7 @@ def test_l2_error_uses_elevated_quadrature():
     from scipy.integrate import quad
 
     def sq(y):
-        from mbfem import evaluate_expansion
+        from mbfem.discretization import evaluate_expansion
 
         return (evaluate_expansion(space, coeffs, np.array([y]))[0] - math.sin(math.pi * y)) ** 2
 
@@ -108,11 +98,19 @@ def test_fit_slope_rejects_nonpositive():
 def test_error_tracker_records_requested_times():
     p = heat_problem(T=0.2)
     space = build_space(8, 2)
-    tracker = ErrorTracker(p, space, times=[0.0, 0.1, 0.2], tol=5e-3)
+    tracker = ErrorTracker(p, space, times=[0.0, 0.1, 0.2], delta=0.01)
     run(p, space, 0.01, observers=[tracker])
     times = [r.time for r in tracker.records]
     assert times == pytest.approx([0.0, 0.1, 0.2], abs=1e-12)
     assert tracker.pending == []
+
+
+def test_due_times_snap_to_the_nearest_level():
+    # levels 0, 0.25, ..., 1: a request halfway between two takes the
+    # earlier, a repeated level stays listed once per request
+    assert due_times([1.0, 0.125, 0.375, 0.3, 0.0], 1.0, 0.25) == [0.0, 0.0, 0.25, 0.25, 1.0]
+    # a final step of 0.01 after 0.99: T and a request beyond 0.995 land on T
+    assert due_times([1.0, 0.996, 0.995], 1.0, 0.03)[-2:] == [1.0, 1.0]
 
 
 def test_convergence_study_spatial_axis():
@@ -169,7 +167,7 @@ def test_csv_writers_are_deterministic(tmp_path):
 def test_csv_floats_roundtrip(tmp_path):
     p = heat_problem(T=0.1)
     space = build_space(8, 1)
-    tracker = ErrorTracker(p, space, times=[0.1], tol=5e-3)
+    tracker = ErrorTracker(p, space, times=[0.1], delta=0.01)
     run(p, space, 0.01, observers=[tracker])
     path = tmp_path / "errors.csv"
     rec = tracker.records[0]

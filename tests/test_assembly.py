@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from mbfem import (
-    BandedMatrix,
-    assemble_load,
-    assemble_static,
-    build_space,
-    fixed_interval,
-    interpolate,
-    nonlocal_value,
-)
+from mbfem import build_space, fixed_interval, nonlocal_value
+from mbfem.assembly import BandedMatrix, assemble_load, assemble_static
+from mbfem.discretization import interpolate
 from mbfem.assembly import diffusion_scalar
 from mbfem.discretization import sample
 from mbfem.problems import example1, example2

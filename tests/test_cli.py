@@ -3,12 +3,14 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mbfem
-from mbfem import build_space, cli, example1, run, write_rows
+from mbfem import ErrorTracker, build_space, cli, example1, run
+from mbfem.analysis import write_rows
 from mbfem.cli import ConfigError, SnapshotRecorder, SnapshotRows, main, parse_config, parse_problem
 from mbfem.problems import _Q1_COEFFS, _ex1_motion, _quartic
 
@@ -19,13 +21,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def solve_in_child(tmp_path, config):
-    """`python -m mbfem.cli solve` in a child process that imports the same
-    mbfem as this one, installed or not."""
+def cli_in_child(tmp_path, command, config):
+    """`python -m mbfem.cli <command>` in a child process that imports the
+    same mbfem as this one, installed or not."""
     src = os.path.dirname(os.path.dirname(mbfem.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "mbfem.cli", "solve", "--config", config, "--out", str(tmp_path / "o")],
+        [sys.executable, "-m", "mbfem.cli", command, "--config", config, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
         env=env,
@@ -37,7 +39,7 @@ def solve_in_child(tmp_path, config):
 
 def test_parse_minimal_config():
     config = parse_config("problem=example1 nt=100 k=2 delta=0.01")
-    assert config.problem_name == "example1"
+    assert config.problem.name == "example1"
     assert config.nt == (100,)
     assert config.k == (2,)
     assert config.delta == (0.01,)
@@ -203,6 +205,13 @@ def test_parse_problem_rejects_non_finite_motion_coefficients():
         parse_problem(text)
 
 
+@pytest.mark.parametrize("ends", ["a=-inf", "b=inf", "a=nan", "a=-inf b=inf"])
+def test_parse_problem_rejects_non_finite_fixed_ends(ends):
+    text = f"ne=1 T=1 motion=fixed {ends}\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match="fixed interval ends must be finite"):
+        parse_problem(text)
+
+
 def test_parse_problem_rejects_unknown_family():
     text = "ne=1 T=1\nmotion=fixed\ndiffusion1=cubic:1\ninitial1=poly:0,1,-1\n"
     with pytest.raises(ConfigError, match="family"):
@@ -264,6 +273,35 @@ def test_solve_empty_snapshot_list_emits_final_only(tmp_path):
     assert main(["solve", "--config", config, "--out", str(out)]) == 0
     body = read_csv(out / "snapshots.csv")[1:]
     assert {float(r[0]) for r in body} == {0.5}
+
+
+def csv_times(path):
+    return {r[0] for r in read_csv(path)[1:]}
+
+
+@pytest.mark.parametrize(
+    "snapshots,written",
+    [
+        ("", {"1"}),
+        # the last full level is 0.99, the final step 0.01 < delta/2 long
+        ("snapshot_time=0.996", {"1"}),
+        ("snapshot_time=0.985", {"0.98999999999999999", "1"}),
+    ],
+)
+def test_solve_snaps_requests_to_the_nearest_level(tmp_path, snapshots, written):
+    config = write(tmp_path, "run.cfg", f"problem=example1 nt=8 k=3 delta=0.03 T=1 {snapshots}\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    assert csv_times(out / "snapshots.csv") == written
+    assert csv_times(out / "errors.csv") == written
+
+
+@pytest.mark.parametrize("observer", [ErrorTracker, SnapshotRecorder])
+@pytest.mark.parametrize("time", [-0.01, 1.01])
+def test_observers_reject_a_request_outside_the_run(observer, time):
+    problem = replace(example1(), T=1.0)
+    with pytest.raises(ValueError, match="outside"):
+        observer(problem, build_space(2, 1), [0.5, time], 0.1)
 
 
 def test_solve_emit_moving_false(tmp_path):
@@ -380,7 +418,7 @@ def _record(problem, space, delta, times):
     """Run with a SnapshotRecorder; returns it, its row-count growth per
     observer call, and deep copies of what it stored, taken inside the call
     that stored it."""
-    recorder = SnapshotRecorder(problem, space, times, tol=delta / 2)
+    recorder = SnapshotRecorder(problem, space, times, delta)
     growth, stored = [], []
 
     def observe(step, time, vectors):
@@ -464,7 +502,7 @@ def test_solve_reports_band_overflow_as_one_line(tmp_path):
         "ne=1 T=1\nmotion=fixed\ndiffusion1=const:1e308\ninitial1=poly:0,1,-1\n",
     )
     config = write(tmp_path, "run.cfg", "problem=huge.prob nt=4 k=2 delta=0.01\n")
-    proc = solve_in_child(tmp_path, config)
+    proc = cli_in_child(tmp_path, "solve", config)
     assert proc.returncode == 1
     assert proc.stderr == "solve failed: non-finite solution at the predictor of step 1 (t=0.01), equation 0\n"
 
@@ -561,6 +599,20 @@ def test_zero_denominator_fails_without_numpy_warnings(tmp_path, capsys):
     assert "Warning" not in err
 
 
+def test_validate_rejects_an_infinite_fixed_end_without_warnings(tmp_path):
+    # a child process, so that numpy warnings would reach its stderr
+    write(
+        tmp_path,
+        "inf.prob",
+        "ne=1 T=1 motion=fixed a=-inf\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n",
+    )
+    config = write(tmp_path, "v.cfg", "problem=inf.prob nt=4 k=1 delta=0.01\n")
+    proc = cli_in_child(tmp_path, "validate", config)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: fixed interval ends must be finite, got [-inf, 1.0]\n"
+    assert "PASS" not in proc.stdout
+
+
 def test_validate_fixed_domain_fails_strict_then_warns_relaxed(tmp_path, capsys):
     write(
         tmp_path,
@@ -596,6 +648,6 @@ def test_validate_takes_a_seed(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     config = write(tmp_path, "run.cfg", "problem=example2 nt=4 k=2 delta=0.05\n")
-    proc = solve_in_child(tmp_path, config)
+    proc = cli_in_child(tmp_path, "solve", config)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "snapshots.csv").exists()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mbfem import (
-    build_space,
+from mbfem import build_space
+from mbfem.discretization import (
     evaluate_expansion,
     gauss_legendre,
     interpolate,

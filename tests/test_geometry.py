@@ -37,37 +37,11 @@ def test_declared_derivatives_match_finite_differences(motion):
         assert motion.beta_prime(t) == pytest.approx(fd_b, rel=1e-7)
 
 
-def test_b1_values(motion):
-    assert motion.coeff_b1(0.5, 0.0) == pytest.approx(0.5, rel=1e-14)
-    assert motion.coeff_b1(0.0, 0.0) == pytest.approx(-1.0, rel=1e-14)
-
-
-def test_b1_vanishes_for_fixed_boundaries():
-    m = fixed_interval(0.0, 1.0, T=1.0)
-    y = np.linspace(0.0, 1.0, 11)
-    assert np.all(m.coeff_b1(y, 0.5) == 0.0)
-
-
-def test_b1_is_affine_in_y(motion):
-    t = 1.3
-    y = np.linspace(0.0, 1.0, 9)
-    vals = motion.coeff_b1(y, t)
-    slope = (vals[-1] - vals[0]) / (y[-1] - y[0])
-    assert np.allclose(vals, vals[0] + slope * y, rtol=1e-13, atol=1e-15)
-
-
 def test_b2_values(motion):
     assert motion.coeff_b2(0.0) == pytest.approx(1.0, rel=1e-15)
     assert motion.coeff_b2(1.0) == pytest.approx(4.0 / 25.0, rel=1e-14)
     m = fixed_interval(0.0, 1.0, T=1.0)
     assert m.coeff_b2(0.7) == 1.0
-
-
-def test_to_fixed_endpoints_and_midpoint(motion):
-    for t in (0.0, 1.0, 2.5):
-        assert motion.to_fixed(motion.alpha(t), t) == pytest.approx(0.0, abs=1e-14)
-        assert motion.to_fixed(motion.beta(t), t) == pytest.approx(1.0, rel=1e-14)
-    assert motion.to_fixed(0.5, 0.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_to_moving_endpoints_and_midpoint(motion):
@@ -82,12 +56,8 @@ def test_to_fixed_to_moving_roundtrip(motion):
     for t in (0.2, 1.7):
         y = rng.uniform(0.0, 1.0, 20)
         x = motion.to_moving(y, t)
-        assert np.allclose(motion.to_fixed(x, t), y, rtol=1e-13, atol=1e-14)
-
-
-def test_to_fixed_rejects_outside_point(motion):
-    with pytest.raises(ValueError):
-        motion.to_fixed(-2.0, 0.0)
+        fixed = (x - motion.alpha(t)) / motion.gamma(t)
+        assert np.allclose(fixed, y, rtol=1e-13, atol=1e-14)
 
 
 def test_time_domain_enforced(motion):
@@ -128,3 +98,9 @@ def test_nan_width_rejected():
 def test_fixed_interval_rejects_empty():
     with pytest.raises(ValueError):
         fixed_interval(1.0, 1.0)
+
+
+@pytest.mark.parametrize("a,b", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)])
+def test_fixed_interval_rejects_non_finite_ends(a, b):
+    with pytest.raises(ValueError, match="must be finite"):
+        fixed_interval(a, b)

@@ -5,23 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from mbfem import (
-    BandedMatrix,
-    ProblemSpec,
-    advance,
-    assemble_static,
-    bootstrap_first_step,
-    build_space,
-    example1,
-    fit_slope,
-    fixed_interval,
-    initialize,
-    l2_norm,
-    measure,
-    run,
-)
-from mbfem.stepper import _StepKernel
+from mbfem import ProblemSpec, build_space, example1, example2, fixed_interval, run
+from mbfem.analysis import fit_slope, measure
+from mbfem.assembly import BandedMatrix, assemble_static
+from mbfem.discretization import l2_norm
+from mbfem.stepper import _StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
+from test_assembly import cardinal_polys, simpson_weights
 
 
 def zero_problem(T=1.0):
@@ -174,6 +164,23 @@ def test_observers_see_every_level_once(T, delta, levels):
     assert result.times == [t for _, t in seen]
 
 
+@pytest.mark.parametrize(
+    "T,delta,n_full,last",
+    [
+        (0.1, 0.5, 0, 0.1),  # T < delta: one shortened bootstrap
+        (1.0, 0.03, 33, 1.0),  # a final step of 0.01 < delta/2
+        (0.3, 0.1, 3, 0.30000000000000004),  # 3 delta, one ulp past T: no extra step
+        (1.0 + 1.5e-10, 0.1, 10, 1.0 + 1.5e-10),  # a remainder of 1.5e-9 delta
+    ],
+)
+def test_run_levels_are_the_level_grid(T, delta, n_full, last):
+    n, _, times = level_grid(T, delta)
+    assert n == n_full
+    assert times[: n_full + 1].tolist() == [n * delta for n in range(n_full + 1)]
+    assert times[-1] == last
+    assert run(zero_problem(T=T), build_space(2, 1), delta).times == times.tolist()
+
+
 def test_observer_vectors_are_read_only():
     p = zero_problem()
     space = build_space(2, 1)
@@ -251,6 +258,47 @@ def test_step_kernel_equals_the_plain_expressions(nt, k):
             load = rng.standard_normal(space.n_dofs)
             got = kernel.solve(b2, a_i, v_prev, load, "a test step")
             assert np.array_equal(got, plain_equation(ops, p.motion, t_mid, a_i, dt, v_prev, load))
+
+
+# --- the convection term against the transformed PDE ------------------------
+
+
+def dense_convection(space, b1, panels=400):
+    """The integrals of b1(y) phi_j'(y) phi_i(y) over (0, 1), from cardinal
+    polynomials and composite Simpson panels as in test_assembly."""
+    k, n = space.degree, space.n_dofs
+    polys = cardinal_polys(k)
+    derivs = [p.deriv() for p in polys]
+    conv = np.zeros((n, n))
+    for e in range(space.n_elements):
+        a, b = space.breakpoints[e], space.breakpoints[e + 1]
+        jac = (b - a) / 2.0
+        y, w = simpson_weights(a, b, panels)
+        xi = (y - a) / jac - 1.0
+        g0 = e * k
+        for li in range(k + 1):
+            for lj in range(k + 1):
+                conv[g0 + li, g0 + lj] += w @ (b1(y) * polys[li](xi) * derivs[lj](xi) / jac)
+    return conv
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("problem,times", [(example1, (0.3, 1.5, 2.9)), (example2, (0.1, 0.5, 0.95))])
+def test_convection_is_the_transformed_advection_term(problem, times, k):
+    # u(x, t) = v(y, t) with y = (x - alpha(t)) / gamma(t) gives
+    # u_t = v_t - b1 v_y, b1 = (alpha' + gamma' y) / gamma, so the step's
+    # C must be the matrix of the integrals of b1 phi_j' phi_i
+    motion = problem().motion
+    space = build_space(3, k)
+    kernel = _StepKernel(assemble_static(space))
+    for t in times:
+        kernel.begin_step(motion, t, 0.01)
+
+        def b1(y):
+            return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
+
+        conv = BandedMatrix(2.0 * kernel.c_half, k).toarray()
+        assert np.allclose(conv, dense_convection(space, b1), atol=1e-10)
 
 
 # --- failures name the step, its time and the equation ----------------------
