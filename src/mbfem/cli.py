@@ -185,8 +185,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 # User-defined problems.  A deliberately small catalog of parameterized
 # families; anything richer should use the library API directly.
 
-_PROBLEM_KEYS_FIXED = {"ne", "T", "name", "motion", "a", "b"}
-_PROBLEM_KEYS_RATIONAL = {"ne", "T", "name", "motion", "alpha_num", "alpha_den", "beta_num", "beta_den"}
+_PROBLEM_KEYS = {"ne", "T", "name", "motion"}
+# Each motion family's own keys; another family's keys are unknown keys.
+_MOTION_KEYS = {"fixed": {"a", "b"}, "rational": {"alpha_num", "alpha_den", "beta_num", "beta_den"}}
 
 
 def _rational_fn(num_coeffs, den_coeffs):
@@ -221,6 +222,7 @@ def _poles(den_coeffs, t_final: float) -> np.ndarray:
 
 
 def _motion_from_table(table, t_final: float) -> BoundaryMotion:
+    """The fixed or rational motion; parse_problem has rejected other families."""
     family = _one(table, "motion", str, default="fixed")
     if family == "fixed":
         a = _one(table, "a", float, default=0.0)
@@ -230,32 +232,30 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
         if b <= a:
             raise ConfigError(f"fixed interval needs a < b, got [{a}, {b}]")
         return fixed_interval(a, b, T=t_final)
-    if family == "rational":
-        coeffs = {
-            key: _many(table, key, float, default=default)
-            for key, default in (("alpha_num", ()), ("alpha_den", (1.0,)), ("beta_num", ()), ("beta_den", (1.0,)))
-        }
-        if not coeffs["alpha_num"] or not coeffs["beta_num"]:
-            raise ConfigError("rational motion needs alpha_num and beta_num coefficients")
-        for key, c in coeffs.items():
-            if not all(math.isfinite(v) for v in c):
-                raise ConfigError(f"key {key!r}: coefficients must be finite, got {c}")
-        for boundary in ("alpha", "beta"):
-            poles = _poles(coeffs[f"{boundary}_den"], t_final)
-            if poles.size:
-                raise ConfigError(
-                    f"the denominator of {boundary} ({boundary}_den) has a root at t = {poles[0]:.6g} in [0, {t_final}]"
-                )
-        alpha, alpha_p = _rational_fn(coeffs["alpha_num"], coeffs["alpha_den"])
-        beta, beta_p = _rational_fn(coeffs["beta_num"], coeffs["beta_den"])
-        motion = BoundaryMotion(alpha=alpha, beta=beta, alpha_prime=alpha_p, beta_prime=beta_p, T=t_final)
-        # an all-zero denominator has no roots to find; its width is NaN,
-        # which gamma reports without numpy's warnings
-        with np.errstate(all="ignore"):
-            for t in np.linspace(0.0, t_final, 101):
-                motion.gamma(float(t))  # raises if the width closes
-        return motion
-    raise ConfigError(f"unknown motion family {family!r} (fixed, rational)")
+    coeffs = {
+        key: _many(table, key, float, default=default)
+        for key, default in (("alpha_num", ()), ("alpha_den", (1.0,)), ("beta_num", ()), ("beta_den", (1.0,)))
+    }
+    if not coeffs["alpha_num"] or not coeffs["beta_num"]:
+        raise ConfigError("rational motion needs alpha_num and beta_num coefficients")
+    for key, c in coeffs.items():
+        if not all(math.isfinite(v) for v in c):
+            raise ConfigError(f"key {key!r}: coefficients must be finite, got {c}")
+    for boundary in ("alpha", "beta"):
+        poles = _poles(coeffs[f"{boundary}_den"], t_final)
+        if poles.size:
+            raise ConfigError(
+                f"the denominator of {boundary} ({boundary}_den) has a root at t = {poles[0]:.6g} in [0, {t_final}]"
+            )
+    alpha, alpha_p = _rational_fn(coeffs["alpha_num"], coeffs["alpha_den"])
+    beta, beta_p = _rational_fn(coeffs["beta_num"], coeffs["beta_den"])
+    motion = BoundaryMotion(alpha=alpha, beta=beta, alpha_prime=alpha_p, beta_prime=beta_p, T=t_final)
+    # an all-zero denominator has no roots to find; its width is NaN,
+    # which gamma reports without numpy's warnings
+    with np.errstate(all="ignore"):
+        for t in np.linspace(0.0, t_final, 101):
+            motion.gamma(float(t))  # raises if the width closes
+    return motion
 
 
 def _split_family(spec: str):
@@ -385,7 +385,6 @@ def _initial_from_spec(spec: str, key: str):
 def parse_problem(text: str) -> ProblemSpec:
     """Parse a user problem file (see README for the catalog)."""
     pairs = _tokenize(text)
-    probe = {key for key, _, _ in pairs}
     ne_values = [v for key, v, _ in pairs if key == "ne"]
     if len(ne_values) != 1:
         raise ConfigError("problem file needs exactly one ne=")
@@ -396,8 +395,11 @@ def parse_problem(text: str) -> ProblemSpec:
     per_equation = set()
     for i in range(1, ne + 1):
         per_equation |= {f"diffusion{i}", f"forcing{i}", f"initial{i}"}
-    base = _PROBLEM_KEYS_RATIONAL if "alpha_num" in probe or probe.intersection({"alpha_den", "beta_num", "beta_den"}) else _PROBLEM_KEYS_FIXED
-    table = _collect(pairs, base | per_equation, "problem")
+    families = [v for key, v, _ in pairs if key == "motion"]  # a repeat fails in _one
+    family = families[0] if families else "fixed"
+    if family not in _MOTION_KEYS:
+        raise ConfigError(f"unknown motion family {family!r} (fixed, rational)")
+    table = _collect(pairs, _PROBLEM_KEYS | _MOTION_KEYS[family] | per_equation, f"motion={family} problem")
 
     t_final = _one(table, "T", float)
     if not (math.isfinite(t_final) and t_final > 0.0):

@@ -1,8 +1,8 @@
 """Fixed-domain discretization.
 
-Meshes of [0, 1], continuous Lagrange elements of arbitrary degree with
-equispaced nodes, Gauss-Legendre quadrature, nodal interpolation, and
-natural cubic splines for tabulated initial data.
+Uniform meshes of [0, 1], continuous Lagrange elements of arbitrary
+degree with equispaced nodes, Gauss-Legendre quadrature, nodal
+interpolation, and natural cubic splines for tabulated initial data.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ __all__ = [
     "FESpace",
     "gauss_legendre",
     "build_space",
-    "space_from_breakpoints",
     "interpolate",
-    "evaluate_expansion",
-    "l2_norm",
     "natural_cubic_spline",
 ]
 
@@ -74,7 +71,7 @@ def lagrange_table(nodes: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FESpace:
-    """Continuous piecewise-polynomial space on a mesh of [0, 1].
+    """Continuous piecewise-polynomial space on a uniform mesh of [0, 1].
 
     Degrees of freedom are the k + 1 equispaced Lagrange nodes of each
     element, shared at element interfaces, nt * k + 1 in total.  For
@@ -84,7 +81,7 @@ class FESpace:
     Immutable after construction; evaluation methods are reentrant.
     """
 
-    breakpoints: np.ndarray       # (nt + 1,) strictly increasing, 0 to 1
+    breakpoints: np.ndarray       # (nt + 1,) uniform, 0 to 1
     degree: int
     quad: QuadratureRule
     dof_positions: np.ndarray     # (nt * k + 1,)
@@ -101,16 +98,6 @@ class FESpace:
     def n_dofs(self) -> int:
         return len(self.dof_positions)
 
-    @property
-    def h(self) -> float:
-        """Largest element diameter."""
-        return float(np.max(np.diff(self.breakpoints)))
-
-    def element_dofs(self, element: int) -> slice:
-        """Global dof slice of one element (k + 1 contiguous entries)."""
-        k = self.degree
-        return slice(element * k, element * k + k + 1)
-
     def eval_basis(self, local_point):
         """Shape values and reference derivatives at points in [-1, 1].
 
@@ -123,15 +110,10 @@ class FESpace:
         return lagrange_table(nodes, local_point)
 
 
-def space_from_breakpoints(breakpoints, k: int, q: int | None = None) -> FESpace:
-    """Build an FESpace on an arbitrary strictly increasing partition of [0, 1]."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1 or len(bp) < 2:
-        raise ValueError("need at least two breakpoints")
-    if bp[0] != 0.0 or bp[-1] != 1.0:
-        raise ValueError("breakpoints must start at 0 and end at 1")
-    if np.any(np.diff(bp) <= 0.0):
-        raise ValueError("breakpoints must be strictly increasing")
+def build_space(nt: int, k: int, q: int | None = None) -> FESpace:
+    """Uniform partition of [0, 1] into nt elements of degree k."""
+    if nt < 1:
+        raise ValueError(f"need at least one element, got nt={nt}")
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
     if q is None:
@@ -140,17 +122,14 @@ def space_from_breakpoints(breakpoints, k: int, q: int | None = None) -> FESpace
         raise ValueError(f"need q >= k + 1 quadrature points, got q={q}")
 
     rule = gauss_legendre(q)
-    nt = len(bp) - 1
-    local = np.linspace(0.0, 1.0, k + 1)
-    pos = np.empty(nt * k + 1)
-    for e in range(nt):
-        a, b = bp[e], bp[e + 1]
-        pos[e * k : e * k + k + 1] = a + (b - a) * local
-    pos[0], pos[-1] = 0.0, 1.0
+    bp = np.linspace(0.0, 1.0, nt + 1)
+    h = np.diff(bp)
+    # each element's first k nodes; a shared node keeps its breakpoint exactly
+    pos = np.append(bp[:-1, None] + h[:, None] * np.linspace(0.0, 1.0, k + 1)[:k], 1.0)
 
     ref_nodes = np.linspace(-1.0, 1.0, k + 1)
     sv, sd = lagrange_table(ref_nodes, rule.points)
-    jac = 0.5 * np.diff(bp)
+    jac = 0.5 * h
     eqp = bp[:-1, None] + (rule.points[None, :] + 1.0) * jac[:, None]
     return FESpace(
         breakpoints=bp,
@@ -162,13 +141,6 @@ def space_from_breakpoints(breakpoints, k: int, q: int | None = None) -> FESpace
         element_quad_points=eqp,
         jacobians=jac,
     )
-
-
-def build_space(nt: int, k: int, q: int | None = None) -> FESpace:
-    """Uniform partition of [0, 1] into nt elements of degree k."""
-    if nt < 1:
-        raise ValueError(f"need at least one element, got nt={nt}")
-    return space_from_breakpoints(np.linspace(0.0, 1.0, nt + 1), k, q)
 
 
 def sample(fn, pts: np.ndarray, *args) -> np.ndarray:
@@ -199,46 +171,6 @@ def interpolate(space: FESpace, u) -> np.ndarray:
     vals[0] = 0.0
     vals[-1] = 0.0
     return vals
-
-
-def evaluate_expansion(space: FESpace, coeffs, y) -> np.ndarray:
-    """Evaluate a coefficient vector's expansion at points y in [0, 1]."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (space.n_dofs,):
-        raise ValueError(f"expected {space.n_dofs} coefficients, got {c.shape}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size and (y.min() < -1e-12 or y.max() > 1.0 + 1e-12):
-        raise ValueError(f"evaluation points must lie in [0, 1], got [{y.min()}, {y.max()}]")
-    elems = np.clip(
-        np.searchsorted(space.breakpoints, y, side="right") - 1,
-        0,
-        space.n_elements - 1,
-    )
-    out = np.empty(y.shape)
-    for e in np.unique(elems):
-        mask = elems == e
-        a, b = space.breakpoints[e], space.breakpoints[e + 1]
-        xi = 2.0 * (y[mask] - a) / (b - a) - 1.0
-        vals, _ = space.eval_basis(xi)
-        out[mask] = vals @ c[space.element_dofs(e)]
-    return out
-
-
-def l2_norm(space: FESpace, coeffs) -> float:
-    """L2 norm over [0, 1] of the expansion, by element-wise quadrature.
-
-    Equals sqrt(c' M c) for the consistent mass matrix, since the rule
-    integrates products of shape functions exactly.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (space.n_dofs,):
-        raise ValueError(f"expected {space.n_dofs} coefficients, got {c.shape}")
-    w = space.quad.weights
-    acc = 0.0
-    for e in range(space.n_elements):
-        vals = space.shape_values @ c[space.element_dofs(e)]
-        acc += space.jacobians[e] * float(w @ (vals * vals))
-    return float(np.sqrt(acc))
 
 
 def natural_cubic_spline(knots):

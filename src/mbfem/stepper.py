@@ -51,7 +51,6 @@ class SchemeState:
 @dataclass(frozen=True)
 class RunResult:
     final: SchemeState
-    times: list[float]
     runtime: float
 
     @property
@@ -275,9 +274,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     started = _time.perf_counter()
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
-    times = []
     while True:
-        times.append(state.time)
         _notify(observers, state)
         if state.t_index == n_steps:
             break
@@ -290,4 +287,4 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
         if short:
             state = replace(state, time=problem.T)
 
-    return RunResult(final=state, times=times, runtime=_time.perf_counter() - started)
+    return RunResult(final=state, runtime=_time.perf_counter() - started)

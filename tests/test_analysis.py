@@ -6,7 +6,7 @@ import pytest
 
 from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, fixed_interval, run
 from mbfem.analysis import due_times, fit_slope, l2_error_vs_function, measure, write_rows
-from mbfem.discretization import interpolate
+from mbfem.discretization import gauss_legendre, interpolate
 from mbfem.stepper import SchemeState
 from conftest import heat_problem
 
@@ -63,12 +63,37 @@ def test_l2_error_uses_elevated_quadrature():
     from scipy.integrate import quad
 
     def sq(y):
-        from mbfem.discretization import evaluate_expansion
-
-        return (evaluate_expansion(space, coeffs, np.array([y]))[0] - math.sin(math.pi * y)) ** 2
+        # a degree-1 expansion is the piecewise-linear interpolant of its coefficients
+        return (np.interp(y, space.dof_positions, coeffs) - math.sin(math.pi * y)) ** 2
 
     true, _ = quad(sq, 0.0, 1.0, limit=200)
     assert err == pytest.approx(math.sqrt(true), rel=1e-3)
+
+
+def loop_l2_error(space, coeffs, fn):
+    """The element-by-element l2_error_vs_function the whole-array one replaced."""
+    rule = gauss_legendre(space.quad.n + 2)
+    table, _ = space.eval_basis(rule.points)
+    c = np.asarray(coeffs, dtype=float)
+    k = space.degree
+    acc = 0.0
+    for e in range(space.n_elements):
+        a, b = space.breakpoints[e], space.breakpoints[e + 1]
+        jac = 0.5 * (b - a)
+        y_q = a + (rule.points + 1.0) * jac
+        diff = table @ c[e * k : e * k + k + 1] - np.asarray(fn(y_q), dtype=float)
+        acc += jac * float(rule.weights @ (diff * diff))
+    return math.sqrt(acc)
+
+
+@pytest.mark.parametrize("nt", [1, 2, 3, 5, 32, 257, 1024, 4096])
+def test_l2_error_equals_the_element_loop(nt):
+    fn = lambda y: np.sin(np.pi * y) * np.exp(y)
+    rng = np.random.default_rng(nt)
+    for k in range(1, 7):
+        space = build_space(nt, k)
+        for coeffs in (rng.standard_normal(space.n_dofs), interpolate(space, fn), np.zeros(space.n_dofs)):
+            assert l2_error_vs_function(space, coeffs, fn) == loop_l2_error(space, coeffs, fn)
 
 
 def test_fit_slope_exact_cubic():

@@ -1,5 +1,6 @@
 """The public names: each layer's `__all__`, the package API the README
-documents, and what the demos and the README import through the package.
+documents, what the demos and the README import from the package and its
+layers, and the names bench/tracing.py patches.
 
 bench/tracing.py builds its spans from the layers' `__all__`: a stale name
 would crash a traced run, and a name re-exported from another module would
@@ -9,6 +10,7 @@ not run.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -45,9 +47,9 @@ def test_package_exports_what_the_readme_lists():
     assert len(set(mbfem.__all__)) == len(mbfem.__all__) == 11
 
 
-def package_imports(source: str):
+def imports_from(source: str, module: str):
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == "mbfem" and node.level == 0:
+        if isinstance(node, ast.ImportFrom) and node.module == module and node.level == 0:
             yield from (alias.name for alias in node.names)
 
 
@@ -68,5 +70,65 @@ def test_readme_has_python_blocks():
 
 @pytest.mark.parametrize("where", list(SOURCES))
 def test_package_imports_are_exported(where):
-    missing = [name for name in package_imports(SOURCES[where]) if name not in mbfem.__all__]
+    missing = [name for name in imports_from(SOURCES[where], "mbfem") if name not in mbfem.__all__]
     assert not missing, f"{where} imports {missing} from mbfem"
+
+
+@pytest.mark.parametrize("where", list(SOURCES))
+def test_layer_imports_exist(where):
+    for layer in LAYERS:
+        mod = importlib.import_module(f"mbfem.{layer}")
+        missing = [name for name in imports_from(SOURCES[where], f"mbfem.{layer}") if not hasattr(mod, name)]
+        assert not missing, f"{where} imports {missing} from mbfem.{layer}"
+
+
+def load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def mbfem_bindings() -> dict:
+    """Every name bound in an mbfem module, and every method of its classes."""
+    layers = {name: importlib.import_module(f"mbfem.{name}") for name in LAYERS}
+    found = {}
+    for modname, mod in [("mbfem", mbfem), *layers.items()]:
+        for name, value in vars(mod).items():
+            found[(modname, name)] = value
+            if inspect.isclass(value) and value.__module__.startswith("mbfem"):
+                found.update({(modname, name, attr): v for attr, v in vars(value).items()})
+    return found
+
+
+def test_bench_instrumentation_installs_and_undoes():
+    # the bench patches these names on the current sources; a deleted one
+    # would fail only when the benchmark runs
+    tracing = load_bench_tracing()
+    layers = {name: importlib.import_module(f"mbfem.{name}") for name in LAYERS}
+    for name in ("initialize", "advance", "bootstrap_first_step"):
+        assert callable(getattr(layers["stepper"], name))
+    assert callable(layers["analysis"].build_space)
+    for layer, classes in tracing.METHODS.items():
+        for cls, methods in classes.items():
+            for meth in methods:
+                assert callable(getattr(getattr(layers[layer], cls), meth)), f"{layer}.{cls}.{meth}"
+    for layer, names in tracing.EXTRA_FUNCTIONS.items():
+        for name in names:
+            assert callable(getattr(layers[layer], name)), f"{layer}.{name}"
+
+    before = mbfem_bindings()
+
+    def rebound():
+        after = mbfem_bindings()
+        assert after.keys() == before.keys()
+        return [key for key, value in after.items() if value is not before[key]]
+
+    for instrument in (tracing.StepTimer(), tracing.Tracer()):
+        patches = tracing.Patches()
+        try:
+            instrument.install(patches, mbfem)
+            assert rebound()
+        finally:
+            patches.undo()
+        assert rebound() == []

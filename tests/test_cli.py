@@ -218,6 +218,28 @@ def test_parse_problem_rejects_unknown_family():
         parse_problem(text)
 
 
+@pytest.mark.parametrize(
+    "motion,foreign",
+    [
+        ("alpha_num=0,-0.5 beta_num=1,0.5", "alpha_num"),  # no motion=: the fixed family
+        ("motion=fixed alpha_num=0,-0.5 beta_num=1,0.5", "alpha_num"),
+        ("motion=fixed a=0 b=2 alpha_den=1", "alpha_den"),
+    ],
+)
+def test_parse_problem_rejects_another_familys_keys(motion, foreign):
+    # the key set follows motion=, so a rational key cannot leave the run
+    # silently on the fixed interval (0, 1)
+    text = f"ne=1 T=1 {motion}\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match=f"unknown motion=fixed problem key '{foreign}'"):
+        parse_problem(text)
+
+
+def test_parse_problem_unknown_motion_family_is_named_before_its_keys():
+    text = "ne=1 T=1 motion=spiral alpha_num=0 a=0\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError, match="unknown motion family 'spiral'"):
+        parse_problem(text)
+
+
 def test_parse_problem_wrong_coefficient_count():
     text = "ne=2 T=1\nmotion=fixed\ndiffusion1=affine_inverse:1,1\ndiffusion2=const:1\n" \
            "initial1=poly:0,1,-1\ninitial2=poly:0,1,-1\n"

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from mbfem import build_space
-from mbfem.discretization import (
-    evaluate_expansion,
-    gauss_legendre,
-    interpolate,
-    l2_norm,
-    natural_cubic_spline,
-    space_from_breakpoints,
-)
-from mbfem.discretization import lagrange_table
+from mbfem.analysis import l2_error_vs_function
+from mbfem.discretization import gauss_legendre, interpolate, lagrange_table, natural_cubic_spline
 
 
 def test_gauss_rule_integrates_polynomials_exactly():
@@ -37,7 +30,7 @@ def test_space_shapes_linear():
 def test_space_shapes_quadratic():
     space = build_space(4, 2, 3)
     assert space.n_dofs == 9
-    assert space.h == pytest.approx(0.25)
+    assert np.diff(space.breakpoints) == pytest.approx([0.25] * 4)
     assert space.quad.n == 3
 
 
@@ -47,9 +40,28 @@ def test_space_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_space(4, 0)
     with pytest.raises(ValueError):
-        space_from_breakpoints([0.0, 0.5, 0.4, 1.0], 1)
-    with pytest.raises(ValueError):
-        space_from_breakpoints([0.1, 0.5, 1.0], 1)  # must start at 0
+        build_space(4, 2, 2)  # q < k + 1
+
+
+def loop_dof_positions(nt, k):
+    """The element-by-element dof positions the whole-array build replaced."""
+    bp = np.linspace(0.0, 1.0, nt + 1)
+    local = np.linspace(0.0, 1.0, k + 1)
+    pos = np.empty(nt * k + 1)
+    for e in range(nt):
+        a, b = bp[e], bp[e + 1]
+        pos[e * k : e * k + k + 1] = a + (b - a) * local
+    pos[0], pos[-1] = 0.0, 1.0
+    return pos
+
+
+@pytest.mark.parametrize("nt", [1, 2, 3, 7, 64, 1000, 4096])
+def test_dof_positions_equal_the_element_loop(nt):
+    for k in range(1, 7):
+        space = build_space(nt, k)
+        assert np.array_equal(space.dof_positions, loop_dof_positions(nt, k))
+        # shared nodes are the breakpoints themselves
+        assert np.array_equal(space.dof_positions[::k], space.breakpoints)
 
 
 def test_basis_cardinality():
@@ -87,8 +99,7 @@ def test_lagrange_table_partition_of_unity():
 def test_interpolate_reproduces_polynomial():
     space = build_space(3, 2)
     coeffs = interpolate(space, lambda y: y * (1.0 - y))
-    y = np.linspace(0.0, 1.0, 57)
-    assert np.allclose(evaluate_expansion(space, coeffs, y), y * (1.0 - y), atol=1e-14)
+    assert l2_error_vs_function(space, coeffs, lambda y: y * (1.0 - y)) <= 1e-14
 
 
 def test_interpolate_zero():
@@ -109,25 +120,18 @@ def test_interpolation_error_scales_with_degree():
         errs = []
         for nt in (4, 8, 16):
             space = build_space(nt, k)
-            coeffs = interpolate(space, u)
-            diff = evaluate_expansion(space, coeffs, np.linspace(0, 1, 201)) - u(np.linspace(0, 1, 201))
-            errs.append(np.max(np.abs(diff)))
+            errs.append(l2_error_vs_function(space, interpolate(space, u), u))
         ratio = errs[0] / errs[1]
         assert 2.0 ** (k + 1) * 0.7 < ratio < 2.0 ** (k + 1) * 1.4
 
 
 def test_l2_norm_values():
     space = build_space(4, 1)
-    assert l2_norm(space, np.zeros(space.n_dofs)) == 0.0
-    assert l2_norm(space, np.ones(space.n_dofs)) == pytest.approx(1.0, rel=1e-14)
+    norm = lambda c: l2_error_vs_function(space, c, np.zeros_like)
+    assert norm(np.zeros(space.n_dofs)) == 0.0
+    assert norm(np.ones(space.n_dofs)) == pytest.approx(1.0, rel=1e-14)
     coeffs = space.dof_positions.copy()  # nodal interpolant of y
-    assert l2_norm(space, coeffs) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
-
-
-def test_evaluate_expansion_outside_domain_raises():
-    space = build_space(2, 1)
-    with pytest.raises(ValueError):
-        evaluate_expansion(space, np.zeros(3), np.array([1.5]))
+    assert norm(coeffs) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
 
 
 def test_natural_spline_through_collinear_knots_is_linear():

@@ -6,9 +6,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from mbfem import ProblemSpec, build_space, example1, example2, fixed_interval, run
-from mbfem.analysis import fit_slope, measure
+from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem.assembly import BandedMatrix, assemble_static
-from mbfem.discretization import l2_norm
 from mbfem.stepper import _StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
 from test_assembly import cardinal_polys, simpson_weights
@@ -67,7 +66,8 @@ def test_bootstrap_heat_decay_factor():
     ops = assemble_static(space)
     state = initialize(space, p, delta)
     s1 = bootstrap_first_step(state, ops, p)
-    ratio = l2_norm(space, s1.current[0]) / l2_norm(space, state.current[0])
+    norm = lambda v: l2_error_vs_function(space, v, np.zeros_like)
+    ratio = norm(s1.current[0]) / norm(state.current[0])
     assert ratio < 1.0
     assert ratio == pytest.approx(math.exp(-math.pi**2 * delta), abs=5e-4)
 
@@ -105,11 +105,13 @@ def test_temporal_order_on_heat_equation():
 def test_run_integer_step_count():
     p = zero_problem(T=3.0)
     space = build_space(2, 1)
-    result = run(p, space, 0.01)
+    seen = []
+    result = run(p, space, 0.01, observers=[lambda n, t, v: seen.append(t)])
     assert result.n_steps == 300
     assert result.final.time == 3.0
-    assert result.times[0] == 0.0
-    assert len(result.times) == 301
+    assert seen[0] == 0.0
+    assert len(seen) == 301
+    assert seen == level_grid(3.0, 0.01)[2].tolist()
 
 
 def test_run_shortened_final_step_lands_on_T():
@@ -159,9 +161,9 @@ def test_observers_do_not_change_results():
 )
 def test_observers_see_every_level_once(T, delta, levels):
     seen = []
-    result = run(zero_problem(T=T), build_space(2, 1), delta, observers=[lambda n, t, v: seen.append((n, t))])
+    run(zero_problem(T=T), build_space(2, 1), delta, observers=[lambda n, t, v: seen.append((n, t))])
     assert seen == levels
-    assert result.times == [t for _, t in seen]
+    assert [t for _, t in seen] == level_grid(T, delta)[2].tolist()
 
 
 @pytest.mark.parametrize(
@@ -178,7 +180,9 @@ def test_run_levels_are_the_level_grid(T, delta, n_full, last):
     assert n == n_full
     assert times[: n_full + 1].tolist() == [n * delta for n in range(n_full + 1)]
     assert times[-1] == last
-    assert run(zero_problem(T=T), build_space(2, 1), delta).times == times.tolist()
+    seen = []
+    run(zero_problem(T=T), build_space(2, 1), delta, observers=[lambda n, t, v: seen.append(t)])
+    assert seen == times.tolist()
 
 
 def test_observer_vectors_are_read_only():
