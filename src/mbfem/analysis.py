@@ -195,7 +195,7 @@ def fit_slope(points, axis: str = "", degree: int | None = None, equation: int |
     )
 
 
-def convergence_study(problem, degrees, mesh_sizes, deltas, q: int | None = None) -> StudyResult:
+def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     """Refine along one axis (mesh or time step) and fit observed orders.
 
     Exactly one of mesh_sizes/deltas may hold more than one value; the
@@ -213,7 +213,7 @@ def convergence_study(problem, degrees, mesh_sizes, deltas, q: int | None = None
     rows = []
     for k, nt, d in itertools.product(degrees, mesh_sizes, deltas):
         try:
-            space = build_space(nt, k, q)
+            space = build_space(nt, k)
             record = measure(run(problem, space, d).final, problem, space)
             errs, mxs = record.l2_moving, record.max_nodal
         except Exception as exc:  # noqa: BLE001  (reported per run)

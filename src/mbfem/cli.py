@@ -38,10 +38,7 @@ _RUN_KEYS = {
     "k",
     "delta",
     "T",
-    "q",
     "snapshot_time",
-    "out",
-    "emit_moving",
     "require_expanding",
 }
 
@@ -54,10 +51,7 @@ class RunConfig:
     nt: tuple[int, ...]
     k: tuple[int, ...]
     delta: tuple[float, ...]
-    q: int | None
     snapshot_times: tuple[float, ...]
-    outdir: str
-    emit_moving: bool
     require_expanding: bool
 
 
@@ -160,9 +154,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"k must be >= 1, got {k}")
     if not all(math.isfinite(d) and d > 0.0 for d in delta):
         raise ConfigError(f"delta must be positive and finite, got {delta}")
-    q = _one(table, "q", int) if "q" in table else None  # None: the space builder's k+2
-    if q is not None and q < 1:
-        raise ConfigError(f"q must be >= 1, got {q}")
 
     snapshot_times = _many(table, "snapshot_time", float)
     if any(not 0.0 <= s <= t_final for s in snapshot_times):
@@ -173,10 +164,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         nt=nt,
         k=k,
         delta=delta,
-        q=q,
         snapshot_times=snapshot_times,
-        outdir=_one(table, "out", str, default="."),
-        emit_moving=_one(table, "emit_moving", bool, default=True),
         require_expanding=_one(table, "require_expanding", bool, default=True),
     )
 
@@ -361,7 +349,7 @@ def _forcing_from_specs(specs, key: str):
             except OverflowError:  # math.exp and float ** raise where numpy gives inf
                 ftv = math.inf
             total = total + fx(x) * ftv
-        return total if total.shape else float(total)
+        return total
 
     return f
 
@@ -438,9 +426,9 @@ class SnapshotRows:
     """Recorded snapshots as array blocks, one per snapshot hit.
 
     A block is (time, x, vectors): the level's time, the dof positions in
-    the moving domain (`y` itself when they are not emitted), and the ne
-    value vectors, kept by reference.  len() is the number of CSV rows the
-    blocks make, one per (time, equation, dof).
+    the moving domain, and the ne value vectors, kept by reference.  len()
+    is the number of CSV rows the blocks make, one per (time, equation,
+    dof).
     """
 
     def __init__(self, y):
@@ -458,18 +446,15 @@ class SnapshotRecorder:
     """Observer that keeps the levels at the requested times in `rows`,
     each time snapped to a level of a run with step `delta` (`due_times`)."""
 
-    def __init__(self, problem, space, times, delta: float, emit_moving: bool = True):
+    def __init__(self, problem, space, times, delta: float):
         self.problem = problem
         self.pending = due_times(times, problem.T, delta)
-        self.emit_moving = emit_moving
         self.rows = SnapshotRows(space.dof_positions)
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
         if not take_due(self.pending, time):
             return
-        y = self.rows.y
-        x = self.problem.motion.to_moving(y, time) if self.emit_moving else y
-        self.rows.append(time, x, vectors)
+        self.rows.append(time, self.problem.motion.to_moving(self.rows.y, time), vectors)
 
 
 def _format_column(values) -> list[str]:
@@ -489,8 +474,7 @@ def _write_snapshots(path, rows: SnapshotRows) -> None:
     with open(path, "w", newline="") as fp:
         fp.write("time,equation,y,x,value\n")
         for time, x, vectors in rows.blocks:
-            xs = ys if x is rows.y else _format_column(x)
-            fields = [f"{a},{b},{FLOAT_FORMAT}" for a, b in zip(ys, xs)]
+            fields = [f"{a},{b},{FLOAT_FORMAT}" for a, b in zip(ys, _format_column(x))]
             t = format_float(time)
             for i, v in enumerate(vectors):
                 lead = f"{t},{i},"
@@ -503,10 +487,7 @@ def _load_config(args) -> RunConfig:
             text = fp.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    config = parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
-    if args.out is not None:
-        config = replace(config, outdir=args.out)
-    return config
+    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
 
 
 def _require_single(config: RunConfig, command: str) -> tuple[int, int, float]:
@@ -519,10 +500,10 @@ def cmd_solve(args) -> int:
     config = _load_config(args)
     nt, k, delta = _require_single(config, "solve")
     problem = config.problem
-    space = build_space(nt, k, config.q)
+    space = build_space(nt, k)
 
     times = set(config.snapshot_times) | {problem.T}
-    recorder = SnapshotRecorder(problem, space, times, delta, emit_moving=config.emit_moving)
+    recorder = SnapshotRecorder(problem, space, times, delta)
     observers = [recorder]
     tracker = None
     if problem.exact is not None:
@@ -535,12 +516,12 @@ def cmd_solve(args) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(config.outdir, exist_ok=True)
-    snap_path = os.path.join(config.outdir, "snapshots.csv")
+    os.makedirs(args.out, exist_ok=True)
+    snap_path = os.path.join(args.out, "snapshots.csv")
     _write_snapshots(snap_path, recorder.rows)
     written = [snap_path]
     if tracker is not None:
-        err_path = os.path.join(config.outdir, "errors.csv")
+        err_path = os.path.join(args.out, "errors.csv")
         write_rows(
             err_path,
             ["time", "equation", "l2_error", "max_nodal_error"],
@@ -553,7 +534,7 @@ def cmd_solve(args) -> int:
         written.append(err_path)
 
     print(
-        f"{problem.name}: {result.n_steps} steps to T={format_float(problem.T)} "
+        f"{problem.name}: {result.n_steps} steps to T={format_float(result.final.time)} "
         f"({space.n_dofs} dofs, degree {k}) in {result.runtime:.2f}s"
     )
     for path in written:
@@ -569,12 +550,11 @@ def cmd_study(args) -> int:
         degrees=config.k,
         mesh_sizes=config.nt,
         deltas=config.delta,
-        q=config.q,
     )
 
-    os.makedirs(config.outdir, exist_ok=True)
-    study_path = os.path.join(config.outdir, "study.csv")
-    rates_path = os.path.join(config.outdir, "rates.csv")
+    os.makedirs(args.out, exist_ok=True)
+    study_path = os.path.join(args.out, "study.csv")
+    rates_path = os.path.join(args.out, "rates.csv")
     write_rows(
         study_path,
         ["axis", "k", "h", "delta", "equation", "l2_error", "max_nodal_error"],
@@ -626,7 +606,7 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to a key=value run configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides out= in the config)")
+        p.add_argument("--out", default=".", help="output directory (default: the working directory)")
         if name == "validate":
             p.add_argument("--seed", type=int, default=0, help="sampling seed of the diffusion-bounds check")
         p.set_defaults(handler=handler)

@@ -144,18 +144,18 @@ def build_space(nt: int, k: int, q: int | None = None) -> FESpace:
 
 
 def sample(fn, pts: np.ndarray, *args) -> np.ndarray:
-    """fn(pts, *args) as a float array of pts' shape.
+    """fn(pts, *args), one whole-array call, as a float array of pts' shape.
 
-    One vectorized call when the callable supports it, else one scalar
-    call per point in row-major order.
+    A callable that rejects the array (a TypeError, as math.sin raises) or
+    returns another shape is a ValueError naming the shapes.
     """
     try:
         out = np.asarray(fn(pts, *args), dtype=float)
-        if out.shape == pts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(p, *args)) for p in pts.ravel()]).reshape(pts.shape)
+    except TypeError as exc:
+        raise ValueError(f"a problem callable failed on points of shape {pts.shape}: {exc}") from exc
+    if out.shape != pts.shape:
+        raise ValueError(f"a problem callable returned shape {out.shape} for points of shape {pts.shape}")
+    return out
 
 
 def interpolate(space: FESpace, u) -> np.ndarray:

@@ -355,7 +355,7 @@ def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True
     for i in range(problem.ne):
         lo, hi = problem.diffusion_bounds[i]
         try:
-            vals = np.array([float(problem.diffusion[i](*p)) for p in pts])
+            vals = np.array([float(problem.diffusion[i](*r)) for r in pts])
         except Exception as exc:  # noqa: BLE001  (user-supplied function)
             checks.append(CheckResult(f"H5 diffusion bounds, equation {i}", "fail", repr(exc)))
             continue

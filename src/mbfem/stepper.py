@@ -36,7 +36,8 @@ __all__ = ["SchemeState", "RunResult", "initialize", "bootstrap_first_step", "ad
 class SchemeState:
     """Coefficient vectors at the current and previous time levels.
 
-    Boundary dofs of every stored vector are exactly zero.  `time` is
+    Boundary dofs of every stored vector are exactly zero, and every
+    vector is read-only from the moment it is made.  `time` is
     always computed as t_index * delta (never by repeated addition); a
     shortened final step overrides it with the exact final time.
     """
@@ -63,7 +64,9 @@ def initialize(space: FESpace, problem, delta: float) -> SchemeState:
     motion = problem.motion
     vecs = []
     for u0 in problem.initial:
-        vecs.append(interpolate(space, lambda y: u0(motion.to_moving(y, 0.0))))
+        v = interpolate(space, lambda y: u0(motion.to_moving(y, 0.0)))
+        v.flags.writeable = False
+        vecs.append(v)
     return SchemeState(t_index=0, time=0.0, delta=delta, current=tuple(vecs), previous=None)
 
 
@@ -133,6 +136,7 @@ class _StepKernel:
             ) from exc
         if not np.all(np.isfinite(v_new)):
             raise RuntimeError(f"non-finite solution at {where}")
+        v_new.flags.writeable = False
         return v_new
 
 
@@ -223,19 +227,6 @@ def advance(state: SchemeState, ops: OperatorSet, problem, dt: float | None = No
     )
 
 
-def _notify(observers, state: SchemeState) -> None:
-    if not observers:
-        return
-    frozen = []
-    for v in state.current:
-        c = v.copy()
-        c.flags.writeable = False
-        frozen.append(c)
-    frozen = tuple(frozen)
-    for obs in observers:
-        obs(state.t_index, state.time, frozen)
-
-
 def level_grid(T: float, delta: float) -> tuple[int, float, np.ndarray]:
     """The time levels of a run from 0 to T with step delta.
 
@@ -264,7 +255,8 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     """Integrate the problem from 0 to problem.T over `level_grid`'s levels.
 
     Observers are callables (step_index, time, coefficient_vectors)
-    invoked at every level including 0; the vectors are read-only copies.
+    invoked at every level including 0; the vectors are the state's own,
+    which are read-only.
     If T/delta is not an integer, one shortened final step lands exactly
     on T (see `advance`).
     """
@@ -275,7 +267,8 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
     while True:
-        _notify(observers, state)
+        for obs in observers:
+            obs(state.t_index, state.time, state.current)
         if state.t_index == n_steps:
             break
         short = state.t_index == n_full  # the shortened final step lands on T

@@ -37,14 +37,32 @@ def readme() -> str:
     return (ROOT / "README.md").read_text()
 
 
+def readme_section(title: str) -> str:
+    return readme().split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_package_exports_what_the_readme_lists():
-    library = readme().split("## Library\n", 1)[1].split("\n## ", 1)[0]
+    library = readme_section("Library")
     listed = []
     for line in library.splitlines():
         if line.startswith("- `"):
             listed += re.findall(r"`(\w+)", line.split(" - ", 1)[0])
     assert sorted(listed) == sorted(mbfem.__all__)
     assert len(set(mbfem.__all__)) == len(mbfem.__all__) == 11
+
+
+def test_readme_documents_every_config_key():
+    # a key the parser accepts but no README line names is a knob no one can find
+    from mbfem import cli
+
+    problem_keys = cli._PROBLEM_KEYS.union(*cli._MOTION_KEYS.values(), {"diffusion1", "initial1", "forcing1"})
+    missing = [
+        (section, key)
+        for section, keys in (("Command line", cli._RUN_KEYS), ("Problem files", problem_keys))
+        for key in sorted(keys)
+        if not re.search(rf"(?<!\w){key}=", readme_section(section))
+    ]
+    assert not missing
 
 
 def imports_from(source: str, module: str):

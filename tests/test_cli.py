@@ -43,9 +43,7 @@ def test_parse_minimal_config():
     assert config.nt == (100,)
     assert config.k == (2,)
     assert config.delta == (0.01,)
-    assert config.q is None  # k+2 default applied by the space builder
     assert config.problem.T == 3.0
-    assert config.emit_moving
 
 
 def test_parse_config_missing_nt():
@@ -64,20 +62,10 @@ def test_parse_config_rejects_non_finite_delta(value):
         parse_config(f"problem=example1 nt=4 k=2 delta={value}")
 
 
-@pytest.mark.parametrize("value", ["-1", "0"])
-def test_parse_config_rejects_q_below_one(value):
-    # -1 must not be mistaken for an unset q
-    with pytest.raises(ConfigError, match="q must be"):
-        parse_config(f"problem=example1 nt=4 k=2 delta=0.01 q={value}")
-
-
-def test_parse_config_explicit_q():
-    assert parse_config("problem=example1 nt=4 k=2 delta=0.01 q=5").q == 5
-
-
 def test_parse_config_unknown_key_has_line_number():
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config("problem=example1 nt=4\nwavelength=3 k=2 delta=0.01")
+    for pair in ("wavelength=3", "q=5", "out=x", "emit_moving=false"):
+        with pytest.raises(ConfigError, match=f"line 2: unknown run key '{pair.split('=')[0]}'"):
+            parse_config(f"problem=example1 nt=4\n{pair} k=2 delta=0.01")
 
 
 def test_parse_config_repeatable_and_comma_values():
@@ -326,14 +314,15 @@ def test_observers_reject_a_request_outside_the_run(observer, time):
         observer(problem, build_space(2, 1), [0.5, time], 0.1)
 
 
-def test_solve_emit_moving_false(tmp_path):
-    config = write(
-        tmp_path, "run.cfg", "problem=example1 nt=4 k=1 delta=0.1 T=0.5 emit_moving=false\n"
-    )
+def test_solve_summary_names_the_final_level_time(tmp_path, capsys):
+    # three steps of 0.1 land one ulp past T=0.3, where the CSV files put the final level
+    config = write(tmp_path, "run.cfg", "problem=example1 nt=2 k=2 delta=0.1 T=0.3\n")
     out = tmp_path / "o"
     assert main(["solve", "--config", config, "--out", str(out)]) == 0
-    for r in read_csv(out / "snapshots.csv")[1:]:
-        assert r[2] == r[3]
+    summary = capsys.readouterr().out.splitlines()[0]
+    last = read_csv(out / "snapshots.csv")[-1][0]
+    assert last == read_csv(out / "errors.csv")[-1][0] == "0.30000000000000004"
+    assert f"3 steps to T={last} (" in summary
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -399,12 +388,11 @@ def _coupled_problem(ne):
     "problem_text, config",
     [
         (None, "problem=example1 nt=1 k=1 delta=0.25 T=1 snapshot_time=0.5"),
-        (None, "problem=example1 nt=4 k=2 delta=0.05 T=0.5 snapshot_time=0.1 emit_moving=false"),
         (None, "problem=example1 nt=8 k=3 delta=0.03 T=1 snapshot_time=0.3"),
         (_coupled_problem(1), "problem=p.prob nt=8 k=2 delta=0.02 snapshot_time=0.1"),
         (_coupled_problem(8), "problem=p.prob nt=4 k=3 delta=0.02 snapshot_time=0.06,0.1"),
     ],
-    ids=["2-dofs", "fixed-x", "short-final-step", "ne1", "ne8"],
+    ids=["2-dofs", "short-final-step", "ne1", "ne8"],
 )
 def test_solve_snapshots_match_row_writer_and_parse_back(tmp_path, monkeypatch, problem_text, config):
     if problem_text is not None:

@@ -196,6 +196,51 @@ def test_observer_vectors_are_read_only():
     run(p, space, 0.25, observers=[vandal])
 
 
+def test_state_vectors_are_read_only_and_observers_get_them():
+    p = example1()
+    space = build_space(4, 2)
+    ops = assemble_static(space)
+    s0 = initialize(space, p, 0.05)
+    s1 = bootstrap_first_step(s0, ops, p)
+    s2 = advance(s1, ops, p)
+    for state in (s0, s1, s2):
+        for v in state.current + (state.previous or ()):
+            with pytest.raises(ValueError, match="read-only"):
+                v[1] = 1.0
+    seen = []
+    result = run(replace(p, T=0.2), space, 0.05, observers=[lambda n, t, v: seen.append(v)])
+    assert len(seen[-1]) == p.ne
+    assert all(a is b for a, b in zip(seen[-1], result.final.current))
+
+
+@pytest.mark.parametrize(
+    "field,fn,shapes",
+    [
+        ("forcing", lambda x, t: 1.0, r"shape \(\) for points of shape \(2, 4\)"),
+        ("initial", lambda x: math.sin(math.pi * x), r"points of shape \(5,\)"),
+    ],
+    ids=["scalar-forcing", "math-sin-initial"],
+)
+def test_a_callable_that_is_not_whole_array_is_a_value_error(field, fn, shapes):
+    p = example1()
+    scalar_only = replace(p, **{field: (fn, getattr(p, field)[1])})
+    with pytest.raises(ValueError, match=shapes):
+        run(replace(scalar_only, T=0.1), build_space(2, 2), 0.05)
+
+
+def test_a_forcing_that_raises_is_called_once():
+    calls = []
+
+    def forcing(x, t):
+        calls.append(x.shape)
+        raise ValueError("outside the forcing's domain")
+
+    p = replace(zero_problem(), forcing=(forcing,))
+    with pytest.raises(ValueError, match="outside the forcing's domain"):
+        run(p, build_space(2, 1), 0.1)
+    assert calls == [(2, 3)]
+
+
 def test_runs_are_deterministic():
     p = example1()
     space = build_space(4, 2)
