@@ -129,7 +129,7 @@ def due_times(times, T: float, delta: float) -> list[float]:
     Shared by the observers that act at requested times, which then match
     levels exactly; a request outside [0, T] is a ValueError.
     """
-    levels = level_grid(T, delta)[2].tolist()
+    levels = level_grid(T, delta).tolist()
     due = []
     for w in times:
         if not 0.0 <= w <= T:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .analysis import FLOAT_FORMAT, ErrorTracker, convergence_study, due_times, format_float, take_due, write_rows
 from .discretization import build_space, natural_cubic_spline
-from .geometry import BoundaryMotion, fixed_interval
+from .geometry import BoundaryMotion, fixed_interval, time_tolerance
 from .problems import ProblemSpec, example1, example2, validate
-from .stepper import run
+from .stepper import level_grid, run
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "main"]
 
@@ -152,8 +152,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"nt must be >= 1, got {nt}")
     if any(d < 1 for d in k):
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not all(math.isfinite(d) and d > 0.0 for d in delta):
-        raise ConfigError(f"delta must be positive and finite, got {delta}")
+    for d in delta:
+        try:
+            level_grid(t_final, d)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     snapshot_times = _many(table, "snapshot_time", float)
     if any(not 0.0 <= s <= t_final for s in snapshot_times):
@@ -205,7 +208,7 @@ def _poles(den_coeffs, t_final: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         roots = np.polynomial.Polynomial(den_coeffs).roots()
     real = roots.real[np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))]
-    tol = 1e-12 * max(1.0, t_final)
+    tol = time_tolerance(t_final)
     return np.sort(real[(real >= -tol) & (real <= t_final + tol)])
 
 
@@ -307,6 +310,8 @@ def _xpart(spec: str, key: str):
         p = np.polynomial.Polynomial(_floats(rest, key))
         return lambda x: p(x)
     if family == "gaussx":
+        if rest:
+            raise ConfigError(f"key {key!r}: gaussx takes no arguments, got {rest!r}")
         return lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
     raise ConfigError(f"key {key!r}: unknown space factor {family!r}")
 
@@ -606,9 +611,10 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to a key=value run configuration")
-        p.add_argument("--out", default=".", help="output directory (default: the working directory)")
         if name == "validate":
             p.add_argument("--seed", type=int, default=0, help="sampling seed of the diffusion-bounds check")
+        else:
+            p.add_argument("--out", default=".", help="output directory (default: the working directory)")
         p.set_defaults(handler=handler)
     args = parser.parse_args(argv)
     try:

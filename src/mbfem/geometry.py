@@ -19,6 +19,13 @@ __all__ = ["BoundaryMotion", "fixed_interval"]
 ScalarFunc = Callable[[float], float]
 
 
+def time_tolerance(T: float) -> float:
+    """How far a time may stray past [0, T] by rounding: the final level
+    n * delta of a run, and a midpoint t - delta/2, may sit an ulp or so
+    off the interval ends."""
+    return 1e-12 * max(1.0, T)
+
+
 @dataclass(frozen=True)
 class BoundaryMotion:
     """Boundary curves of a moving interval, with analytic derivatives.
@@ -35,9 +42,8 @@ class BoundaryMotion:
     alpha_prime, beta_prime : callable
         Their first derivatives.
     T : float
-        Final time; all evaluations are restricted to [0, T] up to a
-        rounding tolerance (midpoint times t - delta/2 may land within
-        one ulp of the interval ends).
+        Final time; all evaluations are restricted to [0, T] up to
+        `time_tolerance(T)`.
     """
 
     alpha: ScalarFunc
@@ -47,7 +53,7 @@ class BoundaryMotion:
     T: float
 
     def _check_time(self, t: float) -> None:
-        tol = 1e-12 * max(1.0, self.T)
+        tol = time_tolerance(self.T)
         if t < -tol or t > self.T + tol:
             raise ValueError(f"time {t!r} outside the domain [0, {self.T}]")
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
 
 from .assembly import BandedMatrix, OperatorSet, assemble_load, assemble_static, diffusion_scalar, nonlocal_value
 from .discretization import FESpace, interpolate
-from .geometry import BoundaryMotion
+from .geometry import BoundaryMotion, time_tolerance
 
 __all__ = ["SchemeState", "RunResult", "initialize", "bootstrap_first_step", "advance", "run"]
 
@@ -38,8 +38,7 @@ class SchemeState:
 
     Boundary dofs of every stored vector are exactly zero, and every
     vector is read-only from the moment it is made.  `time` is
-    always computed as t_index * delta (never by repeated addition); a
-    shortened final step overrides it with the exact final time.
+    always computed as t_index * delta (never by repeated addition).
     """
 
     t_index: int
@@ -164,9 +163,7 @@ def _solve_all(step, problem, nonlocal_values, v_prev, label: str) -> tuple[np.n
     return tuple(new)
 
 
-def bootstrap_first_step(
-    state: SchemeState, ops: OperatorSet, problem, dt: float | None = None
-) -> SchemeState:
+def bootstrap_first_step(state: SchemeState, ops: OperatorSet, problem) -> SchemeState:
     """Predictor-corrector step producing V^(1) with second-order accuracy.
 
     The predictor freezes the diffusion coefficients at the initial
@@ -177,9 +174,7 @@ def bootstrap_first_step(
     """
     if state.t_index != 0:
         raise ValueError(f"bootstrap expects the initial state, got step {state.t_index}")
-    motion, w, v0 = problem.motion, ops.nonlocal_weights, state.current
-    if dt is None:
-        dt = state.delta
+    motion, w, v0, dt = problem.motion, ops.nonlocal_weights, state.current, state.delta
     t0 = state.time
     t_mid = t0 + 0.5 * dt
     step = _begin_step(ops, problem, t_mid, dt)
@@ -197,25 +192,14 @@ def bootstrap_first_step(
     )
 
 
-def advance(state: SchemeState, ops: OperatorSet, problem, dt: float | None = None) -> SchemeState:
-    """One linearized Crank-Nicolson step from level n >= 1 to n + 1.
-
-    An explicit dt (the shortened final step) takes the diffusion
-    arguments at V^(n) instead of 3/2 V^(n) - 1/2 V^(n-1): the
-    extrapolation weights hold only for a step of the run's own delta,
-    so that step is first-order frozen.
-    """
+def advance(state: SchemeState, ops: OperatorSet, problem) -> SchemeState:
+    """One linearized Crank-Nicolson step from level n >= 1 to n + 1."""
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
-    v_bar = state.current
-    if dt is None:
-        dt = state.delta
-        t_new = (state.t_index + 1) * state.delta
-        v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
-    else:
-        t_new = state.time + dt
+    t_new = (state.t_index + 1) * state.delta
+    v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
     t_mid = 0.5 * (state.time + t_new)
-    step = _begin_step(ops, problem, t_mid, dt)
+    step = _begin_step(ops, problem, t_mid, state.delta)
     l_bar = [nonlocal_value(ops.nonlocal_weights, v, problem.motion, t_mid) for v in v_bar]
     new = _solve_all(step, problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
     return SchemeState(
@@ -227,28 +211,21 @@ def advance(state: SchemeState, ops: OperatorSet, problem, dt: float | None = No
     )
 
 
-def level_grid(T: float, delta: float) -> tuple[int, float, np.ndarray]:
-    """The time levels of a run from 0 to T with step delta.
-
-    Returns (n_full, remainder, times): level n <= n_full sits at
-    n * delta, and when T - n_full * delta exceeds 1e-9 delta one
-    shortened final step of that remainder lands exactly on T.
-    """
+def level_grid(T: float, delta: float) -> np.ndarray:
+    """The time levels n * delta, n = 0..N, of a run from 0 to T in N
+    equal steps; a delta whose N steps miss T by more than
+    `time_tolerance(T)` is a ValueError."""
     if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"time step must be positive and finite, got {delta}")
-    if not math.isfinite(T):
-        raise ValueError(f"final time must be finite, got {T}")
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"final time must be finite and nonnegative, got {T!r}")
     ratio = T / delta
     if ratio > 1e9:
         raise ValueError(f"T/delta = {ratio:.3g} exceeds the step-count limit")
-    n_full = int(round(ratio))
-    if abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio)):
-        n_full = int(math.floor(ratio))
-    remainder = T - n_full * delta
-    times = np.arange(n_full + 1) * delta  # n * delta, as advance computes it
-    if remainder > 1e-9 * delta:
-        times = np.append(times, T)
-    return n_full, remainder, times
+    n = round(ratio)
+    if abs(n * delta - T) > time_tolerance(T):
+        raise ValueError(f"delta={delta!r} does not divide T={T!r} into whole steps (T/delta = {ratio!r})")
+    return np.arange(n + 1) * delta  # n * delta, as advance computes it
 
 
 def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
@@ -257,11 +234,8 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     Observers are callables (step_index, time, coefficient_vectors)
     invoked at every level including 0; the vectors are the state's own,
     which are read-only.
-    If T/delta is not an integer, one shortened final step lands exactly
-    on T (see `advance`).
     """
-    n_full, remainder, grid = level_grid(problem.T, delta)
-    n_steps = len(grid) - 1
+    n_steps = len(level_grid(problem.T, delta)) - 1
 
     started = _time.perf_counter()
     ops = assemble_static(space)
@@ -271,13 +245,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
             obs(state.t_index, state.time, state.current)
         if state.t_index == n_steps:
             break
-        short = state.t_index == n_full  # the shortened final step lands on T
-        dt = remainder if short else None
-        if state.t_index == 0:
-            state = bootstrap_first_step(state, ops, problem, dt=dt)
-        else:
-            state = advance(state, ops, problem, dt=dt)
-        if short:
-            state = replace(state, time=problem.T)
+        step = bootstrap_first_step if state.t_index == 0 else advance
+        state = step(state, ops, problem)
 
     return RunResult(final=state, runtime=_time.perf_counter() - started)

@@ -134,8 +134,6 @@ def test_due_times_snap_to_the_nearest_level():
     # levels 0, 0.25, ..., 1: a request halfway between two takes the
     # earlier, a repeated level stays listed once per request
     assert due_times([1.0, 0.125, 0.375, 0.3, 0.0], 1.0, 0.25) == [0.0, 0.0, 0.25, 0.25, 1.0]
-    # a final step of 0.01 after 0.99: T and a request beyond 0.995 land on T
-    assert due_times([1.0, 0.996, 0.995], 1.0, 0.03)[-2:] == [1.0, 1.0]
 
 
 def test_convergence_study_spatial_axis():

@@ -5,15 +5,18 @@ layers, and the names bench/tracing.py patches.
 bench/tracing.py builds its spans from the layers' `__all__`: a stale name
 would crash a traced run, and a name re-exported from another module would
 drop out of the trace without a word.  Demos and README code are parsed,
-not run.
+and the quick demos also run in child processes.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,31 @@ def test_layer_imports_exist(where):
         mod = importlib.import_module(f"mbfem.{layer}")
         missing = [name for name in imports_from(SOURCES[where], f"mbfem.{layer}") if not hasattr(mod, name)]
         assert not missing, f"{where} imports {missing} from mbfem.{layer}"
+
+
+# convergence_orders.py takes about 20 s and stays out
+QUICK_DEMOS = ["custom_problem_cli.py", "expanding_benchmark.py", "spline_decay.py"]
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_quick_demo_runs(tmp_path, demo):
+    # the child imports the same mbfem as this process, and its temporary
+    # files go to tmp_path
+    src = os.path.dirname(os.path.dirname(mbfem.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "TMPDIR": str(tmp_path),
+    }
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def load_bench_tracing():

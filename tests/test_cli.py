@@ -1,6 +1,7 @@
 import copy
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import mbfem
-from mbfem import ErrorTracker, build_space, cli, example1, run
+from mbfem import ErrorTracker, analysis, build_space, cli, example1, run
 from mbfem.analysis import write_rows
 from mbfem.cli import ConfigError, SnapshotRecorder, SnapshotRows, main, parse_config, parse_problem
 from mbfem.problems import _Q1_COEFFS, _ex1_motion, _quartic
@@ -26,8 +27,9 @@ def cli_in_child(tmp_path, command, config):
     same mbfem as this one, installed or not."""
     src = os.path.dirname(os.path.dirname(mbfem.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
     return subprocess.run(
-        [sys.executable, "-m", "mbfem.cli", command, "--config", config, "--out", str(tmp_path / "o")],
+        [sys.executable, "-m", "mbfem.cli", command, "--config", config, *out],
         capture_output=True,
         text=True,
         env=env,
@@ -60,6 +62,31 @@ def test_parse_config_zero_delta():
 def test_parse_config_rejects_non_finite_delta(value):
     with pytest.raises(ConfigError, match="delta"):
         parse_config(f"problem=example1 nt=4 k=2 delta={value}")
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("solve", "problem=example2 nt=2 k=1 delta=0.33333333334"),  # 3 steps land 2e-11 past T
+        ("study", "problem=example1 nt=4,8,16 k=1 delta=0.03 T=1"),  # 33 steps reach 0.99
+        ("validate", "problem=example2 nt=2 k=1 delta=0.33333333334"),
+    ],
+    ids=["solve", "study", "validate"],
+)
+def test_a_delta_that_does_not_divide_T_is_a_config_error(tmp_path, monkeypatch, capsys, command, config):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(analysis, "run", no_run)
+    args = [command, "--config", write(tmp_path, "run.cfg", config + "\n")]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    pattern = r"config error: delta=\S+ does not divide T=1\.0 into whole steps \(T/delta = \S+\)\n"
+    assert re.fullmatch(pattern, err), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_unknown_key_has_line_number():
@@ -180,8 +207,8 @@ def test_parse_problem_rejects_a_pole_on_the_time_domain():
 def test_solve_and_validate_reject_a_pole(tmp_path, capsys):
     write(tmp_path, "pole.prob", "ne=1 T=1 " + POLE_MOTION + "diffusion1=const:1\ninitial1=poly:0,1,-1\n")
     config = write(tmp_path, "run.cfg", "problem=pole.prob nt=4 k=1 delta=0.01\n")
-    for command in ("solve", "validate"):
-        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    for args in (["solve", "--out", str(tmp_path / "o")], ["validate"]):
+        assert main([*args, "--config", config]) == 2
         captured = capsys.readouterr()
         assert "has a root at t = 0.498753" in captured.err
         assert "PASS" not in captured.out
@@ -203,6 +230,13 @@ def test_parse_problem_rejects_non_finite_fixed_ends(ends):
 def test_parse_problem_rejects_unknown_family():
     text = "ne=1 T=1\nmotion=fixed\ndiffusion1=cubic:1\ninitial1=poly:0,1,-1\n"
     with pytest.raises(ConfigError, match="family"):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize("spec", ["gaussx:7,junk", "gaussx:1"])
+def test_parse_problem_rejects_gaussx_arguments(spec):
+    text = f"ne=1 T=1\ndiffusion1=const:1\ninitial1=poly:0,1,-1\nforcing1={spec};const:1\n"
+    with pytest.raises(ConfigError, match="'forcing1': gaussx takes no arguments"):
         parse_problem(text)
 
 
@@ -293,13 +327,13 @@ def csv_times(path):
     "snapshots,written",
     [
         ("", {"1"}),
-        # the last full level is 0.99, the final step 0.01 < delta/2 long
+        # the last two levels are 0.98 and 1
         ("snapshot_time=0.996", {"1"}),
-        ("snapshot_time=0.985", {"0.98999999999999999", "1"}),
+        ("snapshot_time=0.985", {"0.97999999999999998", "1"}),
     ],
 )
 def test_solve_snaps_requests_to_the_nearest_level(tmp_path, snapshots, written):
-    config = write(tmp_path, "run.cfg", f"problem=example1 nt=8 k=3 delta=0.03 T=1 {snapshots}\n")
+    config = write(tmp_path, "run.cfg", f"problem=example1 nt=8 k=3 delta=0.02 T=1 {snapshots}\n")
     out = tmp_path / "o"
     assert main(["solve", "--config", config, "--out", str(out)]) == 0
     assert csv_times(out / "snapshots.csv") == written
@@ -388,11 +422,10 @@ def _coupled_problem(ne):
     "problem_text, config",
     [
         (None, "problem=example1 nt=1 k=1 delta=0.25 T=1 snapshot_time=0.5"),
-        (None, "problem=example1 nt=8 k=3 delta=0.03 T=1 snapshot_time=0.3"),
         (_coupled_problem(1), "problem=p.prob nt=8 k=2 delta=0.02 snapshot_time=0.1"),
         (_coupled_problem(8), "problem=p.prob nt=4 k=3 delta=0.02 snapshot_time=0.06,0.1"),
     ],
-    ids=["2-dofs", "short-final-step", "ne1", "ne8"],
+    ids=["2-dofs", "ne1", "ne8"],
 )
 def test_solve_snapshots_match_row_writer_and_parse_back(tmp_path, monkeypatch, problem_text, config):
     if problem_text is not None:
@@ -642,11 +675,16 @@ def test_validate_fixed_domain_fails_strict_then_warns_relaxed(tmp_path, capsys)
 # --- console entry -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["solve", "study"])
-def test_seed_is_rejected_where_it_is_not_read(tmp_path, command):
+@pytest.mark.parametrize(
+    "command,flag",
+    [("solve", "--seed"), ("study", "--seed"), ("validate", "--out")],
+    ids=["solve", "study", "validate"],
+)
+def test_seed_is_rejected_where_it_is_not_read(tmp_path, command, flag):
+    # each subcommand takes only the flags it reads: validate writes no file
     config = write(tmp_path, "run.cfg", "problem=example1 nt=4 k=2 delta=0.01\n")
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", config, "--seed", "2"])
+        main([command, "--config", config, flag, "2"])
     assert exc.value.code == 2
 
 

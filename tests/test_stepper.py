@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from mbfem import ProblemSpec, build_space, example1, example2, fixed_interval, run
@@ -111,27 +113,16 @@ def test_run_integer_step_count():
     assert result.final.time == 3.0
     assert seen[0] == 0.0
     assert len(seen) == 301
-    assert seen == level_grid(3.0, 0.01)[2].tolist()
-
-
-def test_run_shortened_final_step_lands_on_T():
-    p = heat_problem(T=0.25)
-    space = build_space(16, 1)
-    result = run(p, space, 0.1)  # 2 full steps + remainder 0.05
-    assert result.final.time == 0.25
-    assert result.n_steps == 3
-    rec = measure(result.final, p, space)
-    assert rec.l2_moving[0] < 0.05
+    assert seen == level_grid(3.0, 0.01).tolist()
 
 
 def test_run_T_smaller_than_delta():
-    p = heat_problem(T=0.01)
-    space = build_space(16, 1)
-    result = run(p, space, 0.5)
-    assert result.final.time == 0.01
-    assert result.n_steps == 1
-    rec = measure(result.final, p, space)
-    assert rec.l2_moving[0] < 0.01
+    # no whole number of steps of 0.5 reaches 0.01: rejected before any work
+    calls = []
+    p = replace(heat_problem(T=0.01), initial=(lambda x: calls.append(x) or np.zeros_like(x),))
+    with pytest.raises(ValueError, match=r"delta=0\.5 does not divide T=0\.01"):
+        run(p, build_space(16, 1), 0.5)
+    assert calls == []
 
 
 def test_observers_do_not_change_results():
@@ -154,35 +145,62 @@ def test_observers_do_not_change_results():
 @pytest.mark.parametrize(
     "T,delta,levels",
     [
-        (0.5, 0.125, [(0, 0.0), (1, 0.125), (2, 0.25), (3, 0.375), (4, 0.5)]),  # whole steps only
-        (0.625, 0.25, [(0, 0.0), (1, 0.25), (2, 0.5), (3, 0.625)]),  # shortened final step
-        (0.1, 0.5, [(0, 0.0), (1, 0.1)]),  # T < delta: one shortened bootstrap
+        (0.5, 0.125, [(0, 0.0), (1, 0.125), (2, 0.25), (3, 0.375), (4, 0.5)]),
     ],
 )
 def test_observers_see_every_level_once(T, delta, levels):
     seen = []
     run(zero_problem(T=T), build_space(2, 1), delta, observers=[lambda n, t, v: seen.append((n, t))])
     assert seen == levels
-    assert [t for _, t in seen] == level_grid(T, delta)[2].tolist()
+    assert [t for _, t in seen] == level_grid(T, delta).tolist()
 
 
 @pytest.mark.parametrize(
     "T,delta,n_full,last",
     [
-        (0.1, 0.5, 0, 0.1),  # T < delta: one shortened bootstrap
-        (1.0, 0.03, 33, 1.0),  # a final step of 0.01 < delta/2
         (0.3, 0.1, 3, 0.30000000000000004),  # 3 delta, one ulp past T: no extra step
-        (1.0 + 1.5e-10, 0.1, 10, 1.0 + 1.5e-10),  # a remainder of 1.5e-9 delta
+        (3.0, 1 / 160, 480, 3.0),
     ],
 )
 def test_run_levels_are_the_level_grid(T, delta, n_full, last):
-    n, _, times = level_grid(T, delta)
-    assert n == n_full
-    assert times[: n_full + 1].tolist() == [n * delta for n in range(n_full + 1)]
+    times = level_grid(T, delta)
+    assert times.tolist() == [n * delta for n in range(n_full + 1)]
     assert times[-1] == last
     seen = []
     run(zero_problem(T=T), build_space(2, 1), delta, observers=[lambda n, t, v: seen.append(t)])
     assert seen == times.tolist()
+
+
+@pytest.mark.parametrize(
+    "T,delta",
+    [
+        (1.0, 0.03),  # 33 steps reach 0.99
+        (0.1, 0.5),  # T < delta
+        (1.0, 0.33333333334),  # 3 steps land 2e-11 past T, outside the geometry's domain
+        (1.0 + 1.5e-10, 0.1),  # 10 steps stop 1.5e-10 short of T
+    ],
+)
+def test_level_grid_rejects_a_delta_that_does_not_divide_T(T, delta):
+    with pytest.raises(ValueError, match=rf"delta={delta!r} does not divide T={T!r} .*T/delta = "):
+        level_grid(T, delta)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    T=st.floats(1e-3, 1e3),
+    n=st.integers(1, 1000),
+    nudge=st.sampled_from([0.0, 1e-15, -1e-15, 1e-13, 1e-11, -1e-9, 1e-6, 0.5]),
+)
+def test_level_grid_levels_are_whole_steps_ending_at_T(T, n, nudge):
+    # delta near T/n, off by a relative nudge: either a ValueError, or
+    # levels n * delta whose last lies within the geometry's tolerance of T
+    delta = T / n * (1.0 + nudge)
+    try:
+        times = level_grid(T, delta)
+    except ValueError:
+        return
+    assert times.tolist() == [i * delta for i in range(len(times))]
+    assert abs(times[-1] - T) <= 1e-12 * max(1.0, T)
 
 
 def test_observer_vectors_are_read_only():
