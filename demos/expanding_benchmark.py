@@ -33,7 +33,7 @@ for rec in tracker.records:
 # the nonlocal values the diffusion coefficients saw at the end
 weights = assemble_static(space).nonlocal_weights
 finals = [
-    nonlocal_value(weights, v, problem.motion, problem.T) for v in result.final.current
+    nonlocal_value(weights, v, problem.motion.gamma(problem.T)) for v in result.final.current
 ]
 print(f"\nfinal masses: {finals[0]:.6f}, {finals[1]:.6f}")
 print(f"diffusion coefficients there: a1={problem.diffusion[0](*finals):.6f}, "

@@ -202,13 +202,16 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     other parameter is held fixed and must be fine enough that its error
     stays subdominant (an unreliable-fit flag, r^2 < 0.99, marks plateau
     contamination).  Runs that fail are recorded with NaN errors and
-    excluded from the fits without aborting the study.
+    excluded from the fits without aborting the study; a delta that does
+    not divide problem.T is a ValueError before the first run.
     """
     mesh_sizes = list(mesh_sizes)
     deltas = list(deltas)
     degrees = list(degrees)
     if len(mesh_sizes) > 1 and len(deltas) > 1:
         raise ValueError("vary either the mesh or the time step in one study, not both")
+    for d in deltas:
+        level_grid(problem.T, d)
     axis = "delta" if len(deltas) > 1 else "h"
     rows = []
     for k, nt, d in itertools.product(degrees, mesh_sizes, deltas):

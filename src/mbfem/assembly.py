@@ -13,14 +13,13 @@ re-assembled during time stepping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .discretization import FESpace, sample
-from .geometry import BoundaryMotion
 
 __all__ = [
     "BandedMatrix",
@@ -110,9 +109,6 @@ class OperatorSet:
     conv_const: BandedMatrix
     conv_linear: BandedMatrix
     nonlocal_weights: np.ndarray
-    # Work arrays of the time steps taken with these operators, filled by
-    # the stepper on its first step; they are freed with this object.
-    step_work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _scatter_blocks(data: np.ndarray, kb: int, local: np.ndarray) -> None:
@@ -180,28 +176,24 @@ def assemble_static(space: FESpace) -> OperatorSet:
     )
 
 
-def nonlocal_value(
-    weights: np.ndarray, coeffs: np.ndarray, motion: BoundaryMotion, t: float
-) -> float:
-    """Integral of the expansion over the moving interval at time t.
+def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> float:
+    """Integral of the expansion over a moving interval of width gamma.
 
-    Under the change of variables this is gamma(t) times the fixed-domain
-    integral, so it equals gamma(t) * weights . coeffs.
+    Under the change of variables this is gamma times the fixed-domain
+    integral, so it equals gamma * weights . coeffs.
     """
     if np.shape(weights) != np.shape(coeffs):
         raise ValueError(
             f"dimension mismatch: {np.shape(weights)} weights, {np.shape(coeffs)} coefficients"
         )
-    return motion.gamma(t) * float(np.dot(weights, coeffs))
+    return gamma * float(np.dot(weights, coeffs))
 
 
-def assemble_load(space: FESpace, problem, i: int, t: float) -> np.ndarray:
+def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) -> np.ndarray:
     """Load vector of equation i at time t: entry j is
-    int f_i(alpha + gamma y, t) phi_j(y) dy."""
-    motion = problem.motion
-    f = problem.forcing[i]
-    x_q = motion.to_moving(space.element_quad_points, t)
-    fv = sample(f, x_q, t)
+    int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the space's element
+    quadrature points mapped to the interval at time t."""
+    fv = sample(problem.forcing[i], x_q, t)
     if not np.all(np.isfinite(fv)):
         e_bad, q_bad = np.argwhere(~np.isfinite(fv))[0]
         raise ValueError(

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretization import natural_cubic_spline
+from .discretization import natural_cubic_spline, sample
 from .geometry import BoundaryMotion
 
 __all__ = [
@@ -310,7 +310,8 @@ def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True
     grid of N_ARGS^ne nonlocal-argument values in [-ARG_RANGE, ARG_RANGE]^ne
     (20000 random samples with the given seed when the grid would be
     larger), and compatibility of the initial (and exact, when present)
-    data with the homogeneous Dirichlet condition.
+    data with the homogeneous Dirichlet condition, sampled on whole arrays
+    as a run samples them.
     """
     motion = problem.motion
     checks = []
@@ -368,8 +369,7 @@ def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True
     a0 = motion.alpha(0.0)
     b0 = motion.beta(0.0)
     for i in range(problem.ne):
-        va = abs(float(problem.initial[i](a0)))
-        vb = abs(float(problem.initial[i](b0)))
+        va, vb = np.abs(sample(problem.initial[i], np.array([a0, b0])))
         ok = va <= 1e-10 and vb <= 1e-10
         checks.append(
             CheckResult(
@@ -382,9 +382,7 @@ def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True
     if problem.exact is not None:
         xs = np.linspace(a0, b0, 100)
         for i in range(problem.ne):
-            diff = max(
-                abs(float(problem.exact[i](x, 0.0)) - float(problem.initial[i](x))) for x in xs
-            )
+            diff = np.max(np.abs(sample(problem.exact[i], xs, 0.0) - sample(problem.initial[i], xs)))
             checks.append(
                 CheckResult(
                     f"exact solution matches initial data, equation {i}",

@@ -27,9 +27,9 @@ from scipy.linalg import LinAlgError
 
 from .assembly import BandedMatrix, OperatorSet, assemble_load, assemble_static, diffusion_scalar, nonlocal_value
 from .discretization import FESpace, interpolate
-from .geometry import BoundaryMotion, time_tolerance
+from .geometry import time_tolerance
 
-__all__ = ["SchemeState", "RunResult", "initialize", "bootstrap_first_step", "advance", "run"]
+__all__ = ["SchemeState", "RunResult", "StepKernel", "initialize", "bootstrap_first_step", "advance", "run"]
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,13 @@ def initialize(space: FESpace, problem, delta: float) -> SchemeState:
     return SchemeState(t_index=0, time=0.0, delta=delta, current=tuple(vecs), previous=None)
 
 
-class _StepKernel:
-    """The band arithmetic of the steps taken with one OperatorSet.
+class StepKernel:
+    """The arithmetic of one run's steps, set up by `begin_step` for each.
 
-    Per equation a step needs the interior LHS band and the full RHS band
+    Every moving-domain quantity of a step is a function of t alone, so
+    `begin_step` evaluates the motion once, at the step's midpoint: the
+    width gamma of the nonlocal values, b2, C and the quadrature points of
+    the ne loads.  Per equation a step needs the interior LHS band and the full RHS band
 
         M/d + (a_i b2 K - C)/2 = M/d + (a_i b2/2) K - C/2,
         M/d - (a_i b2 K - C)/2 = M/d - (a_i b2/2) K + C/2,
@@ -87,37 +90,42 @@ class _StepKernel:
 
     def __init__(self, ops: OperatorSet):
         kb = ops.mass.kb
+        self.space = ops.space
+        self.weights = ops.nonlocal_weights
         self.mass = ops.mass.data
         self.stiffness = ops.stiffness.data
         self.conv_const = ops.conv_const.data
         self.conv_linear = ops.conv_linear.data
         width, n = self.mass.shape
-        self.dt = None
+        self.dt = self.gamma = self.b2 = self.loads = None
         self.m_over_dt, self.c_half, self.scratch, self.diff_half, rhs_band = (
             np.empty((width, n), order="F") for _ in range(5)
         )
         self.rhs_op = BandedMatrix(rhs_band, kb)
         self.lhs = BandedMatrix(np.empty((width, n - 2), order="F"), kb)
 
-    def begin_step(self, motion: BoundaryMotion, t_mid: float, dt: float) -> float:
-        """Set M/dt and C/2 for a step of length dt about t_mid; return b2."""
+    def begin_step(self, problem, t_mid: float, dt: float) -> None:
+        """Set M/dt, C/2, b2, gamma and the ne loads for a step of length dt
+        about t_mid; M/dt only when dt differs from the last step's."""
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
             self.dt = dt
-        g = motion.gamma(t_mid)
-        b2 = motion.coeff_b2(t_mid)
+        motion = problem.motion
+        g = self.gamma = motion.gamma(t_mid)
+        self.b2 = motion.coeff_b2(t_mid)
         c_half = self.c_half
         np.multiply(motion.alpha_prime(t_mid) / g, self.conv_const, out=c_half)
         np.multiply(motion.gamma_prime(t_mid) / g, self.conv_linear, out=self.scratch)
         np.add(c_half, self.scratch, out=c_half)
         np.multiply(0.5, c_half, out=c_half)
-        return b2
+        x_q = motion.to_moving(self.space.element_quad_points, t_mid)
+        self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
 
-    def solve(self, b2: float, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
+    def solve(self, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
         """V^(n) of one equation from V^(n-1), its load and its diffusion
         coefficient; `where` names the step and equation in errors."""
         diff_half = self.diff_half
-        np.multiply(0.5 * a_i * b2, self.stiffness, out=diff_half)
+        np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
         lhs = self.lhs.data
         np.add(self.m_over_dt[:, 1:-1], diff_half[:, 1:-1], out=lhs)
         np.subtract(lhs, self.c_half[:, 1:-1], out=lhs)
@@ -138,32 +146,19 @@ class _StepKernel:
         v_new.flags.writeable = False
         return v_new
 
-
-def _begin_step(ops: OperatorSet, problem, t_mid: float, dt: float):
-    """The step kernel of these operators (built on their first step), set
-    up for a step of length dt about t_mid, with b2 and the ne loads."""
-    kernel = ops.step_work.get("kernel")
-    if kernel is None:
-        kernel = ops.step_work["kernel"] = _StepKernel(ops)
-    b2 = kernel.begin_step(problem.motion, t_mid, dt)
-    loads = [assemble_load(ops.space, problem, i, t_mid) for i in range(problem.ne)]
-    return kernel, b2, loads
-
-
-def _solve_all(step, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
-    """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
-    `label` names the step in errors.  An overflow in the band arithmetic
-    is reported by the kernel's non-finite-solution check alone."""
-    kernel, b2, loads = step
-    new = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(problem.ne):
-            a_i = diffusion_scalar(problem, i, nonlocal_values)
-            new.append(kernel.solve(b2, a_i, v_prev[i], loads[i], f"{label}, equation {i}"))
-    return tuple(new)
+    def solve_all(self, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
+        """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
+        `label` names the step in errors.  An overflow in the band arithmetic
+        is reported by the non-finite-solution check alone."""
+        new = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(problem.ne):
+                a_i = diffusion_scalar(problem, i, nonlocal_values)
+                new.append(self.solve(a_i, v_prev[i], self.loads[i], f"{label}, equation {i}"))
+        return tuple(new)
 
 
-def bootstrap_first_step(state: SchemeState, ops: OperatorSet, problem) -> SchemeState:
+def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
     """Predictor-corrector step producing V^(1) with second-order accuracy.
 
     The predictor freezes the diffusion coefficients at the initial
@@ -174,15 +169,15 @@ def bootstrap_first_step(state: SchemeState, ops: OperatorSet, problem) -> Schem
     """
     if state.t_index != 0:
         raise ValueError(f"bootstrap expects the initial state, got step {state.t_index}")
-    motion, w, v0, dt = problem.motion, ops.nonlocal_weights, state.current, state.delta
+    w, v0, dt = kernel.weights, state.current, state.delta
     t0 = state.time
-    t_mid = t0 + 0.5 * dt
-    step = _begin_step(ops, problem, t_mid, dt)
+    kernel.begin_step(problem, t0 + 0.5 * dt, dt)
     label = f"step 1 (t={t0 + dt})"
-    l_init = [nonlocal_value(w, v, motion, t0) for v in v0]
-    predicted = _solve_all(step, problem, l_init, v0, f"the predictor of {label}")
-    l_mid = [nonlocal_value(w, 0.5 * (p + v), motion, t_mid) for p, v in zip(predicted, v0)]
-    corrected = _solve_all(step, problem, l_mid, v0, f"the corrector of {label}")
+    g0 = problem.motion.gamma(t0)
+    l_init = [nonlocal_value(w, v, g0) for v in v0]
+    predicted = kernel.solve_all(problem, l_init, v0, f"the predictor of {label}")
+    l_mid = [nonlocal_value(w, 0.5 * (p + v), kernel.gamma) for p, v in zip(predicted, v0)]
+    corrected = kernel.solve_all(problem, l_mid, v0, f"the corrector of {label}")
     return SchemeState(
         t_index=1,
         time=t0 + dt,
@@ -192,16 +187,15 @@ def bootstrap_first_step(state: SchemeState, ops: OperatorSet, problem) -> Schem
     )
 
 
-def advance(state: SchemeState, ops: OperatorSet, problem) -> SchemeState:
+def advance(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
     """One linearized Crank-Nicolson step from level n >= 1 to n + 1."""
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
     t_new = (state.t_index + 1) * state.delta
     v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
-    t_mid = 0.5 * (state.time + t_new)
-    step = _begin_step(ops, problem, t_mid, state.delta)
-    l_bar = [nonlocal_value(ops.nonlocal_weights, v, problem.motion, t_mid) for v in v_bar]
-    new = _solve_all(step, problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
+    kernel.begin_step(problem, 0.5 * (state.time + t_new), state.delta)
+    l_bar = [nonlocal_value(kernel.weights, v, kernel.gamma) for v in v_bar]
+    new = kernel.solve_all(problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
     return SchemeState(
         t_index=state.t_index + 1,
         time=t_new,
@@ -240,12 +234,13 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     started = _time.perf_counter()
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
+    kernel = StepKernel(ops)
     while True:
         for obs in observers:
             obs(state.t_index, state.time, state.current)
         if state.t_index == n_steps:
             break
         step = bootstrap_first_step if state.t_index == 0 else advance
-        state = step(state, ops, problem)
+        state = step(state, kernel, problem)
 
     return RunResult(final=state, runtime=_time.perf_counter() - started)

@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, fixed_interval, run
+from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, example1, fixed_interval, run
+from mbfem import analysis
 from mbfem.analysis import due_times, fit_slope, l2_error_vs_function, measure, write_rows
 from mbfem.discretization import gauss_legendre, interpolate
 from mbfem.stepper import SchemeState
@@ -157,6 +159,16 @@ def test_convergence_study_rejects_two_axes():
     p = heat_problem()
     with pytest.raises(ValueError):
         convergence_study(p, degrees=[1], mesh_sizes=[4, 8], deltas=[0.1, 0.05])
+
+
+def test_convergence_study_rejects_a_delta_that_does_not_divide_T(monkeypatch):
+    # 33 steps of 0.03 miss T = 1: the study fails before its first run
+    # instead of spending the valid runs and dropping the fit
+    runs = []
+    monkeypatch.setattr(analysis, "run", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=r"delta=0\.03 does not divide T=1\.0"):
+        convergence_study(replace(example1(), T=1.0), degrees=[1], mesh_sizes=[4], deltas=[0.1, 0.05, 0.03])
+    assert runs == []
 
 
 def test_convergence_study_survives_failed_runs():

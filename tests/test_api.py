@@ -54,6 +54,19 @@ def test_package_exports_what_the_readme_lists():
     assert len(set(mbfem.__all__)) == len(mbfem.__all__) == 11
 
 
+def test_readme_signatures_are_the_exports_signatures():
+    # a Library bullet `name(params)` must list the export's parameters in
+    # order, so a stale signature fails here instead of reaching users
+    documented = {}
+    for line in readme_section("Library").splitlines():
+        if line.startswith("- `"):
+            for name, params in re.findall(r"`(\w+)\((.*?)\)`", line.split(" - ", 1)[0]):
+                documented[name] = [p.split("=")[0].strip() for p in params.split(",") if p.strip()]
+    assert len(documented) == 9
+    for name, params in documented.items():
+        assert params == list(inspect.signature(getattr(mbfem, name)).parameters), name
+
+
 def test_readme_documents_every_config_key():
     # a key the parser accepts but no README line names is a knob no one can find
     from mbfem import cli

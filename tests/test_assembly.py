@@ -210,7 +210,8 @@ def test_assemble_load_equals_the_element_loop(nt, k, q):
     space = build_space(nt, k, q)
     p = example1()
     for i, t in ((0, 0.0), (1, 0.37)):
-        assert np.array_equal(assemble_load(space, p, i, t), loop_assemble_load(space, p, i, t))
+        x_q = p.motion.to_moving(space.element_quad_points, t)
+        assert np.array_equal(assemble_load(space, p, i, x_q, t), loop_assemble_load(space, p, i, t))
 
 
 @pytest.mark.parametrize("nt,k,q", BIT_GRID)
@@ -252,21 +253,21 @@ def zero_motion_problem(forcing):
 def test_load_zero_forcing():
     space = build_space(3, 2)
     p = zero_motion_problem(lambda x, t: np.zeros_like(np.asarray(x, float)))
-    assert np.all(assemble_load(space, p, 0, 0.3) == 0.0)
+    assert np.all(assemble_load(space, p, 0, space.element_quad_points, 0.3) == 0.0)
 
 
 def test_load_unit_forcing_equals_weights():
     space = build_space(3, 2)
     p = zero_motion_problem(lambda x, t: np.ones_like(np.asarray(x, float)))
     ops = assemble_static(space)
-    assert np.allclose(assemble_load(space, p, 0, 0.5), ops.nonlocal_weights, atol=1e-15)
+    assert np.allclose(assemble_load(space, p, 0, space.element_quad_points, 0.5), ops.nonlocal_weights, atol=1e-15)
 
 
 def test_load_example2_matches_dense_integration():
     # f1(x, t) = 0.1 x / (1+t)^4; at t=0 the interval is (0, 1) so x = y
     p = example2()
     space = build_space(2, 1)
-    load = assemble_load(space, p, 0, 0.0)
+    load = assemble_load(space, p, 0, space.element_quad_points, 0.0)
     polys = cardinal_polys(1)
     expected = np.zeros(3)
     for e in range(2):
@@ -282,7 +283,7 @@ def test_load_reports_nonfinite_forcing():
     space = build_space(2, 1)
     p = zero_motion_problem(lambda x, t: np.full(np.asarray(x, float).shape, np.nan))
     with pytest.raises(ValueError, match="non-finite"):
-        assemble_load(space, p, 0, 0.0)
+        assemble_load(space, p, 0, space.element_quad_points, 0.0)
 
 
 # --- nonlocal values and diffusion scalars ----------------------------------
@@ -292,7 +293,7 @@ def test_nonlocal_value_zero():
     space = build_space(3, 1)
     ops = assemble_static(space)
     m = fixed_interval(0.0, 1.0, T=1.0)
-    assert nonlocal_value(ops.nonlocal_weights, np.zeros(space.n_dofs), m, 0.5) == 0.0
+    assert nonlocal_value(ops.nonlocal_weights, np.zeros(space.n_dofs), m.gamma(0.5)) == 0.0
 
 
 def test_nonlocal_value_constant_on_width_two_interval():
@@ -300,7 +301,7 @@ def test_nonlocal_value_constant_on_width_two_interval():
     ops = assemble_static(space)
     m = fixed_interval(0.0, 2.0, T=1.0)
     ones = np.ones(space.n_dofs)
-    assert nonlocal_value(ops.nonlocal_weights, ones, m, 0.3) == pytest.approx(2.0, rel=1e-14)
+    assert nonlocal_value(ops.nonlocal_weights, ones, m.gamma(0.3)) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_nonlocal_value_quadratic():
@@ -308,7 +309,7 @@ def test_nonlocal_value_quadratic():
     ops = assemble_static(space)
     m = fixed_interval(0.0, 1.0, T=1.0)
     coeffs = interpolate(space, lambda y: y * (1.0 - y))
-    value = nonlocal_value(ops.nonlocal_weights, coeffs, m, 0.0)
+    value = nonlocal_value(ops.nonlocal_weights, coeffs, m.gamma(0.0))
     assert value == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 

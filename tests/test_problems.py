@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mbfem import BoundaryMotion, ProblemSpec, example1, example2, fixed_interval, validate
+from mbfem import BoundaryMotion, ProblemSpec, build_space, example1, example2, fixed_interval, run, validate
 from mbfem.problems import (
     _Q1_COEFFS,
     _Q1_INTEGRAL,
@@ -284,6 +284,26 @@ def test_validate_flags_shrinking_domain():
     relaxed = validate(shrinking, require_expanding=False)
     assert relaxed.status == "warn"
     assert relaxed.passed
+
+
+def test_validate_samples_initial_and_exact_data_on_whole_arrays():
+    # callables that read x.shape run fine; validate must call them as a
+    # run does, on arrays, not point by point
+    p = ProblemSpec(
+        ne=1,
+        diffusion=(lambda r: 1.0,),
+        forcing=(lambda x, t: np.zeros(x.shape),),
+        initial=(lambda x: np.sin(np.pi * x) * np.ones(x.shape),),
+        motion=example1().motion,
+        T=1.0,
+        exact=(lambda x, t: np.sin(np.pi * x) * np.ones(x.shape),),
+        diffusion_bounds=((1.0, 1.0),),
+    )
+    run(p, build_space(4, 2), 0.5)
+    report = validate(p)
+    assert report.status == "pass", str(report)
+    details = [c.detail for c in report.checks if c.name.endswith("equation 0") and not c.name.startswith("H5")]
+    assert details == ["|u0(-0)| = 0.000e+00, |u0(1)| = 1.225e-16", "max difference 0.000e+00 at t=0"]
 
 
 def test_validate_flags_incompatible_initial_data():

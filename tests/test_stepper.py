@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 from mbfem import ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem.assembly import BandedMatrix, assemble_static
-from mbfem.stepper import _StepKernel, advance, bootstrap_first_step, initialize, level_grid
+from mbfem.stepper import StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
 from test_assembly import cardinal_polys, simpson_weights
 
@@ -52,8 +52,7 @@ def test_initialize_example1_matches_quartic_sampling():
 def test_bootstrap_zero_fixed_point():
     p = zero_problem()
     space = build_space(4, 2)
-    ops = assemble_static(space)
-    s1 = bootstrap_first_step(initialize(space, p, 0.05), ops, p)
+    s1 = bootstrap_first_step(initialize(space, p, 0.05), StepKernel(assemble_static(space)), p)
     assert all(np.all(v == 0.0) for v in s1.current)
     assert s1.time == pytest.approx(0.05)
     assert s1.t_index == 1
@@ -65,9 +64,8 @@ def test_bootstrap_heat_decay_factor():
     delta = 0.01
     p = heat_problem(T=1.0)
     space = build_space(64, 2)
-    ops = assemble_static(space)
     state = initialize(space, p, delta)
-    s1 = bootstrap_first_step(state, ops, p)
+    s1 = bootstrap_first_step(state, StepKernel(assemble_static(space)), p)
     norm = lambda v: l2_error_vs_function(space, v, np.zeros_like)
     ratio = norm(s1.current[0]) / norm(state.current[0])
     assert ratio < 1.0
@@ -79,8 +77,7 @@ def test_bootstrap_example1_first_step_accuracy():
     # at these parameters, asserted with a tenfold margin
     p = example1()
     space = build_space(100, 2)
-    ops = assemble_static(space)
-    s1 = bootstrap_first_step(initialize(space, p, 0.01), ops, p)
+    s1 = bootstrap_first_step(initialize(space, p, 0.01), StepKernel(assemble_static(space)), p)
     rec = measure(s1, p, space)
     assert max(rec.l2_moving) <= 5e-4
 
@@ -217,10 +214,10 @@ def test_observer_vectors_are_read_only():
 def test_state_vectors_are_read_only_and_observers_get_them():
     p = example1()
     space = build_space(4, 2)
-    ops = assemble_static(space)
+    kernel = StepKernel(assemble_static(space))
     s0 = initialize(space, p, 0.05)
-    s1 = bootstrap_first_step(s0, ops, p)
-    s2 = advance(s1, ops, p)
+    s1 = bootstrap_first_step(s0, kernel, p)
+    s2 = advance(s1, kernel, p)
     for state in (s0, s1, s2):
         for v in state.current + (state.previous or ()):
             with pytest.raises(ValueError, match="read-only"):
@@ -314,17 +311,56 @@ def test_step_kernel_equals_the_plain_expressions(nt, k):
     p = example1()
     space = build_space(nt, k)
     ops = assemble_static(space)
-    kernel = _StepKernel(ops)
+    kernel = StepKernel(ops)
     rng = np.random.default_rng(nt + k)
     # a repeated dt keeps M/dt, a new one recomputes it
     for t_mid, dt, a_i in ((0.105, 0.01, 1.7), (0.115, 0.01, 2.3), (0.1235, 0.007, 0.9)):
-        b2 = kernel.begin_step(p.motion, t_mid, dt)
+        kernel.begin_step(p, t_mid, dt)
         for _ in range(2):
             v_prev = rng.standard_normal(space.n_dofs)
             v_prev[[0, -1]] = 0.0
             load = rng.standard_normal(space.n_dofs)
-            got = kernel.solve(b2, a_i, v_prev, load, "a test step")
+            got = kernel.solve(a_i, v_prev, load, "a test step")
             assert np.array_equal(got, plain_equation(ops, p.motion, t_mid, a_i, dt, v_prev, load))
+
+
+def counted_motion(motion, counts):
+    """The motion with each callable named in `counts` counting its calls there."""
+
+    def counted(name):
+        fn = getattr(motion, name)
+
+        def call(t):
+            counts[name] += 1
+            return fn(t)
+
+        return call
+
+    return replace(motion, **{name: counted(name) for name in counts})
+
+
+def test_motion_calls_per_advance_do_not_grow_with_ne():
+    # every moving-domain quantity of a step is a function of t alone, so a
+    # step evaluates the motion the same number of times for any ne
+    per_advance = {}
+    for ne in (1, 3):
+        counts = dict.fromkeys(("alpha", "beta", "alpha_prime", "beta_prime"), 0)
+        p = ProblemSpec(
+            ne=ne,
+            diffusion=(lambda *r: 1.0 + r[0] ** 2,) * ne,
+            forcing=(lambda x, t: np.sin(x + t),) * ne,
+            initial=(lambda x: x * (1.0 - x),) * ne,
+            motion=counted_motion(example1().motion, counts),
+            T=1.0,
+        )
+        space = build_space(4, 2)
+        kernel = StepKernel(assemble_static(space))
+        s1 = bootstrap_first_step(initialize(space, p, 0.1), kernel, p)
+        before = dict(counts)
+        advance(s1, kernel, p)
+        per_advance[ne] = {name: counts[name] - before[name] for name in counts}
+    assert per_advance[1] == per_advance[3]
+    assert all(per_advance[1].values())
 
 
 # --- the convection term against the transformed PDE ------------------------
@@ -355,11 +391,12 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
     # u(x, t) = v(y, t) with y = (x - alpha(t)) / gamma(t) gives
     # u_t = v_t - b1 v_y, b1 = (alpha' + gamma' y) / gamma, so the step's
     # C must be the matrix of the integrals of b1 phi_j' phi_i
-    motion = problem().motion
+    p = problem()
+    motion = p.motion
     space = build_space(3, k)
-    kernel = _StepKernel(assemble_static(space))
+    kernel = StepKernel(assemble_static(space))
     for t in times:
-        kernel.begin_step(motion, t, 0.01)
+        kernel.begin_step(p, t, 0.01)
 
         def b1(y):
             return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
@@ -392,10 +429,10 @@ def test_singular_system_names_step_time_and_equation(k):
     singular = replace(ops, mass=zero, conv_const=zero, conv_linear=zero)
     state = initialize(space, p, 0.01)
     with pytest.raises(RuntimeError, match=r"singular Crank-Nicolson system at the predictor of step 1 \(t=0\.01\), equation 1 \(condition estimate"):
-        bootstrap_first_step(state, singular, p)
-    s1 = bootstrap_first_step(state, ops, p)
+        bootstrap_first_step(state, StepKernel(singular), p)
+    s1 = bootstrap_first_step(state, StepKernel(ops), p)
     with pytest.raises(RuntimeError, match=r"singular Crank-Nicolson system at step 2 \(t=0\.02\), equation 1 \(condition estimate"):
-        advance(s1, singular, p)
+        advance(s1, StepKernel(singular), p)
 
 
 def test_non_finite_solution_names_step_time_and_equation():
