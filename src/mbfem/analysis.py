@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretization import FESpace, build_space, gauss_legendre
-from .stepper import SchemeState, level_grid, run
+from .stepper import level_grid, run
 
 __all__ = [
     "ErrorRecord",
@@ -101,12 +101,12 @@ def l2_error_vs_function(space: FESpace, coeffs, fn) -> float:
     return math.sqrt(np.cumsum(per_element)[-1])
 
 
-def measure(state: SchemeState, problem, space: FESpace) -> ErrorRecord:
-    """Errors of a state against the problem's exact solutions."""
+def measure(problem, space: FESpace, t: float, vectors) -> ErrorRecord:
+    """Errors of the level at time t, coefficient vectors `vectors`, against
+    the problem's exact solutions."""
     if problem.exact is None:
         raise ValueError("the problem supplies no exact solutions to measure against")
     motion = problem.motion
-    t = state.time
     root_gamma = math.sqrt(motion.gamma(t))
     x_dofs = motion.to_moving(space.dof_positions, t)
     l2 = []
@@ -115,61 +115,47 @@ def measure(state: SchemeState, problem, space: FESpace) -> ErrorRecord:
         exact = problem.exact[i]
         l2.append(
             root_gamma
-            * l2_error_vs_function(space, state.current[i], lambda y: exact(motion.to_moving(y, t), t))
+            * l2_error_vs_function(space, vectors[i], lambda y: exact(motion.to_moving(y, t), t))
         )
-        nodal = np.asarray(exact(x_dofs, t), dtype=float) - state.current[i]
+        nodal = np.asarray(exact(x_dofs, t), dtype=float) - vectors[i]
         mx.append(float(np.max(np.abs(nodal))))
     return ErrorRecord(time=t, l2_moving=tuple(l2), max_nodal=tuple(mx))
 
 
-def due_times(times, T: float, delta: float) -> list[float]:
-    """Each requested time snapped to the nearest level of a run from 0 to
-    T with step delta (the earlier of two equally near), sorted.
+def due_steps(times, T: float, delta: float) -> frozenset[int]:
+    """The index of the level nearest each requested time in a run from 0
+    to T with step delta (the earlier of two equally near).
 
-    Shared by the observers that act at requested times, which then match
-    levels exactly; a request outside [0, T] is a ValueError.
+    The observers that act at requested times act at a level when its step
+    index is in this set; a request outside [0, T] is a ValueError.
     """
     levels = level_grid(T, delta).tolist()
-    due = []
+    due = set()
     for w in times:
         if not 0.0 <= w <= T:
             raise ValueError(f"requested time {w} outside [0, {T}]")
         i = bisect.bisect_left(levels, w)  # levels[i - 1] < w <= levels[i]
-        due.append(min(levels[max(i - 1, 0) : i + 1], key=lambda t: abs(t - w)))
-    return sorted(due)
-
-
-def take_due(pending: list, time: float) -> bool:
-    """Remove `time` from `pending`, the observer's `due_times`.
-
-    Returns whether it was there, so each level is acted on once.
-    """
-    hit = time in pending
-    if hit:
-        pending[:] = [w for w in pending if w != time]
-    return hit
+        near = range(max(i - 1, 0), min(i + 1, len(levels)))
+        due.add(min(near, key=lambda n: abs(levels[n] - w)))
+    return frozenset(due)
 
 
 class ErrorTracker:
     """Run observer that measures errors at selected times.
 
     Each requested time is measured at the level nearest to it in a run
-    with step `delta` (see `due_times`).
+    with step `delta` (see `due_steps`).
     """
 
     def __init__(self, problem, space: FESpace, times, delta: float):
         self.problem = problem
         self.space = space
-        self.pending = due_times(times, problem.T, delta)
+        self.due = due_steps(times, problem.T, delta)
         self.records: list[ErrorRecord] = []
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
-        if not take_due(self.pending, time):
-            return
-        state = SchemeState(
-            t_index=step_index, time=time, delta=0.0, current=tuple(vectors), previous=None
-        )
-        self.records.append(measure(state, self.problem, self.space))
+        if step_index in self.due:
+            self.records.append(measure(self.problem, self.space, time, vectors))
 
 
 def fit_slope(points, axis: str = "", degree: int | None = None, equation: int | None = None) -> RateFit:
@@ -217,7 +203,8 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     for k, nt, d in itertools.product(degrees, mesh_sizes, deltas):
         try:
             space = build_space(nt, k)
-            record = measure(run(problem, space, d).final, problem, space)
+            final = run(problem, space, d).final
+            record = measure(problem, space, final.time, final.current)
             errs, mxs = record.l2_moving, record.max_nodal
         except Exception as exc:  # noqa: BLE001  (reported per run)
             warnings.warn(f"run k={k} nt={nt} delta={d} failed: {exc}", stacklevel=2)

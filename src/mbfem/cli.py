@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import FLOAT_FORMAT, ErrorTracker, convergence_study, due_times, format_float, take_due, write_rows
+from .analysis import FLOAT_FORMAT, ErrorTracker, convergence_study, due_steps, format_float, write_rows
 from .discretization import build_space, natural_cubic_spline
 from .geometry import BoundaryMotion, fixed_interval, time_tolerance
 from .problems import ProblemSpec, example1, example2, validate
@@ -449,17 +449,16 @@ class SnapshotRows:
 
 class SnapshotRecorder:
     """Observer that keeps the levels at the requested times in `rows`,
-    each time snapped to a level of a run with step `delta` (`due_times`)."""
+    each time snapped to a level of a run with step `delta` (`due_steps`)."""
 
     def __init__(self, problem, space, times, delta: float):
         self.problem = problem
-        self.pending = due_times(times, problem.T, delta)
+        self.due = due_steps(times, problem.T, delta)
         self.rows = SnapshotRows(space.dof_positions)
 
     def __call__(self, step_index: int, time: float, vectors) -> None:
-        if not take_due(self.pending, time):
-            return
-        self.rows.append(time, self.problem.motion.to_moving(self.rows.y, time), vectors)
+        if step_index in self.due:
+            self.rows.append(time, self.problem.motion.to_moving(self.rows.y, time), vectors)
 
 
 def _format_column(values) -> list[str]:

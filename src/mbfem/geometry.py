@@ -58,11 +58,11 @@ class BoundaryMotion:
             raise ValueError(f"time {t!r} outside the domain [0, {self.T}]")
 
     def gamma(self, t: float) -> float:
-        """Width beta(t) - alpha(t) of the interval; strictly positive."""
+        """Width beta(t) - alpha(t) of the interval; positive and finite."""
         self._check_time(t)
         g = self.beta(t) - self.alpha(t)
-        if not g > 0.0:  # also catches NaN
-            raise ValueError(f"interval width gamma({t}) = {g} is not positive")
+        if not 0.0 < g < math.inf:  # also catches NaN
+            raise ValueError(f"interval width gamma({t}) = {g} is not positive and finite")
         return g
 
     def gamma_prime(self, t: float) -> float:

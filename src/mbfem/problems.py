@@ -356,7 +356,9 @@ def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True
     for i in range(problem.ne):
         lo, hi = problem.diffusion_bounds[i]
         try:
-            vals = np.array([float(problem.diffusion[i](*r)) for r in pts])
+            # Python floats, as a run passes them; one row at a time, so the
+            # 20000 x ne arguments never exist as float objects all at once
+            vals = np.array([float(problem.diffusion[i](*r.tolist())) for r in pts])
         except Exception as exc:  # noqa: BLE001  (user-supplied function)
             checks.append(CheckResult(f"H5 diffusion bounds, equation {i}", "fail", repr(exc)))
             continue

@@ -37,15 +37,18 @@ class SchemeState:
     """Coefficient vectors at the current and previous time levels.
 
     Boundary dofs of every stored vector are exactly zero, and every
-    vector is read-only from the moment it is made.  `time` is
-    always computed as t_index * delta (never by repeated addition).
+    vector is read-only from the moment it is made.
     """
 
     t_index: int
-    time: float
     delta: float
     current: tuple[np.ndarray, ...]
     previous: tuple[np.ndarray, ...] | None
+
+    @property
+    def time(self) -> float:
+        """The level's time t_index * delta (never by repeated addition)."""
+        return self.t_index * self.delta
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ def initialize(space: FESpace, problem, delta: float) -> SchemeState:
         v = interpolate(space, lambda y: u0(motion.to_moving(y, 0.0)))
         v.flags.writeable = False
         vecs.append(v)
-    return SchemeState(t_index=0, time=0.0, delta=delta, current=tuple(vecs), previous=None)
+    return SchemeState(t_index=0, delta=delta, current=tuple(vecs), previous=None)
 
 
 class StepKernel:
@@ -170,21 +173,14 @@ def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> Sch
     if state.t_index != 0:
         raise ValueError(f"bootstrap expects the initial state, got step {state.t_index}")
     w, v0, dt = kernel.weights, state.current, state.delta
-    t0 = state.time
-    kernel.begin_step(problem, t0 + 0.5 * dt, dt)
-    label = f"step 1 (t={t0 + dt})"
-    g0 = problem.motion.gamma(t0)
+    kernel.begin_step(problem, 0.5 * dt, dt)
+    label = f"step 1 (t={dt})"
+    g0 = problem.motion.gamma(0.0)
     l_init = [nonlocal_value(w, v, g0) for v in v0]
     predicted = kernel.solve_all(problem, l_init, v0, f"the predictor of {label}")
     l_mid = [nonlocal_value(w, 0.5 * (p + v), kernel.gamma) for p, v in zip(predicted, v0)]
     corrected = kernel.solve_all(problem, l_mid, v0, f"the corrector of {label}")
-    return SchemeState(
-        t_index=1,
-        time=t0 + dt,
-        delta=state.delta,
-        current=corrected,
-        previous=v0,
-    )
+    return SchemeState(t_index=1, delta=dt, current=corrected, previous=v0)
 
 
 def advance(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
@@ -196,13 +192,7 @@ def advance(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
     kernel.begin_step(problem, 0.5 * (state.time + t_new), state.delta)
     l_bar = [nonlocal_value(kernel.weights, v, kernel.gamma) for v in v_bar]
     new = kernel.solve_all(problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
-    return SchemeState(
-        t_index=state.t_index + 1,
-        time=t_new,
-        delta=state.delta,
-        current=new,
-        previous=state.current,
-    )
+    return SchemeState(t_index=state.t_index + 1, delta=state.delta, current=new, previous=state.current)
 
 
 def level_grid(T: float, delta: float) -> np.ndarray:

@@ -209,8 +209,8 @@ def test_criterion_8_fixed_interval_error_bound():
 
     def l2_at_T(nt: int, delta: float) -> float:
         space = build_space(nt, 1)
-        result = run(problem, space, delta)
-        return measure(result.final, problem, space).l2_moving[0]
+        final = run(problem, space, delta).final
+        return measure(problem, space, final.time, final.current).l2_moving[0]
 
     # halve h and delta together; each regime isolates one dominant term
     coarse_dt, fine_dt = l2_at_T(128, 0.1), l2_at_T(256, 0.05)

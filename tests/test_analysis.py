@@ -7,9 +7,8 @@ import pytest
 
 from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, example1, fixed_interval, run
 from mbfem import analysis
-from mbfem.analysis import due_times, fit_slope, l2_error_vs_function, measure, write_rows
+from mbfem.analysis import due_steps, fit_slope, l2_error_vs_function, measure, write_rows
 from mbfem.discretization import gauss_legendre, interpolate
-from mbfem.stepper import SchemeState
 from conftest import heat_problem
 
 
@@ -25,14 +24,10 @@ def still_problem(exact_fn, T=1.0):
     )
 
 
-def state_with(coeffs, t=0.0):
-    return SchemeState(t_index=0, time=t, delta=0.1, current=(coeffs,), previous=None)
-
-
 def test_measure_zero_against_zero():
     p = still_problem(lambda x, t: 0.0 * np.asarray(x, float))
     space = build_space(4, 2)
-    rec = measure(state_with(np.zeros(space.n_dofs)), p, space)
+    rec = measure(p, space, 0.0, (np.zeros(space.n_dofs),))
     assert rec.l2_moving == (0.0,)
     assert rec.max_nodal == (0.0,)
 
@@ -42,7 +37,7 @@ def test_measure_exact_interpolant_of_polynomial():
     p = still_problem(lambda x, t: np.asarray(x, float) * (1.0 - np.asarray(x, float)))
     space = build_space(3, 2)
     coeffs = interpolate(space, lambda y: y * (1.0 - y))
-    rec = measure(state_with(coeffs), p, space)
+    rec = measure(p, space, 0.0, (coeffs,))
     assert rec.l2_moving[0] <= 1e-12
     assert rec.max_nodal[0] <= 1e-12
 
@@ -53,7 +48,7 @@ def test_measure_requires_exact_solutions():
 
     space = build_space(4, 1)
     with pytest.raises(ValueError):
-        measure(state_with(np.zeros(space.n_dofs)), replace(p, exact=None), space)
+        measure(replace(p, exact=None), space, 0.0, (np.zeros(space.n_dofs),))
 
 
 def test_l2_error_uses_elevated_quadrature():
@@ -129,13 +124,16 @@ def test_error_tracker_records_requested_times():
     run(p, space, 0.01, observers=[tracker])
     times = [r.time for r in tracker.records]
     assert times == pytest.approx([0.0, 0.1, 0.2], abs=1e-12)
-    assert tracker.pending == []
+    # the tracker matches step indices and consumes nothing: a second run
+    # with the same T and delta is measured at the same levels
+    run(p, space, 0.01, observers=[tracker])
+    assert tracker.records[3:] == tracker.records[:3]
 
 
-def test_due_times_snap_to_the_nearest_level():
+def test_due_steps_snap_to_the_nearest_level():
     # levels 0, 0.25, ..., 1: a request halfway between two takes the
-    # earlier, a repeated level stays listed once per request
-    assert due_times([1.0, 0.125, 0.375, 0.3, 0.0], 1.0, 0.25) == [0.0, 0.0, 0.25, 0.25, 1.0]
+    # earlier, and a level asked for twice is one index
+    assert due_steps([1.0, 0.125, 0.375, 0.3, 0.0], 1.0, 0.25) == {0, 1, 4}
 
 
 def test_convergence_study_spatial_axis():

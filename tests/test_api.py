@@ -5,7 +5,8 @@ layers, and the names bench/tracing.py patches.
 bench/tracing.py builds its spans from the layers' `__all__`: a stale name
 would crash a traced run, and a name re-exported from another module would
 drop out of the trace without a word.  Demos and README code are parsed,
-and the quick demos also run in child processes.
+and the quick demos and the README python blocks also run in child
+processes.
 """
 
 import ast
@@ -116,29 +117,35 @@ def test_layer_imports_exist(where):
         assert not missing, f"{where} imports {missing} from mbfem.{layer}"
 
 
-# convergence_orders.py takes about 20 s and stays out
-QUICK_DEMOS = ["custom_problem_cli.py", "expanding_benchmark.py", "spline_decay.py"]
-
-
-@pytest.mark.parametrize("demo", QUICK_DEMOS)
-def test_quick_demo_runs(tmp_path, demo):
-    # the child imports the same mbfem as this process, and its temporary
-    # files go to tmp_path
+def run_in_child(tmp_path, args):
+    """`python <args>` in a child process that imports the same mbfem as
+    this process, with its temporary files in tmp_path."""
     src = os.path.dirname(os.path.dirname(mbfem.__file__))
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         "TMPDIR": str(tmp_path),
     }
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
     )
+
+
+# convergence_orders.py takes about 20 s and stays out
+QUICK_DEMOS = ["custom_problem_cli.py", "expanding_benchmark.py", "spline_decay.py"]
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_quick_demo_runs(tmp_path, demo):
+    proc = run_in_child(tmp_path, [str(ROOT / "demos" / demo)])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("where", [where for where in SOURCES if where.startswith("README")])
+def test_readme_python_block_runs(tmp_path, where):
+    proc = run_in_child(tmp_path, ["-c", SOURCES[where]])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def load_bench_tracing():

@@ -656,6 +656,23 @@ def test_validate_rejects_an_infinite_fixed_end_without_warnings(tmp_path):
     assert "PASS" not in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_an_overflowing_width_fails_without_warnings(tmp_path, command):
+    # beta - alpha = 1 + 2e308 t overflows to inf from t = 0.9: an infinite
+    # width is no interval, so both commands stop before any output
+    write(
+        tmp_path,
+        "wide.prob",
+        "ne=1 T=1 motion=rational\nalpha_num=0,-1e308 beta_num=1,1e308\n"
+        "diffusion1=const:1\ninitial1=poly:0,1,-1\n",
+    )
+    config = write(tmp_path, "v.cfg", "problem=wide.prob nt=4 k=2 delta=0.1\n")
+    proc = cli_in_child(tmp_path, command, config)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: interval width gamma(0.9) = inf is not positive and finite\n"
+    assert proc.stdout == ""
+
+
 def test_validate_fixed_domain_fails_strict_then_warns_relaxed(tmp_path, capsys):
     write(
         tmp_path,

@@ -306,6 +306,23 @@ def test_validate_samples_initial_and_exact_data_on_whole_arrays():
     assert details == ["|u0(-0)| = 0.000e+00, |u0(1)| = 1.225e-16", "max difference 0.000e+00 at t=0"]
 
 
+def test_validate_passes_the_diffusion_python_floats_as_a_run_does():
+    # H5 samples the diffusion at the argument types a run passes it
+    seen = []
+
+    def a(r, s):
+        seen.append((type(r), type(s)))
+        return 1.5
+
+    p = replace(example2(), diffusion=(a, a), diffusion_bounds=((1.0, 2.0), (1.0, 2.0)))
+    run(p, build_space(4, 2), 0.5)
+    assert set(seen) == {(float, float)}
+    seen.clear()
+    report = validate(p)
+    assert report.status == "pass", str(report)
+    assert len(seen) == 2 * 21**2 and set(seen) == {(float, float)}
+
+
 def test_validate_flags_incompatible_initial_data():
     p = ProblemSpec(
         ne=1,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from mbfem import ProblemSpec, build_space, example1, example2, fixed_interval, run
+from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem.assembly import BandedMatrix, assemble_static
 from mbfem.stepper import StepKernel, advance, bootstrap_first_step, initialize, level_grid
@@ -78,7 +78,7 @@ def test_bootstrap_example1_first_step_accuracy():
     p = example1()
     space = build_space(100, 2)
     s1 = bootstrap_first_step(initialize(space, p, 0.01), StepKernel(assemble_static(space)), p)
-    rec = measure(s1, p, space)
+    rec = measure(p, space, s1.time, s1.current)
     assert max(rec.l2_moving) <= 5e-4
 
 
@@ -95,7 +95,8 @@ def test_temporal_order_on_heat_equation():
     space = build_space(128, 2)
     pts = []
     for delta in (0.05, 0.025, 0.0125):
-        rec = measure(run(p, space, delta).final, p, space)
+        final = run(p, space, delta).final
+        rec = measure(p, space, final.time, final.current)
         pts.append((delta, rec.l2_moving[0]))
     fit = fit_slope(pts, axis="delta")
     assert fit.slope == pytest.approx(2.0, abs=0.2)
@@ -111,6 +112,47 @@ def test_run_integer_step_count():
     assert seen[0] == 0.0
     assert len(seen) == 301
     assert seen == level_grid(3.0, 0.01).tolist()
+
+
+def swap_equations(p):
+    """The two-equation problem with its equations in the other order: each
+    diffusion takes its nonlocal arguments in the other order too."""
+    a0, a1 = p.diffusion
+    return replace(
+        p,
+        diffusion=(lambda r, s: a1(s, r), lambda r, s: a0(s, r)),
+        diffusion_bounds=p.diffusion_bounds[::-1],
+        forcing=p.forcing[::-1],
+        initial=p.initial[::-1],
+        exact=None if p.exact is None else p.exact[::-1],
+    )
+
+
+@pytest.mark.parametrize("make", [example1, example2])
+def test_swapping_the_equations_swaps_every_level(make):
+    # the equations of a step are solved independently and the coupling
+    # reads only nonlocal values, so the swapped run is the same
+    # arithmetic in the other order: equal bit for bit, level by level
+    space = build_space(8, 3)
+
+    def levels_and_errors(p):
+        seen = []
+        observers = [lambda n, t, v: seen.append((n, t, v))]
+        if p.exact is not None:
+            observers.append(ErrorTracker(p, space, times=[0.05, 0.2], delta=0.01))
+        run(p, space, 0.01, observers=observers)
+        return seen, observers[1].records if p.exact is not None else []
+
+    problem = replace(make(), T=0.2)
+    original, errors = levels_and_errors(problem)
+    swapped, swapped_errors = levels_and_errors(swap_equations(problem))
+    assert len(original) == len(swapped) == 21
+    for (n, t, v), (m, u, w) in zip(original, swapped):
+        assert (n, t) == (m, u)
+        assert np.array_equal(v[0], w[1]) and np.array_equal(v[1], w[0])
+    assert len(errors) == len(swapped_errors) == (2 if problem.exact is not None else 0)
+    for r, q in zip(errors, swapped_errors):
+        assert (r.time, r.l2_moving, r.max_nodal) == (q.time, q.l2_moving[::-1], q.max_nodal[::-1])
 
 
 def test_run_T_smaller_than_delta():
