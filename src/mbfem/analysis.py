@@ -188,17 +188,23 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     other parameter is held fixed and must be fine enough that its error
     stays subdominant (an unreliable-fit flag, r^2 < 0.99, marks plateau
     contamination).  Runs that fail are recorded with NaN errors and
-    excluded from the fits without aborting the study; a delta that does
-    not divide problem.T is a ValueError before the first run.
+    excluded from the fits without aborting the study.  A problem without
+    exact solutions, fewer than three levels, or a delta that does not
+    divide problem.T is a ValueError before the first run.
     """
     mesh_sizes = list(mesh_sizes)
     deltas = list(deltas)
     degrees = list(degrees)
     if len(mesh_sizes) > 1 and len(deltas) > 1:
         raise ValueError("vary either the mesh or the time step in one study, not both")
+    if problem.exact is None:
+        raise ValueError("the problem supplies no exact solutions to measure against")
+    axis = "delta" if len(deltas) > 1 else "h"
+    levels = len(deltas) if axis == "delta" else len(mesh_sizes)
+    if levels < 3:
+        raise ValueError(f"need at least three points to fit a slope, got {levels}")
     for d in deltas:
         level_grid(problem.T, d)
-    axis = "delta" if len(deltas) > 1 else "h"
     rows = []
     for k, nt, d in itertools.product(degrees, mesh_sizes, deltas):
         try:
@@ -223,7 +229,6 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
                 )
             )
 
-    planned_levels = len(mesh_sizes) if axis == "h" else len(deltas)
     fits = []
     for k in degrees:
         for i in range(problem.ne):
@@ -232,7 +237,7 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
                 for r in rows
                 if r.k == k and r.equation == i and math.isfinite(r.l2_error)
             ]
-            if len(pts) < 3 and planned_levels >= 3:
+            if len(pts) < 3:
                 warnings.warn(
                     f"too few successful runs to fit k={k} equation={i}", stacklevel=2
                 )

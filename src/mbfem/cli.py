@@ -218,11 +218,10 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
     if family == "fixed":
         a = _one(table, "a", float, default=0.0)
         b = _one(table, "b", float, default=1.0)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ConfigError(f"fixed interval ends must be finite, got [{a}, {b}]")
-        if b <= a:
-            raise ConfigError(f"fixed interval needs a < b, got [{a}, {b}]")
-        return fixed_interval(a, b, T=t_final)
+        try:
+            return fixed_interval(a, b, T=t_final)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     coeffs = {
         key: _many(table, key, float, default=default)
         for key, default in (("alpha_num", ()), ("alpha_den", (1.0,)), ("beta_num", ()), ("beta_den", (1.0,)))
@@ -249,37 +248,32 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
     return motion
 
 
-def _split_family(spec: str):
-    family, _, rest = spec.partition(":")
-    return family, rest
-
-
-def _floats(text: str, key: str):
+def _floats(text: str):
     try:
         return tuple(float(p) for p in text.split(",") if p)
     except ValueError:
-        raise ConfigError(f"key {key!r}: cannot read numbers from {text!r}") from None
+        raise ConfigError(f"cannot read numbers from {text!r}") from None
 
 
-def _diffusion_from_spec(spec: str, ne: int, key: str):
+def _diffusion_from_spec(spec: str, ne: int):
     """Diffusion families, each with bounds derivable from coefficients.
 
     affine_inverse:c0,c1,..,c_ne  ->  c0 + sum_j c_j / (1 + r_j^2)
     expsq:j                       ->  exp(-r_j^2)
     const:c                       ->  c
     """
-    family, rest = _split_family(spec)
+    family, _, rest = spec.partition(":")
     if family == "affine_inverse":
-        c = _floats(rest, key)
+        c = _floats(rest)
         if len(c) != ne + 1:
-            raise ConfigError(f"key {key!r}: affine_inverse needs {ne + 1} coefficients, got {len(c)}")
+            raise ConfigError(f"affine_inverse needs {ne + 1} coefficients, got {len(c)}")
         if not all(math.isfinite(v) for v in c):
-            raise ConfigError(f"key {key!r}: affine_inverse coefficients must be finite, got {c}")
+            raise ConfigError(f"affine_inverse coefficients must be finite, got {c}")
         c0, weights = c[0], c[1:]
         lo = c0 + sum(min(0.0, w) for w in weights)
         hi = c0 + sum(max(0.0, w) for w in weights)
         if lo <= 0.0:
-            raise ConfigError(f"key {key!r}: diffusion can reach {lo} <= 0")
+            raise ConfigError(f"diffusion can reach {lo} <= 0")
 
         def a(*r, _c0=c0, _w=weights):
             value = _c0
@@ -292,58 +286,57 @@ def _diffusion_from_spec(spec: str, ne: int, key: str):
         try:
             j = int(rest)
         except ValueError:
-            raise ConfigError(f"key {key!r}: expsq needs an equation index") from None
+            raise ConfigError("expsq needs an equation index") from None
         if not 1 <= j <= ne:
-            raise ConfigError(f"key {key!r}: expsq index {j} outside 1..{ne}")
+            raise ConfigError(f"expsq index {j} outside 1..{ne}")
         return (lambda *r, _j=j - 1: math.exp(-r[_j] * r[_j])), (0.0, 1.0)
     if family == "const":
-        c = _floats(rest, key)
+        c = _floats(rest)
         if len(c) != 1 or not (math.isfinite(c[0]) and c[0] > 0.0):
-            raise ConfigError(f"key {key!r}: const needs one positive finite value")
+            raise ConfigError("const needs one positive finite value")
         return (lambda *r, _c=c[0]: _c), (c[0], c[0])
-    raise ConfigError(f"key {key!r}: unknown diffusion family {family!r}")
+    raise ConfigError(f"unknown diffusion family {family!r}")
 
 
-def _xpart(spec: str, key: str):
-    family, rest = _split_family(spec)
+def _xpart(spec: str):
+    family, _, rest = spec.partition(":")
     if family == "poly":
-        p = np.polynomial.Polynomial(_floats(rest, key))
-        return lambda x: p(x)
+        return np.polynomial.Polynomial(_floats(rest))
     if family == "gaussx":
         if rest:
-            raise ConfigError(f"key {key!r}: gaussx takes no arguments, got {rest!r}")
+            raise ConfigError(f"gaussx takes no arguments, got {rest!r}")
         return lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
-    raise ConfigError(f"key {key!r}: unknown space factor {family!r}")
+    raise ConfigError(f"unknown space factor {family!r}")
 
 
-def _tpart(spec: str, key: str):
-    family, rest = _split_family(spec)
+def _tpart(spec: str):
+    family, _, rest = spec.partition(":")
     if family == "tpow":
-        p = _floats(rest, key)
+        p = _floats(rest)
         if len(p) != 1:
-            raise ConfigError(f"key {key!r}: tpow needs one exponent")
+            raise ConfigError("tpow needs one exponent")
         return lambda t: (1.0 + t) ** p[0]
     if family == "texp":
-        c = _floats(rest, key)
+        c = _floats(rest)
         if len(c) != 1:
-            raise ConfigError(f"key {key!r}: texp needs one rate")
+            raise ConfigError("texp needs one rate")
         return lambda t: math.exp(c[0] * t)
     if family == "const":
-        c = _floats(rest, key)
+        c = _floats(rest)
         if len(c) != 1:
-            raise ConfigError(f"key {key!r}: const needs one value")
+            raise ConfigError("const needs one value")
         return lambda t: c[0]
-    raise ConfigError(f"key {key!r}: unknown time factor {family!r}")
+    raise ConfigError(f"unknown time factor {family!r}")
 
 
-def _forcing_from_specs(specs, key: str):
+def _forcing_from_specs(specs):
     """Sum of separable terms, each written xfactor;tfactor."""
     terms = []
     for spec in specs:
         xs, sep, ts = spec.partition(";")
         if not sep:
-            raise ConfigError(f"key {key!r}: term {spec!r} needs the form xfactor;tfactor")
-        terms.append((_xpart(xs, key), _tpart(ts, key)))
+            raise ConfigError(f"term {spec!r} needs the form xfactor;tfactor")
+        terms.append((_xpart(xs), _tpart(ts)))
 
     def f(x, t):
         x = np.asarray(x, dtype=float)
@@ -359,20 +352,19 @@ def _forcing_from_specs(specs, key: str):
     return f
 
 
-def _initial_from_spec(spec: str, key: str):
-    family, rest = _split_family(spec)
+def _initial_from_spec(spec: str):
+    family, _, rest = spec.partition(":")
     if family == "poly":
-        p = np.polynomial.Polynomial(_floats(rest, key))
-        return lambda x: p(x)
+        return np.polynomial.Polynomial(_floats(rest))
     if family == "spline":
         knots = []
         for pair in rest.split(";"):
-            xy = _floats(pair, key)
+            xy = _floats(pair)
             if len(xy) != 2:
-                raise ConfigError(f"key {key!r}: knot {pair!r} is not x,value")
+                raise ConfigError(f"knot {pair!r} is not x,value")
             knots.append(xy)
         return natural_cubic_spline(knots)
-    raise ConfigError(f"key {key!r}: unknown initial-data family {family!r}")
+    raise ConfigError(f"unknown initial-data family {family!r}")
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -403,12 +395,20 @@ def parse_problem(text: str) -> ProblemSpec:
     bounds = []
     initial = []
     forcing = []
+
+    def build(key, builder, *args):
+        """builder(*args), its errors named by the key of the value it builds."""
+        try:
+            return builder(*args)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
+
     for i in range(1, ne + 1):
-        a, b = _diffusion_from_spec(_one(table, f"diffusion{i}", str), ne, f"diffusion{i}")
+        a, b = build(f"diffusion{i}", _diffusion_from_spec, _one(table, f"diffusion{i}", str), ne)
         diffusion.append(a)
         bounds.append(b)
-        initial.append(_initial_from_spec(_one(table, f"initial{i}", str), f"initial{i}"))
-        forcing.append(_forcing_from_specs(_many(table, f"forcing{i}", str), f"forcing{i}"))
+        initial.append(build(f"initial{i}", _initial_from_spec, _one(table, f"initial{i}", str)))
+        forcing.append(build(f"forcing{i}", _forcing_from_specs, _many(table, f"forcing{i}", str)))
 
     return ProblemSpec(
         ne=ne,
@@ -500,9 +500,18 @@ def _require_single(config: RunConfig, command: str) -> tuple[int, int, float]:
     return config.nt[0], config.k[0], config.delta[0]
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory before any work, so a bad --out costs no run."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+
+
 def cmd_solve(args) -> int:
     config = _load_config(args)
     nt, k, delta = _require_single(config, "solve")
+    _make_out_dir(args.out)
     problem = config.problem
     space = build_space(nt, k)
 
@@ -520,7 +529,6 @@ def cmd_solve(args) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
     snap_path = os.path.join(args.out, "snapshots.csv")
     _write_snapshots(snap_path, recorder.rows)
     written = [snap_path]
@@ -548,6 +556,7 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     config = _load_config(args)
+    _make_out_dir(args.out)
     problem = config.problem
     result = convergence_study(
         problem,
@@ -556,7 +565,6 @@ def cmd_study(args) -> int:
         deltas=config.delta,
     )
 
-    os.makedirs(args.out, exist_ok=True)
     study_path = os.path.join(args.out, "study.csv")
     rates_path = os.path.join(args.out, "rates.csv")
     write_rows(

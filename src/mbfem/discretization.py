@@ -110,18 +110,15 @@ class FESpace:
         return lagrange_table(nodes, local_point)
 
 
-def build_space(nt: int, k: int, q: int | None = None) -> FESpace:
-    """Uniform partition of [0, 1] into nt elements of degree k."""
+def build_space(nt: int, k: int) -> FESpace:
+    """Uniform partition of [0, 1] into nt elements of degree k, with the
+    (k + 2)-point Gauss rule: exact for the mass matrix, with margin."""
     if nt < 1:
         raise ValueError(f"need at least one element, got nt={nt}")
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    if q is None:
-        q = k + 2  # integrates the mass matrix exactly with margin to spare
-    if q < k + 1:
-        raise ValueError(f"need q >= k + 1 quadrature points, got q={q}")
 
-    rule = gauss_legendre(q)
+    rule = gauss_legendre(k + 2)
     bp = np.linspace(0.0, 1.0, nt + 1)
     h = np.diff(bp)
     # each element's first k nodes; a shared node keeps its breakpoint exactly

@@ -84,9 +84,9 @@ class BoundaryMotion:
 def fixed_interval(a: float = 0.0, b: float = 1.0, T: float = 1.0) -> BoundaryMotion:
     """Degenerate motion with still boundaries (a cylindrical domain)."""
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
+        raise ValueError(f"fixed interval ends must be finite, got [{a}, {b}]")
     if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+        raise ValueError(f"fixed interval needs a < b, got [{a}, {b}]")
     return BoundaryMotion(
         alpha=lambda t: a,
         beta=lambda t: b,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, example1, fixed_interval, run
+from mbfem import ErrorTracker, ProblemSpec, build_space, convergence_study, example1, example2, fixed_interval, run
 from mbfem import analysis
 from mbfem.analysis import due_steps, fit_slope, l2_error_vs_function, measure, write_rows
 from mbfem.discretization import gauss_legendre, interpolate
@@ -166,6 +166,22 @@ def test_convergence_study_rejects_a_delta_that_does_not_divide_T(monkeypatch):
     monkeypatch.setattr(analysis, "run", lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=r"delta=0\.03 does not divide T=1\.0"):
         convergence_study(replace(example1(), T=1.0), degrees=[1], mesh_sizes=[4], deltas=[0.1, 0.05, 0.03])
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "problem,mesh_sizes,message",
+    [
+        (replace(example2(), T=0.5), [4, 8, 16], "no exact solutions"),
+        (replace(example1(), T=0.5), [8], "three points"),
+    ],
+    ids=["no-exact-solutions", "one-level"],
+)
+def test_convergence_study_checks_its_preconditions_before_any_run(monkeypatch, problem, mesh_sizes, message):
+    runs = []
+    monkeypatch.setattr(analysis, "run", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=message):
+        convergence_study(problem, degrees=[2], mesh_sizes=mesh_sizes, deltas=[0.01])
     assert runs == []
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from mbfem import build_space, fixed_interval, nonlocal_value
 from mbfem.assembly import BandedMatrix, assemble_load, assemble_static
-from mbfem.discretization import interpolate
+from mbfem.discretization import gauss_legendre, interpolate, lagrange_table
 from mbfem.assembly import diffusion_scalar
 from mbfem.discretization import sample
 from mbfem.problems import example1, example2
@@ -177,8 +178,20 @@ def loop_assemble_load(space, problem, i, t):
     return out
 
 
+def space_with_rule(nt, k, q):
+    """build_space(nt, k), or the same space with a q-point Gauss rule in
+    place of its k + 2 points: assembly must not assume the default rule."""
+    space = build_space(nt, k)
+    if q is None:
+        return space
+    rule = gauss_legendre(q)
+    values, derivs = lagrange_table(np.linspace(-1.0, 1.0, k + 1), rule.points)
+    points = space.breakpoints[:-1, None] + (rule.points[None, :] + 1.0) * space.jacobians[:, None]
+    return replace(space, quad=rule, shape_values=values, shape_derivs=derivs, element_quad_points=points)
+
+
 # (nt, k, q): kb = 1 takes the tridiagonal path, (1, 2) has one interior
-# unknown, (1, 1) none; q = None is the default k + 2, q = 3 the fewest for k = 2
+# unknown, (1, 1) none; q = None is build_space's k + 2, q = 3 the fewest for k = 2
 BIT_GRID = [
     (4096, 3, None),
     (32, 2, None),
@@ -196,7 +209,7 @@ BIT_GRID = [
 
 @pytest.mark.parametrize("nt,k,q", BIT_GRID)
 def test_assemble_static_equals_the_element_loop(nt, k, q):
-    space = build_space(nt, k, q)
+    space = space_with_rule(nt, k, q)
     ops = assemble_static(space)
     bands, weights = loop_assemble_static(space)
     got = (ops.mass, ops.stiffness, ops.conv_const, ops.conv_linear)
@@ -207,7 +220,7 @@ def test_assemble_static_equals_the_element_loop(nt, k, q):
 
 @pytest.mark.parametrize("nt,k,q", BIT_GRID)
 def test_assemble_load_equals_the_element_loop(nt, k, q):
-    space = build_space(nt, k, q)
+    space = space_with_rule(nt, k, q)
     p = example1()
     for i, t in ((0, 0.0), (1, 0.37)):
         x_q = p.motion.to_moving(space.element_quad_points, t)
@@ -217,7 +230,7 @@ def test_assemble_load_equals_the_element_loop(nt, k, q):
 @pytest.mark.parametrize("nt,k,q", BIT_GRID)
 def test_banded_solve_equals_solve_banded(nt, k, q):
     # a Crank-Nicolson matrix of example1 at t = 0.25, dt = 1e-3
-    space = build_space(nt, k, q)
+    space = space_with_rule(nt, k, q)
     ops = assemble_static(space)
     c_half = 0.5 * (-0.3 * ops.conv_const.data + 1.7 * ops.conv_linear.data)
     lhs = BandedMatrix((ops.mass.data / 1e-3 + 0.8 * ops.stiffness.data - c_half)[:, 1:-1], k)

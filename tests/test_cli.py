@@ -262,6 +262,66 @@ def test_parse_problem_unknown_motion_family_is_named_before_its_keys():
         parse_problem(text)
 
 
+# Each malformed per-equation value and the whole message it gives: the
+# builder's reason, prefixed with its key in one place in parse_problem.
+# The last five rows are errors of numpy and of natural_cubic_spline.
+MALFORMED_VALUES = [
+    ("diffusion1", "affine_inverse:1", "affine_inverse needs 2 coefficients, got 1"),
+    ("diffusion1", "affine_inverse:1,nan", "affine_inverse coefficients must be finite, got (1.0, nan)"),
+    ("diffusion1", "affine_inverse:nan,0.1", "affine_inverse coefficients must be finite, got (nan, 0.1)"),
+    ("diffusion1", "affine_inverse:1,-2", "diffusion can reach -1.0 <= 0"),
+    ("diffusion1", "affine_inverse:1,x", "cannot read numbers from '1,x'"),
+    ("diffusion1", "expsq:x", "expsq needs an equation index"),
+    ("diffusion1", "expsq:2", "expsq index 2 outside 1..1"),
+    ("diffusion1", "const:0", "const needs one positive finite value"),
+    ("diffusion1", "const:inf", "const needs one positive finite value"),
+    ("diffusion1", "const:1,2", "const needs one positive finite value"),
+    ("diffusion1", "cubic:1", "unknown diffusion family 'cubic'"),
+    ("initial1", "poly:0,x", "cannot read numbers from '0,x'"),
+    ("initial1", "spline:0,0;1", "knot '1' is not x,value"),
+    ("initial1", "cubic:1", "unknown initial-data family 'cubic'"),
+    ("forcing1", "poly:x;const:1", "cannot read numbers from 'x'"),
+    ("forcing1", "gaussx", "term 'gaussx' needs the form xfactor;tfactor"),
+    ("forcing1", "gaussx:1;const:1", "gaussx takes no arguments, got '1'"),
+    ("forcing1", "sin;const:1", "unknown space factor 'sin'"),
+    ("forcing1", "gaussx;tpow:1,2", "tpow needs one exponent"),
+    ("forcing1", "gaussx;texp:", "texp needs one rate"),
+    ("forcing1", "gaussx;texp:x", "cannot read numbers from 'x'"),
+    ("forcing1", "gaussx;const:1,2", "const needs one value"),
+    ("forcing1", "gaussx;cos:1", "unknown time factor 'cos'"),
+    ("initial1", "poly:", "Coefficient array is empty"),
+    ("forcing1", "poly:;const:1", "Coefficient array is empty"),
+    ("initial1", "spline:0,0;1,0", "need at least three (position, value) knots"),
+    ("initial1", "spline:0,0;0.5,1;0.5,0;1,0", "knot positions must be strictly increasing"),
+    ("initial1", "spline:0,0;0.5,inf;1,0", "`y` must contain only finite values."),
+]
+
+
+@pytest.mark.parametrize(
+    "key,value,reason", MALFORMED_VALUES, ids=[f"{key}={value}" for key, value, _ in MALFORMED_VALUES]
+)
+def test_parse_problem_names_the_key_of_a_malformed_value(key, value, reason):
+    fields = {"ne": "1", "T": "1", "diffusion1": "const:1", "initial1": "poly:0,1,-1", key: value}
+    with pytest.raises(ConfigError) as exc:
+        parse_problem(" ".join(f"{k}={v}" for k, v in fields.items()))
+    assert str(exc.value) == f"key {key!r}: {reason}"
+
+
+def test_an_empty_polynomial_is_a_config_error_naming_its_key(tmp_path):
+    write(tmp_path, "empty.prob", "ne=1 T=1 diffusion1=const:1 initial1=poly:\n")
+    config = write(tmp_path, "run.cfg", "problem=empty.prob nt=4 k=1 delta=0.1\n")
+    proc = cli_in_child(tmp_path, "solve", config)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: key 'initial1': Coefficient array is empty\n"
+
+
+def test_parse_problem_rejects_reversed_fixed_ends():
+    text = "ne=1 T=1 motion=fixed a=2\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == "fixed interval needs a < b, got [2.0, 1.0]"
+
+
 def test_parse_problem_wrong_coefficient_count():
     text = "ne=2 T=1\nmotion=fixed\ndiffusion1=affine_inverse:1,1\ndiffusion2=const:1\n" \
            "initial1=poly:0,1,-1\ninitial2=poly:0,1,-1\n"
@@ -548,6 +608,18 @@ def test_solve_reports_band_overflow_as_one_line(tmp_path):
     proc = cli_in_child(tmp_path, "solve", config)
     assert proc.returncode == 1
     assert proc.stderr == "solve failed: non-finite solution at the predictor of step 1 (t=0.01), equation 0\n"
+
+
+@pytest.mark.parametrize("command,config", [("solve", "nt=4"), ("study", "nt=4,8,16")])
+def test_an_out_that_cannot_be_a_directory_fails_before_any_run(tmp_path, monkeypatch, capsys, command, config):
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(analysis, "run", lambda *args, **kwargs: runs.append(args))
+    config = write(tmp_path, "r.cfg", f"problem=example1 {config} k=1 delta=0.1 T=0.5\n")
+    out = write(tmp_path, "afile", "")
+    assert main([command, "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: cannot create output directory {out!r}: File exists\n"
+    assert runs == []
 
 
 def test_solve_reports_config_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from scipy.linalg import solve_banded
 from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem.assembly import BandedMatrix, assemble_static
+from mbfem.cli import parse_problem
 from mbfem.stepper import StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
 from test_assembly import cardinal_polys, simpson_weights
@@ -153,6 +154,49 @@ def test_swapping_the_equations_swaps_every_level(make):
     assert len(errors) == len(swapped_errors) == (2 if problem.exact is not None else 0)
     for r, q in zip(errors, swapped_errors):
         assert (r.time, r.l2_moving, r.max_nodal) == (q.time, q.l2_moving[::-1], q.max_nodal[::-1])
+
+
+# Three catalog equations, each diffusion reading one nonlocal value
+# (expsq:j reads r_j) or none; affine_inverse is left out, since its sum
+# over r_1..r_ne runs in argument order and so rounds differently permuted.
+THREE_EQUATIONS = [
+    {"diffusion": "expsq:2", "initial": "poly:0,1,-1", "forcing": "poly:0,1;texp:-1"},
+    {"diffusion": "const:0.7", "initial": "poly:0,2,-1,-1", "forcing": "gaussx;tpow:2"},
+    {"diffusion": "expsq:1", "initial": "poly:0,0.5,0.5,-1", "forcing": "poly:1,0,-2;const:0.3"},
+]
+
+
+def three_equation_problem(order):
+    """The catalog problem with THREE_EQUATIONS listed in `order`, each
+    expsq index moved to where its equation now stands."""
+    position = {old: new for new, old in enumerate(order)}
+    lines = [
+        "ne=3 T=0.2 motion=rational",
+        "alpha_num=0,-0.3 alpha_den=1,1 beta_num=1,0.8 beta_den=1,0.5",
+    ]
+    for n, old in enumerate(order, 1):
+        eq = THREE_EQUATIONS[old]
+        family, _, j = eq["diffusion"].partition(":")
+        diffusion = f"expsq:{position[int(j) - 1] + 1}" if family == "expsq" else eq["diffusion"]
+        lines.append(f"diffusion{n}={diffusion} initial{n}={eq['initial']} forcing{n}={eq['forcing']}")
+    return parse_problem("\n".join(lines))
+
+
+def test_cycling_three_catalog_equations_cycles_every_level():
+    # the swap oracle above for a permutation of more than two equations:
+    # (0, 1, 2) -> (2, 0, 1), the diffusions' nonlocal arguments moved with them
+    order = (2, 0, 1)
+    space = build_space(8, 2)
+    levels = []
+    for p in (three_equation_problem((0, 1, 2)), three_equation_problem(order)):
+        seen = []
+        run(p, space, 0.01, observers=[lambda n, t, v: seen.append((n, t, v))])
+        levels.append(seen)
+    original, cycled = levels
+    assert len(original) == len(cycled) == 21
+    for (n, t, v), (m, u, w) in zip(original, cycled):
+        assert (n, t) == (m, u)
+        assert all(np.array_equal(w[new], v[old]) for new, old in enumerate(order))
 
 
 def test_run_T_smaller_than_delta():
