@@ -13,6 +13,7 @@ re-assembled during time stepping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class BandedMatrix:
         return self.data.shape[1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
         n = self.n
+        out = np.zeros(n)
         for d in range(-self.kb, self.kb + 1):
             j0, j1 = max(d, 0), n + min(d, 0)
             if j0 < j1:
@@ -194,7 +195,7 @@ def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) ->
     int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the space's element
     quadrature points mapped to the interval at time t."""
     fv = sample(problem.forcing[i], x_q, t)
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         e_bad, q_bad = np.argwhere(~np.isfinite(fv))[0]
         raise ValueError(
             f"forcing {i} returned a non-finite value at x={x_q[e_bad, q_bad]}, t={t}"
@@ -212,7 +213,7 @@ def diffusion_scalar(problem, i: int, nonlocal_values) -> float:
     checked against the problem's declared bounds."""
     a = float(problem.diffusion[i](*nonlocal_values))
     lo, hi = problem.diffusion_bounds[i]
-    if not (np.isfinite(a) and lo <= a <= hi):
+    if not (math.isfinite(a) and lo <= a <= hi):
         raise ValueError(
             f"diffusion coefficient of equation {i} is {a} at arguments "
             f"{tuple(nonlocal_values)}, outside declared bounds [{lo}, {hi}]"

@@ -181,18 +181,45 @@ _PROBLEM_KEYS = {"ne", "T", "name", "motion"}
 _MOTION_KEYS = {"fixed": {"a", "b"}, "rational": {"alpha_num", "alpha_den", "beta_num", "beta_den"}}
 
 
-def _rational_fn(num_coeffs, den_coeffs):
-    num = np.polynomial.Polynomial(num_coeffs)
-    den = np.polynomial.Polynomial(den_coeffs)
-    dnum = num.deriv()
-    dden = den.deriv()
+def _horner(coeffs, t):
+    """The polynomial sum c[j] t**j at t, a float or an array, by the
+    recurrence of numpy's `polyval`; an `np.polynomial.Polynomial` of
+    these coefficients gives the same bits, since its default domain and
+    window map t to 0 + 1*t."""
+    r = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        r = c + r * t
+    return r
+
+
+def _polynomial(coeffs):
+    """The catalog's `poly:` callable: `_horner` on whole arrays."""
+    if not coeffs:
+        raise ValueError("Coefficient array is empty")  # numpy's words
+    return lambda x: _horner(coeffs, x)
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b, with numpy's nan or signed inf where b is zero and Python
+    floats raise."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / b)
+
+
+def _rational_fn(num, den):
+    """num/den and its derivative as functions of a float time, evaluated
+    in Python floats with the arithmetic of the `Polynomial` quotient."""
+    dnum, dden = (np.polynomial.polynomial.polyder(c).tolist() for c in (num, den))
 
     def f(t):
-        return num(t) / den(t)
+        return _divide(_horner(num, t), _horner(den, t))
 
     def fp(t):
-        d = den(t)
-        return (dnum(t) * d - num(t) * dden(t)) / (d * d)
+        d = _horner(den, t)
+        return _divide(_horner(dnum, t) * d - _horner(num, t) * _horner(dden, t), d * d)
 
     return f, fp
 
@@ -232,6 +259,11 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
         if not all(math.isfinite(v) for v in c):
             raise ConfigError(f"key {key!r}: coefficients must be finite, got {c}")
     for boundary in ("alpha", "beta"):
+        if not any(coeffs[f"{boundary}_den"]):
+            raise ConfigError(
+                f"the denominator of {boundary} ({boundary}_den) is zero for every t, "
+                f"so the interval width gamma(t) = nan is not positive and finite"
+            )
         poles = _poles(coeffs[f"{boundary}_den"], t_final)
         if poles.size:
             raise ConfigError(
@@ -240,11 +272,8 @@ def _motion_from_table(table, t_final: float) -> BoundaryMotion:
     alpha, alpha_p = _rational_fn(coeffs["alpha_num"], coeffs["alpha_den"])
     beta, beta_p = _rational_fn(coeffs["beta_num"], coeffs["beta_den"])
     motion = BoundaryMotion(alpha=alpha, beta=beta, alpha_prime=alpha_p, beta_prime=beta_p, T=t_final)
-    # an all-zero denominator has no roots to find; its width is NaN,
-    # which gamma reports without numpy's warnings
-    with np.errstate(all="ignore"):
-        for t in np.linspace(0.0, t_final, 101):
-            motion.gamma(float(t))  # raises if the width closes
+    for t in np.linspace(0.0, t_final, 101):
+        motion.gamma(float(t))  # raises if the width closes
     return motion
 
 
@@ -301,7 +330,7 @@ def _diffusion_from_spec(spec: str, ne: int):
 def _xpart(spec: str):
     family, _, rest = spec.partition(":")
     if family == "poly":
-        return np.polynomial.Polynomial(_floats(rest))
+        return _polynomial(_floats(rest))
     if family == "gaussx":
         if rest:
             raise ConfigError(f"gaussx takes no arguments, got {rest!r}")
@@ -355,7 +384,7 @@ def _forcing_from_specs(specs):
 def _initial_from_spec(spec: str):
     family, _, rest = spec.partition(":")
     if family == "poly":
-        return np.polynomial.Polynomial(_floats(rest))
+        return _polynomial(_floats(rest))
     if family == "spline":
         knots = []
         for pair in rest.split(";"):

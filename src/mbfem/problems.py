@@ -317,7 +317,8 @@ def validate(problem: ProblemSpec, seed: int = 0, require_expanding: bool = True
     checks = []
 
     grid = np.linspace(0.0, problem.T, N_TIMES)
-    times = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+    # Python floats, as a run passes them
+    times = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])).tolist()
     try:
         widths = np.array([motion.gamma(t) for t in times])
         checks.append(

@@ -66,7 +66,8 @@ def initialize(space: FESpace, problem, delta: float) -> SchemeState:
     motion = problem.motion
     vecs = []
     for u0 in problem.initial:
-        v = interpolate(space, lambda y: u0(motion.to_moving(y, 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # interpolate reports a non-finite sample
+            v = interpolate(space, lambda y: u0(motion.to_moving(y, 0.0)))
         v.flags.writeable = False
         vecs.append(v)
     return SchemeState(t_index=0, delta=delta, current=tuple(vecs), previous=None)
@@ -122,7 +123,8 @@ class StepKernel:
         np.add(c_half, self.scratch, out=c_half)
         np.multiply(0.5, c_half, out=c_half)
         x_q = motion.to_moving(self.space.element_quad_points, t_mid)
-        self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
+        with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
+            self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
 
     def solve(self, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
         """V^(n) of one equation from V^(n-1), its load and its diffusion
@@ -136,7 +138,7 @@ class StepKernel:
         np.subtract(self.m_over_dt, diff_half, out=rhs_band)
         np.add(rhs_band, self.c_half, out=rhs_band)
         rhs = self.rhs_op.matvec(v_prev) + load
-        v_new = np.zeros_like(v_prev)
+        v_new = np.zeros(len(v_prev))
         try:
             v_new[1:-1] = self.lhs.solve(rhs[1:-1])
         except LinAlgError as exc:
@@ -144,7 +146,7 @@ class StepKernel:
             raise RuntimeError(
                 f"singular Crank-Nicolson system at {where} (condition estimate {cond:.3e})"
             ) from exc
-        if not np.all(np.isfinite(v_new)):
+        if not np.isfinite(v_new).all():
             raise RuntimeError(f"non-finite solution at {where}")
         v_new.flags.writeable = False
         return v_new

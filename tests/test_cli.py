@@ -8,6 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 import mbfem
 from mbfem import ErrorTracker, analysis, build_space, cli, example1, run
@@ -327,6 +330,135 @@ def test_parse_problem_wrong_coefficient_count():
            "initial1=poly:0,1,-1\ninitial2=poly:0,1,-1\n"
     with pytest.raises(ConfigError, match="coefficients"):
         parse_problem(text)
+
+
+# --- catalog polynomials -------------------------------------------------------
+
+
+def polynomial_quotient(num, den):
+    """num/den and its derivative from numpy's Polynomial objects: the
+    arithmetic the catalog's plain-float rational motion must reproduce."""
+    n, d = Polynomial(num), Polynomial(den)
+    dn, dd = n.deriv(), d.deriv()
+    return (lambda t: n(t) / d(t)), (lambda t: (dn(t) * d(t) - n(t) * dd(t)) / (d(t) * d(t)))
+
+
+coefficients = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    num=coefficients,
+    den=coefficients,
+    T=st.floats(0.1, 10.0),
+    s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    # a moving-domain point is never -0.0, which 0 + 1*x would turn into 0.0
+    x=st.lists(st.floats(-10.0, 10.0).map(lambda v: v + 0.0), min_size=1, max_size=8),
+)
+def test_horner_is_the_numpy_polynomial_bit_for_bit(num, den, T, s, x):
+    x = np.array(x)
+    assert np.array_equal(bits(cli._polynomial(tuple(num))(x)), bits(Polynomial(num)(x)))
+    f, fp = cli._rational_fn(num, den)
+    ref_f, ref_fp = polynomial_quotient(num, den)
+    for t in (T * v for v in s):
+        assert bits(cli._horner(tuple(num), t)) == bits(Polynomial(num)(t))
+        with np.errstate(all="ignore"):  # a zero of den: numpy's inf or nan is the reference
+            want = ref_f(t), ref_fp(t)
+        assert (bits(f(t)), bits(fp(t))) == (bits(want[0]), bits(want[1]))
+
+
+CATALOG_RUN = (
+    "ne=2 T=0.2 motion=rational alpha_num=0,-0.6 alpha_den=1,1 beta_num=1,1.9,0.3 beta_den=1,0.5\n"
+    "diffusion1=const:1 diffusion2=affine_inverse:2,0.1,-0.2\n"
+    "initial1=poly:0,1,-1 initial2=poly:0,0.5,0.5,-1\n"
+    "forcing1=poly:1,-2,0.5;tpow:-2 forcing1=gaussx;texp:-1 forcing2=poly:0.3,0.1,-0.7;const:2\n"
+)
+
+
+def test_a_catalog_run_equals_the_one_built_from_numpy_polynomials(monkeypatch):
+    def levels(problem):
+        out = []
+        run(problem, build_space(4, 3), 0.01, observers=[lambda step, time, vectors: out.append(vectors)])
+        return out
+
+    catalog = levels(parse_problem(CATALOG_RUN))
+    monkeypatch.setattr(cli, "_polynomial", Polynomial)
+    monkeypatch.setattr(cli, "_rational_fn", polynomial_quotient)
+    reference = levels(parse_problem(CATALOG_RUN))
+    assert len(catalog) == len(reference) == 21
+    for got, want in zip(catalog, reference):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_a_catalog_solve_calls_no_numpy_polynomial(tmp_path, monkeypatch):
+    def refuse(self, arg):
+        raise AssertionError("np.polynomial.Polynomial evaluated")
+
+    monkeypatch.setattr(Polynomial, "__call__", refuse)
+    write(tmp_path, "p.prob", CATALOG_RUN)
+    config = write(tmp_path, "run.cfg", "problem=p.prob nt=4 k=2 delta=0.01 snapshot_time=0.1\n")
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_an_all_zero_denominator_is_one_config_error_line(tmp_path, command):
+    write(
+        tmp_path,
+        "zero.prob",
+        "ne=1 T=1 motion=rational alpha_num=0,1 alpha_den=0,0,0 beta_num=1\n"
+        "diffusion1=const:1 initial1=poly:0,1,-1\n",
+    )
+    config = write(tmp_path, "run.cfg", "problem=zero.prob nt=4 k=1 delta=0.1\n")
+    proc = cli_in_child(tmp_path, command, config)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "config error: the denominator of alpha (alpha_den) is zero for every t, "
+        "so the interval width gamma(t) = nan is not positive and finite\n"
+    )
+
+
+# (t - 0.375)^6: numpy finds no real root, so no pole is reported, and the
+# denominator is exactly 0.0 at the midpoint t = 0.375 of the second step
+SIXFOLD_ROOT = ",".join(repr(c) for c in Polynomial.fromroots([0.375] * 6).coef.tolist())
+
+
+@pytest.mark.parametrize(
+    "motion,failure",
+    [
+        # den*den underflows to 0.0 in alpha', which is then 0/0
+        ("alpha_num=0,1e-200 alpha_den=1e-200 beta_num=2", "non-finite solution at the predictor of step 1 (t=0.25), equation 0"),
+        (f"alpha_num=-1 alpha_den={SIXFOLD_ROOT} beta_num=1", "interval width gamma(0.375) = inf is not positive and finite"),
+    ],
+    ids=["underflowing-square", "missed-root"],
+)
+def test_a_zero_divisor_of_a_catalog_motion_is_no_traceback(tmp_path, motion, failure):
+    # Python floats raise ZeroDivisionError where numpy gives inf or nan;
+    # the motion must give numpy's value, which the run then reports
+    write(tmp_path, "p.prob", f"ne=1 T=1 motion=rational {motion}\ndiffusion1=const:1 initial1=poly:0,1,-1\n")
+    config = write(tmp_path, "run.cfg", "problem=p.prob nt=4 k=1 delta=0.25\n")
+    solved = cli_in_child(tmp_path, "solve", config)
+    assert (solved.returncode, solved.stderr) == (1, f"solve failed: {failure}\n")
+    validated = cli_in_child(tmp_path, "validate", config)
+    assert (validated.returncode, validated.stderr) == (1, "")
+    assert "overall: FAIL" in validated.stdout
+
+
+@pytest.mark.parametrize(
+    "spec,failure",
+    [
+        ("forcing1=poly:1e308,1e308;const:1e308", "forcing 0 returned a non-finite value at x=0.028175416344814574, t=0.05"),
+        ("initial1=poly:1e308,1e308", "non-finite sample of the interpolated function at y=1.0"),
+    ],
+    ids=["forcing", "initial"],
+)
+def test_an_overflowing_poly_factor_fails_in_one_line(tmp_path, spec, failure):
+    fields = {"ne": "1", "T": "1", "diffusion1": "const:1", "initial1": "poly:0,1,-1"}
+    key, value = spec.split("=", 1)
+    write(tmp_path, "p.prob", " ".join(f"{k}={v}" for k, v in {**fields, key: value}.items()) + "\n")
+    config = write(tmp_path, "run.cfg", "problem=p.prob nt=4 k=1 delta=0.1\n")
+    proc = cli_in_child(tmp_path, "solve", config)
+    assert proc.returncode == 1
+    assert proc.stderr == f"solve failed: {failure}\n"
 
 
 # --- solve -------------------------------------------------------------------
