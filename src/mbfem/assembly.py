@@ -65,22 +65,16 @@ class BandedMatrix:
         return a
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution x of A x = rhs, by the LAPACK routine scipy's
-        `solve_banded` picks for this shape: one division for a 1x1 system,
-        tridiagonal `dgtsv` for kb == 1, banded LU `dgbsv` otherwise.
+        """Solution x of A x = rhs by LAPACK: tridiagonal `dgtsv` for
+        kb == 1 and n >= 2 (it rejects n == 1), banded LU `dgbsv` otherwise.
 
-        Raises LinAlgError on an exactly singular system.  Neither `data`
-        nor `rhs` is modified.
+        An exactly singular system is a LinAlgError naming the first zero
+        pivot LAPACK met.  Neither `data` nor `rhs` is modified.
         """
         kb, n = self.kb, self.n
         if n == 0:
             return np.empty(0)
-        if n == 1:
-            pivot = self.data[kb, 0]
-            if pivot == 0.0:
-                raise LinAlgError("singular matrix")
-            return rhs / pivot
-        if kb == 1:
+        if kb == 1 and n > 1:
             a = self.data
             *_, x, info = dgtsv(a[2, :-1], a[1], a[0, 1:], rhs)
         else:
@@ -90,7 +84,7 @@ class BandedMatrix:
             ab[kb:] = self.data
             *_, x, info = dgbsv(kb, kb, ab, rhs, overwrite_ab=True)
         if info > 0:
-            raise LinAlgError("singular matrix")
+            raise LinAlgError(f"zero pivot at unknown {info} of {n}")
         if info < 0:
             raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
         return x

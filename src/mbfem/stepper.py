@@ -142,10 +142,7 @@ class StepKernel:
         try:
             v_new[1:-1] = self.lhs.solve(rhs[1:-1])
         except LinAlgError as exc:
-            cond = np.linalg.cond(self.lhs.toarray())
-            raise RuntimeError(
-                f"singular Crank-Nicolson system at {where} (condition estimate {cond:.3e})"
-            ) from exc
+            raise RuntimeError(f"singular Crank-Nicolson system at {where} ({exc})") from exc
         if not np.isfinite(v_new).all():
             raise RuntimeError(f"non-finite solution at {where}")
         v_new.flags.writeable = False

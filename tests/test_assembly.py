@@ -201,6 +201,7 @@ BIT_GRID = [
     (1, 1, None),
     (1, 2, None),
     (1, 3, None),
+    (2, 1, None),  # kb = 1 with one unknown: dgbsv, since dgtsv rejects n = 1
     (33, 3, None),
     (9, 3, 7),
     (6, 2, 3),
@@ -243,8 +244,13 @@ def test_banded_solve_equals_solve_banded(nt, k, q):
 @pytest.mark.parametrize("k", [1, 3])
 def test_banded_solve_raises_on_a_singular_system(k):
     for n in (1, 5):
-        with pytest.raises(LinAlgError):
+        with pytest.raises(LinAlgError, match=rf"^zero pivot at unknown 1 of {n}$"):
             BandedMatrix(np.zeros((2 * k + 1, n)), k).solve(np.ones(n))
+    # a zero pivot further down is named by its own index
+    data = np.zeros((2 * k + 1, 5))
+    data[k, :3] = 1.0
+    with pytest.raises(LinAlgError, match=r"^zero pivot at unknown 4 of 5$"):
+        BandedMatrix(data, k).solve(np.ones(5))
 
 
 # --- loads ------------------------------------------------------------------

@@ -335,3 +335,18 @@ def test_validate_flags_incompatible_initial_data():
     report = validate(p, require_expanding=False)
     assert report.status == "fail"
     assert any(c.status == "fail" and "compat" in c.name for c in report.checks)
+
+
+def test_validate_reports_overflowing_initial_data_without_warnings():
+    # the suite turns RuntimeWarnings into errors, so an overflow that
+    # escaped validate's sampling would fail here
+    from mbfem.cli import parse_problem
+
+    def check(problem, name):
+        return next(c for c in validate(problem, require_expanding=False).checks if c.name == name)
+
+    p = parse_problem("ne=1 T=1 diffusion1=const:1 initial1=poly:1e308,1e308")
+    compat = check(p, "initial data compatibility, equation 0")
+    assert compat.status == "fail" and "|u0(1)| = inf" in compat.detail
+    match = check(replace(p, exact=(lambda x, t: 0.0 * x,)), "exact solution matches initial data, equation 0")
+    assert (match.status, match.detail) == ("fail", "max difference inf at t=0")
