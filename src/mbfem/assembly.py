@@ -56,14 +56,6 @@ class BandedMatrix:
                 out[j0 - d : j1 - d] += self.data[self.kb - d, j0:j1] * x[j0:j1]
         return out
 
-    def toarray(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for d in range(-self.kb, self.kb + 1):
-            j0, j1 = max(d, 0), self.n + min(d, 0)
-            for j in range(j0, j1):
-                a[j - d, j] = self.data[self.kb - d, j]
-        return a
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution x of A x = rhs by LAPACK: tridiagonal `dgtsv` for
         kb == 1 and n >= 2 (it rejects n == 1), banded LU `dgbsv` otherwise.
@@ -171,17 +163,27 @@ def assemble_static(space: FESpace) -> OperatorSet:
     )
 
 
+# Entries per `np.dot` in `nonlocal_value`: OpenBLAS splits a longer ddot
+# across threads, and the split changes the order of its sum.
+_DOT_CHUNK = 8192
+
+
 def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> float:
     """Integral of the expansion over a moving interval of width gamma.
 
     Under the change of variables this is gamma times the fixed-domain
-    integral, so it equals gamma * weights . coeffs.
+    integral, so it equals gamma * weights . coeffs.  The dot product is
+    summed over chunks of _DOT_CHUNK entries in order, so the result has
+    the same bits at any BLAS thread count.
     """
     if np.shape(weights) != np.shape(coeffs):
         raise ValueError(
             f"dimension mismatch: {np.shape(weights)} weights, {np.shape(coeffs)} coefficients"
         )
-    return gamma * float(np.dot(weights, coeffs))
+    total = float(np.dot(weights[:_DOT_CHUNK], coeffs[:_DOT_CHUNK]))
+    for j in range(_DOT_CHUNK, len(weights), _DOT_CHUNK):
+        total += float(np.dot(weights[j : j + _DOT_CHUNK], coeffs[j : j + _DOT_CHUNK]))
+    return gamma * total
 
 
 def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import FLOAT_FORMAT, convergence_study, due_steps, format_float, measure, write_rows
 from .discretization import build_space, natural_cubic_spline
 from .geometry import BoundaryMotion, fixed_interval, time_tolerance
-from .problems import ProblemSpec, example1, example2, validate
+from .problems import ProblemSpec, _horner, example1, example2, validate
 from .stepper import level_grid, run
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "main"]
@@ -179,17 +179,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 _PROBLEM_KEYS = {"ne", "T", "name", "motion"}
 # Each motion family's own keys; another family's keys are unknown keys.
 _MOTION_KEYS = {"fixed": {"a", "b"}, "rational": {"alpha_num", "alpha_den", "beta_num", "beta_den"}}
-
-
-def _horner(coeffs, t):
-    """The polynomial sum c[j] t**j at t, a float or an array, by the
-    recurrence of numpy's `polyval`; an `np.polynomial.Polynomial` of
-    these coefficients gives the same bits, since its default domain and
-    window map t to 0 + 1*t."""
-    r = coeffs[-1] + t * 0
-    for c in coeffs[-2::-1]:
-        r = c + r * t
-    return r
 
 
 def _polynomial(coeffs):

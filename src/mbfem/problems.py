@@ -1,11 +1,11 @@
 """Problem definitions.
 
 The data model for coupled nonlocal reaction-diffusion problems on a
-moving interval, the two built-in benchmark problems, and hypothesis
-validation.  The first benchmark has a manufactured exact solution: a
-pair of quartics in the normalized coordinate z = (x - alpha) / gamma
-times decaying time factors, with the forcing derived in closed form so
-that the pair solves the system exactly.
+moving interval, manufactured problems with polynomial profiles in the
+normalized coordinate z = (x - alpha) / gamma times time factors, with
+the forcing from one closed-form formula for any motion, the two
+built-in benchmark problems (the first is a manufactured one), and
+hypothesis validation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .geometry import BoundaryMotion
 __all__ = [
     "ProblemSpec",
     "example1",
-    "example1_forcing",
+    "manufactured",
     "example2",
     "validate",
     "ValidationReport",
@@ -71,34 +71,79 @@ class ProblemSpec:
             raise ValueError(f"final time {self.T} exceeds the motion's domain {self.motion.T}")
 
 
-# First benchmark: manufactured solution on an expanding interval.
-#
-#   alpha(t) = -t/(1+t),  beta(t) = 1 + 2t/(1+t),  gamma = (1+4t)/(1+t)
-#   u_1 = q_1(z)/(1+t),  u_2 = e^{-t} q_2(z),  z = ((1+t)x + t)/(1+4t)
-#
-# z equals the boundary-fixing coordinate (x - alpha)/gamma, so z is 0 and
-# 1 at the boundaries, where the quartics q_i vanish.  The nonlocal values
-# reduce to gamma(t) F_i(t) Q_i with Q_i the exact integrals of q_i.
-
-_Q1_COEFFS = (611.0 / 70.0, -10513.0 / 210.0, 646.0 / 7.0, -1070.0 / 21.0)
-_Q2_COEFFS = (2047.0 / 140.0, -27701.0 / 420.0, 691.0 / 7.0, -995.0 / 21.0)
-_Q1_INTEGRAL = 703.0 / 1260.0   # int_0^1 q_1
-_Q2_INTEGRAL = 1331.0 / 2520.0  # int_0^1 q_2
+def _horner(coeffs, t):
+    """The polynomial sum c[j] t**j at t, a float or an array, by the
+    recurrence of numpy's `polyval`; an `np.polynomial.Polynomial` of
+    these coefficients gives the same bits, since its default domain and
+    window map t to 0 + 1*t."""
+    r = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        r = c + r * t
+    return r
 
 
-def _quartic(coeffs, s):
-    c1, c2, c3, c4 = coeffs
-    return s * (c1 + s * (c2 + s * (c3 + s * c4)))
+def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T: float, name: str = "") -> ProblemSpec:
+    """The problem whose exact solutions are u_i = F_i(t) q_i(z), with
+    z = (x - alpha(t)) / gamma(t), q_i the polynomial of the ascending
+    coefficients profiles[i] (zero at z = 0 and 1) and (F_i, F_i') =
+    time_factors[i].  Its forcing is
+
+        f_i = F_i' q_i - F_i q_i' b1 - a_i(I) F_i q_i'' / gamma^2,
+
+    with b1 = (alpha' + gamma' z) / gamma and I_j = gamma F_j int_0^1 q_j;
+    b1 is affine in z, so f_i is a polynomial in z.  Forcing, exact
+    solutions and initial data raise ValueError for t outside the motion's
+    domain and for x outside [alpha, beta] widened by 1e-9 max(1, |alpha|,
+    |beta|), which covers the rounding of mapped end points.
+    """
+    if len(time_factors) != len(profiles):
+        raise ValueError("need one (F, F') time-factor pair per profile")
+    P = np.polynomial.polynomial
+    integrals = [_horner(P.polyint(q).tolist(), 1.0) for q in profiles]
+
+    def frame(x, t):
+        g = motion.gamma(t)  # checks t
+        a, b = motion.alpha(t), motion.beta(t)
+        tol = 1e-9 * max(1.0, abs(a), abs(b))
+        if not np.logical_and(a - tol <= x, x <= b + tol).all():  # NaN fails too
+            raise ValueError(f"position {x} outside the moving interval [{a}, {b}] at t={t}")
+        return (x - a) / g, g
+
+    def equation(i):
+        (F, dF), a_i, q = time_factors[i], diffusion[i], profiles[i]
+        # coefficient m of q, q', z q' and q'', padded to q's length
+        terms = list(zip(q, P.polyder(q).tolist() + [0.0], [m * c for m, c in enumerate(q)],
+                         P.polyder(q, 2).tolist() + [0.0, 0.0]))
+
+        def u(x, t):
+            return F(t) * _horner(q, frame(x, t)[0])
+
+        def f(x, t):
+            z, g = frame(x, t)
+            Ft = F(t)
+            a = a_i(*(g * Fj(t) * Q for (Fj, _), Q in zip(time_factors, integrals)))
+            s0, s1, s2 = dF(t), -Ft * motion.alpha_prime(t) / g, -Ft * motion.gamma_prime(t) / g
+            s3 = -a * Ft / (g * g)
+            return _horner([s0 * c + s1 * c1 + s2 * zc1 + s3 * c2 for c, c1, zc1, c2 in terms], z)
+
+        return u, f
+
+    exact, forcing = zip(*(equation(i) for i in range(len(profiles))))
+    return ProblemSpec(
+        ne=len(profiles),
+        diffusion=tuple(diffusion),
+        forcing=forcing,
+        initial=tuple((lambda x, u=u: u(x, 0.0)) for u in exact),
+        motion=motion,
+        T=T,
+        exact=exact,
+        diffusion_bounds=tuple(diffusion_bounds),
+        name=name,
+    )
 
 
-def _quartic_d1(coeffs, s):
-    c1, c2, c3, c4 = coeffs
-    return c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4))
-
-
-def _quartic_d2(coeffs, s):
-    c1, c2, c3, c4 = coeffs
-    return 2.0 * c2 + s * (6.0 * c3 + s * 12.0 * c4)
+_Q1_COEFFS = (0.0, 611.0 / 70.0, -10513.0 / 210.0, 646.0 / 7.0, -1070.0 / 21.0)
+_Q2_COEFFS = (0.0, 2047.0 / 140.0, -27701.0 / 420.0, 691.0 / 7.0, -995.0 / 21.0)
 
 
 def _ex1_motion() -> BoundaryMotion:
@@ -111,79 +156,12 @@ def _ex1_motion() -> BoundaryMotion:
     )
 
 
-def _ex1_z(x, t):
-    return ((1.0 + t) * x + t) / (1.0 + 4.0 * t)
-
-
-def _ex1_nonlocal(t):
-    g = (1.0 + 4.0 * t) / (1.0 + t)
-    return g * _Q1_INTEGRAL / (1.0 + t), g * _Q2_INTEGRAL * math.exp(-t)
-
-
 def _ex1_a1(r, s):
     return 2.0 - 1.0 / (1.0 + r * r) + 1.0 / (1.0 + s * s)
 
 
 def _ex1_a2(r, s):
     return 3.0 + 2.0 / (1.0 + r * r) - 1.0 / (1.0 + s * s)
-
-
-def _ex1_check_domain(x, t) -> None:
-    """Raise ValueError unless t is in [0, 3] and x in [alpha(t), beta(t)],
-    each up to a tolerance; NaN counts as outside.  Each range is one fused
-    test with one reduction: the forcing runs at every step."""
-    if not np.logical_and(-1e-12 <= t, t <= 3.0 + 1e-12).all():
-        raise ValueError(f"time {t} outside the domain [0, 3]")
-    tol = 1e-9 * 3.5
-    a_bnd = -t / (1.0 + t)
-    b_bnd = 1.0 + 2.0 * t / (1.0 + t)
-    if not np.logical_and(a_bnd - tol <= x, x <= b_bnd + tol).all():
-        raise ValueError(f"position {x} outside the moving interval at t={t}")
-
-
-def example1_forcing(i: int, x, t):
-    """Derived forcing of the first benchmark, equation i (0-based).
-
-    Closed form: with u_i = F_i(t) q_i(z) and z the boundary-fixing
-    coordinate,
-
-        f_i = F_i' q_i(z) - F_i q_i'(z) b1(z, t) - a_i(I_1, I_2) F_i q_i''(z) / gamma^2
-
-    where I_j(t) = gamma(t) F_j(t) int_0^1 q_j are the nonlocal values of
-    the exact pair.
-    """
-    if i not in (0, 1):
-        raise IndexError(f"equation index {i} out of range for a two-equation system")
-    _ex1_check_domain(x, t)
-    z = _ex1_z(x, t)
-    gamma = (1.0 + 4.0 * t) / (1.0 + t)
-    dt2 = (1.0 + t) ** 2
-    b1 = (-1.0 / dt2 + (3.0 / dt2) * z) / gamma
-    b2 = 1.0 / (gamma * gamma)
-    r, s = _ex1_nonlocal(t)
-    if i == 0:
-        F = 1.0 / (1.0 + t)
-        Fp = -1.0 / dt2
-        a = _ex1_a1(r, s)
-        coeffs = _Q1_COEFFS
-    else:
-        F = math.exp(-t)
-        Fp = -F
-        a = _ex1_a2(r, s)
-        coeffs = _Q2_COEFFS
-    return (
-        Fp * _quartic(coeffs, z)
-        - F * _quartic_d1(coeffs, z) * b1
-        - a * F * _quartic_d2(coeffs, z) * b2
-    )
-
-
-def _ex1_u1(x, t):
-    return _quartic(_Q1_COEFFS, _ex1_z(x, t)) / (1.0 + t)
-
-
-def _ex1_u2(x, t):
-    return math.exp(-t) * _quartic(_Q2_COEFFS, _ex1_z(x, t))
 
 
 def example1() -> ProblemSpec:
@@ -194,21 +172,16 @@ def example1() -> ProblemSpec:
     At t = 0 the normalized coordinate reduces to x, so the initial data
     are the quartics themselves.
     """
-    return ProblemSpec(
-        ne=2,
+    return manufactured(
+        _ex1_motion(),
+        profiles=(_Q1_COEFFS, _Q2_COEFFS),
+        time_factors=(
+            (lambda t: 1.0 / (1.0 + t), lambda t: -1.0 / (1.0 + t) ** 2),
+            (lambda t: math.exp(-t), lambda t: -math.exp(-t)),
+        ),
         diffusion=(_ex1_a1, _ex1_a2),
         diffusion_bounds=((1.0, 3.0), (2.0, 5.0)),
-        forcing=(
-            lambda x, t: example1_forcing(0, x, t),
-            lambda x, t: example1_forcing(1, x, t),
-        ),
-        initial=(
-            lambda x: _quartic(_Q1_COEFFS, x),
-            lambda x: _quartic(_Q2_COEFFS, x),
-        ),
-        motion=_ex1_motion(),
         T=3.0,
-        exact=(_ex1_u1, _ex1_u2),
         name="example1",
     )
 

@@ -4,8 +4,9 @@ Each test prints one `criterion N: PASS/FAIL` line (visible under
 `pytest -s`) and then asserts, so a red run pinpoints which guarantee
 broke.  Criteria 1-3 reproduce the observed convergence orders of the
 first benchmark, 4 its reference error magnitudes, 5 certifies the
-manufactured forcing against an extended-precision finite-difference
-and adaptive-quadrature oracle, 6-7 cover interpolation order and
+manufactured-solution forcing, on example1 and on a second motion,
+against an extended-precision finite-difference and adaptive-quadrature
+oracle, 6-7 cover interpolation order and
 assembly correctness, 8 the degenerate fixed-interval limit, and 9 the
 spline benchmark regression: byte-identical reruns, and agreement with a
 fixture written by another library build to 1e-12 of its largest value.
@@ -14,6 +15,7 @@ thirds of it in criteria 1 and 2.
 """
 
 import csv
+import functools
 import io
 import math
 import os
@@ -24,15 +26,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbfem import ErrorTracker, build_space, convergence_study, example1, run
+from mbfem import ErrorTracker, build_space, convergence_study, example1, example2, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem.assembly import assemble_static
 from mbfem.discretization import interpolate
-from mbfem.problems import example1_forcing
+from mbfem.problems import manufactured
 from mbfem.cli import main
 
 from conftest import heat_problem
-from test_assembly import dense_operators
+from test_assembly import dense_operators, toarray
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -111,17 +113,62 @@ def test_criterion_4_reference_error_magnitudes():
     assert report(4, ok, f"{shown}; all within 10x")
 
 
-def test_criterion_5_forcing_residual_oracle():
-    """High-precision PDE residual of the manufactured pair.
+def worst_residual(problem, u, a, alpha, beta, t_range, n_points, seed):
+    """Worst |u_t - a_i(I) u_xx - f_i| of a manufactured problem over
+    n_points random points (t, x), t drawn from t_range and x inside
+    [alpha(t), beta(t)].
 
-    Everything except the forcing under test is recomputed here in
-    mpmath: the exact pair and the diffusion coefficients from their
-    formulas, time and space derivatives by fourth-order central
-    differences at step 1e-5 (dps=40 leaves ~20 digits of headroom), and
-    the nonlocal values by adaptive quadrature over the moving interval.
+    Everything except the forcing under test is computed here in mpmath:
+    u(i, x, t) and a(i, I) from their formulas, time and space derivatives
+    by fourth-order central differences at step 1e-5 (at mpmath's dps=40,
+    which the caller sets, that leaves ~20 digits of headroom), and the
+    nonlocal values I by adaptive quadrature over the moving interval.
+    """
+    import mpmath as mp
+
+    h = mp.mpf("1e-5")
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(n_points):
+        t = mp.mpf(rng.uniform(*t_range))
+        lo, hi = alpha(t), beta(t)
+        x = lo + (hi - lo) * mp.mpf(rng.uniform(0.02, 0.98))
+        nonlocal_values = [mp.quad(lambda s: u(j, s, t), [lo, hi]) for j in range(problem.ne)]
+        for i in range(problem.ne):
+            ut = (-u(i, x, t + 2 * h) + 8 * u(i, x, t + h) - 8 * u(i, x, t - h) + u(i, x, t - 2 * h)) / (12 * h)
+            uxx = (
+                -u(i, x + 2 * h, t) + 16 * u(i, x + h, t) - 30 * u(i, x, t)
+                + 16 * u(i, x - h, t) - u(i, x - 2 * h, t)
+            ) / (12 * h * h)
+            f = problem.forcing[i](float(x), float(t))
+            worst = max(worst, float(abs(ut - a(i, *nonlocal_values) * uxx - f)))
+    return worst
+
+
+def cube_root_problem():
+    """A manufactured problem on example2's motion, alpha = sqrt(2/3) -
+    (t + (2/3)^(3/2))^(1/3) and beta = 1 - alpha, with cubic profiles
+    z(1-z)(2+z) and z(1-z)(3-z) and time factors e^(-t/2) and (1+t)^-2."""
+    return manufactured(
+        example2().motion,
+        profiles=((0.0, 2.0, -1.0, -1.0), (0.0, 3.0, -4.0, 1.0)),
+        time_factors=(
+            (lambda t: math.exp(-0.5 * t), lambda t: -0.5 * math.exp(-0.5 * t)),
+            (lambda t: 1.0 / (1.0 + t) ** 2, lambda t: -2.0 / (1.0 + t) ** 3),
+        ),
+        diffusion=(lambda r, s: 2.0 - 1.0 / (1.0 + s * s), lambda r, s: 1.0 + math.exp(-r * r)),
+        diffusion_bounds=((1.0, 2.0), (1.0, 2.0)),
+        T=1.0,
+    )
+
+
+def test_criterion_5_forcing_residual_oracle():
+    """High-precision PDE residual of the manufactured forcing, on
+    example1 and on a second motion (`worst_residual`).
+
     The residual floor is set by the float64 forcing evaluation (~1e-13);
     the 1e-8 gate leaves five orders of margin while catching any wrong
-    term in the derivation, which perturbs the residual at O(1).
+    term in the formula, which perturbs the residual at O(1).
     """
     import mpmath as mp
 
@@ -129,42 +176,44 @@ def test_criterion_5_forcing_residual_oracle():
     c1 = [mp.mpf(611) / 70, mp.mpf(-10513) / 210, mp.mpf(646) / 7, mp.mpf(-1070) / 21]
     c2 = [mp.mpf(2047) / 140, mp.mpf(-27701) / 420, mp.mpf(691) / 7, mp.mpf(-995) / 21]
 
-    def alpha(t):
-        return -t / (1 + t)
-
-    def beta(t):
-        return 1 + 2 * t / (1 + t)
-
-    def u(i, x, t):
+    def u1(i, x, t):
         z = ((1 + t) * x + t) / (1 + 4 * t)
         c = c1 if i == 0 else c2
         poly = z * (c[0] + z * (c[1] + z * (c[2] + z * c[3])))
         return poly / (1 + t) if i == 0 else mp.e ** (-t) * poly
 
-    def a(i, r, s):
+    def a1(i, r, s):
         if i == 0:
             return 2 - 1 / (1 + r * r) + 1 / (1 + s * s)
         return 3 + 2 / (1 + r * r) - 1 / (1 + s * s)
 
-    h = mp.mpf("1e-5")
-    rng = random.Random(20)
-    worst = 0.0
-    for _ in range(200):
-        t = mp.mpf(rng.uniform(0.05, 2.95))
-        lo, hi = alpha(t), beta(t)
-        x = lo + (hi - lo) * mp.mpf(rng.uniform(0.02, 0.98))
-        r1 = mp.quad(lambda s: u(0, s, t), [lo, hi])
-        r2 = mp.quad(lambda s: u(1, s, t), [lo, hi])
-        for i in (0, 1):
-            ut = (-u(i, x, t + 2 * h) + 8 * u(i, x, t + h) - 8 * u(i, x, t - h) + u(i, x, t - 2 * h)) / (12 * h)
-            uxx = (
-                -u(i, x + 2 * h, t) + 16 * u(i, x + h, t) - 30 * u(i, x, t)
-                + 16 * u(i, x - h, t) - u(i, x - 2 * h, t)
-            ) / (12 * h * h)
-            f = example1_forcing(i, float(x), float(t))
-            worst = max(worst, float(abs(ut - a(i, r1, r2) * uxx - f)))
-    ok = worst <= 1e-8
-    assert report(5, ok, f"worst |u_t - a u_xx - f| = {worst:.3e} over 200 points, gate 1e-8")
+    worst1 = worst_residual(
+        example1(), u1, a1, lambda t: -t / (1 + t), lambda t: 1 + 2 * t / (1 + t), (0.05, 2.95), 200, 20
+    )
+
+    root, shift = mp.sqrt(mp.mpf(2) / 3), (mp.mpf(2) / 3) ** mp.mpf(1.5)
+
+    @functools.lru_cache(maxsize=None)  # quadrature evaluates u at one t many times
+    def alpha2(t):
+        return root - mp.cbrt(t + shift)
+
+    def u2(i, x, t):
+        z = (x - alpha2(t)) / (1 - 2 * alpha2(t))
+        if i == 0:
+            return mp.e ** (-t / 2) * z * (1 - z) * (2 + z)
+        return z * (1 - z) * (3 - z) / (1 + t) ** 2
+
+    def a2(i, r, s):
+        return 2 - 1 / (1 + s * s) if i == 0 else 1 + mp.e ** (-r * r)
+
+    worst2 = worst_residual(cube_root_problem(), u2, a2, alpha2, lambda t: 1 - alpha2(t), (0.02, 0.98), 50, 21)
+    ok = worst1 <= 1e-8 and worst2 <= 1e-8
+    assert report(
+        5,
+        ok,
+        f"worst |u_t - a u_xx - f| = {worst1:.3e} over 200 points of example1, "
+        f"{worst2:.3e} over 50 points of a cube-root motion, gate 1e-8",
+    )
 
 
 def test_criterion_6_interpolation_order():
@@ -193,10 +242,10 @@ def test_criterion_7_assembly_matches_simpson_oracle():
             # cubic case, so the 1e-9 gate measures the assembly alone
             mass, stiff, conv0, conv1, wvec = dense_operators(space, panels=10000)
             for got, ref in (
-                (ops.mass.toarray(), mass),
-                (ops.stiffness.toarray(), stiff),
-                (ops.conv_const.toarray(), conv0),
-                (ops.conv_linear.toarray(), conv1),
+                (toarray(ops.mass), mass),
+                (toarray(ops.stiffness), stiff),
+                (toarray(ops.conv_const), conv0),
+                (toarray(ops.conv_linear), conv1),
                 (ops.nonlocal_weights, wvec),
             ):
                 worst = max(worst, float(np.abs(got - ref).max()))

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
+import mbfem
 from mbfem import build_space, fixed_interval, nonlocal_value
 from mbfem.assembly import BandedMatrix, assemble_load, assemble_static
 from mbfem.discretization import gauss_legendre, interpolate, lagrange_table
@@ -70,6 +74,17 @@ def dense_operators(space, panels=400):
     return mass, stiff, conv0, conv1, wvec
 
 
+def toarray(band: BandedMatrix) -> np.ndarray:
+    """Dense copy of a banded matrix: entry (i, j) is data[kb + i - j, j]
+    within the band, zero outside it."""
+    n, kb = band.n, band.kb
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kb), min(n, i + kb + 1)):
+            a[i, j] = band.data[kb + i - j, j]
+    return a
+
+
 # --- closed forms -----------------------------------------------------------
 
 
@@ -77,13 +92,13 @@ def test_mass_linear_elements_closed_form():
     space = build_space(2, 1)
     h = 0.5
     expected = (h / 6.0) * np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 2.0]])
-    assert np.allclose(assemble_static(space).mass.toarray(), expected, atol=1e-15)
+    assert np.allclose(toarray(assemble_static(space).mass), expected, atol=1e-15)
 
 
 def test_stiffness_single_linear_element():
     space = build_space(1, 1)
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(assemble_static(space).stiffness.toarray(), expected, atol=1e-14)
+    assert np.allclose(toarray(assemble_static(space).stiffness), expected, atol=1e-14)
 
 
 def test_weights_sum_to_one():
@@ -94,8 +109,8 @@ def test_weights_sum_to_one():
 
 def test_mass_and_stiffness_are_symmetric_bitwise():
     ops = assemble_static(build_space(5, 3))
-    m = ops.mass.toarray()
-    s = ops.stiffness.toarray()
+    m = toarray(ops.mass)
+    s = toarray(ops.stiffness)
     assert np.array_equal(m, m.T)
     assert np.array_equal(s, s.T)
 
@@ -108,10 +123,10 @@ def test_operators_match_simpson_oracle(nt, k):
     space = build_space(nt, k)
     ops = assemble_static(space)
     mass, stiff, conv0, conv1, wvec = dense_operators(space)
-    assert np.allclose(ops.mass.toarray(), mass, atol=1e-10)
-    assert np.allclose(ops.stiffness.toarray(), stiff, atol=1e-9)
-    assert np.allclose(ops.conv_const.toarray(), conv0, atol=1e-10)
-    assert np.allclose(ops.conv_linear.toarray(), conv1, atol=1e-10)
+    assert np.allclose(toarray(ops.mass), mass, atol=1e-10)
+    assert np.allclose(toarray(ops.stiffness), stiff, atol=1e-9)
+    assert np.allclose(toarray(ops.conv_const), conv0, atol=1e-10)
+    assert np.allclose(toarray(ops.conv_linear), conv1, atol=1e-10)
     assert np.allclose(ops.nonlocal_weights, wvec, atol=1e-12)
 
 
@@ -124,11 +139,11 @@ def test_banded_matvec_and_interior_match_dense():
     rng = np.random.default_rng(11)
     a = ops.mass
     x = rng.standard_normal(a.n)
-    assert np.allclose(a.matvec(x), a.toarray() @ x, atol=1e-14)
+    assert np.allclose(a.matvec(x), toarray(a) @ x, atol=1e-14)
     inner = BandedMatrix(a.data[:, 1:-1], a.kb)
-    assert np.allclose(inner.toarray(), a.toarray()[1:-1, 1:-1], atol=0.0)
+    assert np.allclose(toarray(inner), toarray(a)[1:-1, 1:-1], atol=0.0)
     xi = rng.standard_normal(inner.n)
-    assert np.allclose(inner.matvec(xi), inner.toarray() @ xi, atol=1e-14)
+    assert np.allclose(inner.matvec(xi), toarray(inner) @ xi, atol=1e-14)
 
 
 def test_banded_solve_matches_dense_solve():
@@ -137,7 +152,7 @@ def test_banded_solve_matches_dense_solve():
     a = ops.mass
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(a.n)
-    assert np.allclose(a.solve(rhs), np.linalg.solve(a.toarray(), rhs), rtol=1e-12, atol=1e-14)
+    assert np.allclose(a.solve(rhs), np.linalg.solve(toarray(a), rhs), rtol=1e-12, atol=1e-14)
 
 
 # --- bit-identity with the element-loop implementations ---------------------
@@ -330,6 +345,33 @@ def test_nonlocal_value_quadratic():
     coeffs = interpolate(space, lambda y: y * (1.0 - y))
     value = nonlocal_value(ops.nonlocal_weights, coeffs, m.gamma(0.0))
     assert value == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
+def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
+    # OpenBLAS splits a ddot of more than 10,000 entries across threads;
+    # 12,289 is the dof count of nt=4096, k=3
+    n = 12289
+    code = (
+        "import numpy as np; from mbfem import nonlocal_value; "
+        f"w, v = np.random.default_rng(0).standard_normal((2, {n})); "
+        "print(nonlocal_value(w, v, 1.5).hex())"
+    )
+    src = os.path.dirname(os.path.dirname(mbfem.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    values = [child.communicate(timeout=60)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert values[0] == values[1]
+    w, v = np.random.default_rng(0).standard_normal((2, n))
+    assert float.fromhex(values[0]) == pytest.approx(1.5 * math.fsum(w * v), rel=1e-12)
 
 
 def test_diffusion_scalar_values():

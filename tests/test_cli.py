@@ -16,7 +16,7 @@ import mbfem
 from mbfem import ErrorTracker, analysis, build_space, cli, example1, run
 from mbfem.analysis import write_rows
 from mbfem.cli import ConfigError, SnapshotRecorder, SnapshotRows, main, parse_config, parse_problem
-from mbfem.problems import _Q1_COEFFS, _ex1_motion, _quartic
+from mbfem.problems import _Q1_COEFFS, _ex1_motion
 
 
 def write(tmp_path, name, text):
@@ -499,7 +499,7 @@ def test_solve_example1_snapshots(tmp_path):
     at0 = [r for r in body if float(r[0]) == 0.0 and r[1] == "0"]
     y = np.array([float(r[2]) for r in at0])
     vals = np.array([float(r[4]) for r in at0])
-    expected = _quartic(_Q1_COEFFS, y)
+    expected = Polynomial(_Q1_COEFFS)(y)
     expected[0] = expected[-1] = 0.0
     assert np.allclose(vals, expected, atol=1e-12)
 

@@ -3,37 +3,39 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from mbfem import BoundaryMotion, ProblemSpec, build_space, example1, example2, fixed_interval, run, validate
-from mbfem.problems import (
-    _Q1_COEFFS,
-    _Q1_INTEGRAL,
-    _Q2_COEFFS,
-    _Q2_INTEGRAL,
-    _ex1_check_domain,
-    _ex1_z,
-    _quartic,
-    example1_forcing,
-)
+from mbfem.problems import _Q1_COEFFS, _Q2_COEFFS, manufactured
+
+# int_0^1 q_i of example1's quartic profiles, in exact arithmetic
+Q1_INTEGRAL = 703.0 / 1260.0
+Q2_INTEGRAL = 1331.0 / 2520.0
 
 
 # --- first benchmark ---------------------------------------------------------
 
 
 def test_z_is_identity_at_t0():
-    x = np.linspace(-0.2, 1.2, 9)
-    assert np.allclose(_ex1_z(x, 0.0), x, rtol=1e-15)
+    # alpha(0) = 0 and gamma(0) = 1, so the exact solutions at t = 0 are
+    # the profiles themselves, to the last bit
+    p = example1()
+    x = np.linspace(0.0, 1.0, 9)
+    for u, q in zip(p.exact, (_Q1_COEFFS, _Q2_COEFFS)):
+        assert np.array_equal(u(x, 0.0), Polynomial(q)(x))
 
 
 def test_z_is_the_boundary_fixing_coordinate():
+    # example1's own closed form of z = (x - alpha) / gamma
     p = example1()
     m = p.motion
     for t in (0.0, 0.7, 2.4):
         x = np.linspace(m.alpha(t), m.beta(t), 11)
-        assert np.allclose(_ex1_z(x, t), (x - m.alpha(t)) / m.gamma(t), rtol=1e-13, atol=1e-14)
+        z = ((1.0 + t) * x + t) / (1.0 + 4.0 * t)
+        expected = (Polynomial(_Q1_COEFFS)(z) / (1.0 + t), math.exp(-t) * Polynomial(_Q2_COEFFS)(z))
+        for u, want in zip(p.exact, expected):
+            assert np.allclose(u(x, t), want, rtol=1e-13, atol=1e-14)
 
 
 def test_exact_solutions_vanish_on_moving_boundaries():
@@ -47,116 +49,63 @@ def test_exact_solutions_vanish_on_moving_boundaries():
 def test_exact_u2_at_t0_is_the_quartic():
     p = example1()
     x = np.linspace(0.0, 1.0, 17)
-    assert np.allclose(p.exact[1](x, 0.0), _quartic(_Q2_COEFFS, x), rtol=1e-14)
+    assert np.allclose(p.exact[1](x, 0.0), Polynomial(_Q2_COEFFS)(x), rtol=1e-14)
 
 
 def test_nonlocal_integrals_at_t0_match_exact_polynomial_integration():
     p = example1()
-    for u, expected in zip(p.exact, (_Q1_INTEGRAL, _Q2_INTEGRAL)):
+    for u, expected in zip(p.exact, (Q1_INTEGRAL, Q2_INTEGRAL)):
         value, err = quad(lambda x: u(x, 0.0), 0.0, 1.0, epsabs=1e-13)
         assert value == pytest.approx(expected, abs=1e-11)
 
 
 def test_quartic_integrals_are_exact():
-    # antiderivative of sum c_m s^m evaluated at 1
-    for coeffs, expected in ((_Q1_COEFFS, _Q1_INTEGRAL), (_Q2_COEFFS, _Q2_INTEGRAL)):
-        total = sum(c / (m + 2) for m, c in enumerate(coeffs))
-        assert total == pytest.approx(expected, rel=1e-15)
+    # the antiderivative by polyint, as `manufactured` takes it
+    for coeffs, expected in ((_Q1_COEFFS, Q1_INTEGRAL), (_Q2_COEFFS, Q2_INTEGRAL)):
+        assert Polynomial(coeffs).integ()(1.0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_forcing_matches_independent_t0_closed_form():
     # at t = 0: gamma = 1, b1 = 3y - 1, F_i = 1, F_i' = -1, so
     # f_i(x, 0) = -q_i(x) - (3x - 1) q_i'(x) - a_i(Q1, Q2) q_i''(x)
     p = example1()
-    a_at_Q = [p.diffusion[i](_Q1_INTEGRAL, _Q2_INTEGRAL) for i in range(2)]
+    a_at_Q = [p.diffusion[i](Q1_INTEGRAL, Q2_INTEGRAL) for i in range(2)]
     x = np.linspace(0.0, 1.0, 23)
     for i, coeffs in enumerate((_Q1_COEFFS, _Q2_COEFFS)):
-        q = np.polynomial.Polynomial([0.0, *coeffs])
+        q = Polynomial(coeffs)
         expected = -q(x) - (3.0 * x - 1.0) * q.deriv()(x) - a_at_Q[i] * q.deriv(2)(x)
-        assert np.allclose(example1_forcing(i, x, 0.0), expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(p.forcing[i](x, 0.0), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_forcing_finite_on_boundaries():
     p = example1()
     for t in (0.0, 0.5, 1.5, 3.0):
         for i in range(2):
-            assert np.isfinite(example1_forcing(i, p.motion.alpha(t), t))
-            assert np.isfinite(example1_forcing(i, p.motion.beta(t), t))
+            assert np.isfinite(p.forcing[i](p.motion.alpha(t), t))
+            assert np.isfinite(p.forcing[i](p.motion.beta(t), t))
 
 
 def test_forcing_rejects_points_outside_domain():
-    with pytest.raises(ValueError):
-        example1_forcing(0, 5.0, 0.0)
-    with pytest.raises(ValueError):
-        example1_forcing(0, 0.5, 4.0)
-
-
-T_EDGES = (-1e-12, 0.0, 3.0, 3.0 + 1e-12)
-X_TOL = 1e-9 * 3.5
-
-
-def old_domain_error(x, t):
-    """The range checks example1_forcing made before they were fused: the
-    reference the fused checks must agree with."""
-    if np.any(t < -1e-12) or np.any(t > 3.0 + 1e-12):
-        return f"time {t} outside the domain [0, 3]"
-    a_bnd = -t / (1.0 + t)
-    b_bnd = 1.0 + 2.0 * t / (1.0 + t)
-    if np.any(x < a_bnd - X_TOL) or np.any(x > b_bnd + X_TOL):
-        return f"position {x} outside the moving interval at t={t}"
-    return None
-
-
-def new_domain_error(x, t):
-    try:
-        _ex1_check_domain(x, t)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def near(edges):
-    """One of the edges, or its neighbour one ulp below or above it."""
-    return st.builds(
-        lambda e, step: float(np.nextafter(e, step * math.inf)) if step else e,
-        st.sampled_from(edges),
-        st.sampled_from((-1, 0, 1)),
-    )
-
-
-ODD = st.sampled_from((math.inf, -math.inf, math.nan))
-T_VALUE = st.one_of(near(T_EDGES), st.floats(0.0, 3.0), st.floats(-0.5, 3.5), ODD)
-
-
-@st.composite
-def domain_args(draw):
-    """(x, t): t a scalar or an array, x a scalar or an array that
-    broadcasts with it, values on or next to the interval ends and the
-    ends widened by the tolerance."""
-    n_t = draw(st.sampled_from((0, 1, 3)))  # 0: scalar t
-    ts = [draw(T_VALUE) for _ in range(max(n_t, 1))]
-    n_x = n_t if n_t else draw(st.sampled_from((0, 1, 4)))
-    xs = []
-    for j in range(max(n_x, 1)):
-        tj = ts[j % len(ts)]
-        tj = min(max(tj, 0.0), 3.0) if math.isfinite(tj) else 0.0
-        a_bnd, b_bnd = -tj / (1.0 + tj), 1.0 + 2.0 * tj / (1.0 + tj)
-        edges = (a_bnd - X_TOL, a_bnd, b_bnd, b_bnd + X_TOL)
-        xs.append(draw(st.one_of(near(edges), st.floats(-1.0, 3.0), ODD)))
-    t = np.array(ts) if n_t else ts[0]
-    x = np.array(xs) if n_x else xs[0]
-    return x, t
-
-
-@settings(derandomize=True, max_examples=600, deadline=None)
-@given(domain_args())
-def test_fused_domain_checks_agree_with_the_old_ones(args):
-    x, t = args
-    old, new = old_domain_error(x, t), new_domain_error(x, t)
-    if np.isnan(x).any() or np.isnan(t).any():
-        assert old is None or new is not None  # NaN may only be rejected more often
-    else:
-        assert new == old
+    # forcing and exact solutions take x up to 1e-9 max(1, |alpha|, |beta|)
+    # outside [alpha, beta] and t in the motion's domain, nothing further
+    p = example1()
+    for t in (0.0, 0.7, 3.0):
+        a, b = p.motion.alpha(t), p.motion.beta(t)
+        tol = 1e-9 * max(1.0, abs(a), abs(b))
+        for fn in (*p.forcing, *p.exact):
+            for x in (a - tol, a, b, b + tol):
+                assert np.isfinite(fn(x, t))
+            assert np.isfinite(fn(np.array([a - tol, 0.5 * (a + b), b + tol]), t)).all()
+            for x in (np.nextafter(a - tol, -np.inf), np.nextafter(b + tol, np.inf), math.nan, 5.0):
+                with pytest.raises(ValueError, match="outside the moving interval"):
+                    fn(x, t)
+                with pytest.raises(ValueError, match="outside the moving interval"):
+                    fn(np.array([0.5 * (a + b), x]), t)
+            for bad_t in (4.0, -1e-6):
+                with pytest.raises(ValueError, match="outside the domain"):
+                    fn(0.5, bad_t)
+            with pytest.raises(ValueError):
+                fn(0.5, math.nan)
 
 
 def test_diffusion_bounds_hold_on_declared_ranges():
@@ -214,6 +163,8 @@ def test_problemspec_validates_lengths():
             motion=m,
             T=1.0,
         )
+    with pytest.raises(ValueError, match="time-factor pair"):
+        manufactured(m, ((0.0, 1.0, -1.0),) * 2, ((math.exp, math.exp),), (lambda r, s: 1.0,) * 2, ((1.0, 1.0),) * 2, 1.0)
 
 
 def test_problemspec_rejects_T_beyond_motion():

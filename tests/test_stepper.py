@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
@@ -13,7 +14,7 @@ from mbfem.assembly import BandedMatrix, assemble_static
 from mbfem.cli import parse_problem
 from mbfem.stepper import StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
-from test_assembly import cardinal_polys, simpson_weights
+from test_assembly import cardinal_polys, simpson_weights, toarray
 
 
 def zero_problem(T=1.0):
@@ -38,15 +39,15 @@ def test_initialize_zero_data():
 
 def test_initialize_example1_matches_quartic_sampling():
     # at t = 0 the transform is the identity, so V0 interpolates q1, q2
-    from mbfem.problems import _Q1_COEFFS, _Q2_COEFFS, _quartic
+    from mbfem.problems import _Q1_COEFFS, _Q2_COEFFS
 
     p = example1()
     space = build_space(7, 3)
     state = initialize(space, p, 0.01)
     y = space.dof_positions
     inner = slice(1, -1)
-    assert np.allclose(state.current[0][inner], _quartic(_Q1_COEFFS, y[inner]), rtol=1e-13)
-    assert np.allclose(state.current[1][inner], _quartic(_Q2_COEFFS, y[inner]), rtol=1e-13)
+    assert np.allclose(state.current[0][inner], Polynomial(_Q1_COEFFS)(y[inner]), rtol=1e-13)
+    assert np.allclose(state.current[1][inner], Polynomial(_Q2_COEFFS)(y[inner]), rtol=1e-13)
     assert state.current[0][0] == 0.0 and state.current[0][-1] == 0.0
 
 
@@ -575,7 +576,7 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
         def b1(y):
             return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
 
-        conv = BandedMatrix(2.0 * kernel.c_half, k).toarray()
+        conv = toarray(BandedMatrix(2.0 * kernel.c_half, k))
         assert np.allclose(conv, dense_convection(space, b1), atol=1e-10)
 
 
