@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .discretization import FESpace, sample
@@ -37,7 +38,8 @@ class BandedMatrix:
     """Square banded matrix in LAPACK band layout.
 
     data[kb + i - j, j] holds entry (i, j) for |i - j| <= kb; the unused
-    corners of `data` are zero-initialized and never read.
+    corners of `data` may hold anything, since neither `matvec` nor `solve`
+    lets them reach a result.
     """
 
     data: np.ndarray  # (2 * kb + 1, n)
@@ -48,13 +50,11 @@ class BandedMatrix:
         return self.data.shape[1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.zeros(n)
-        for d in range(-self.kb, self.kb + 1):
-            j0, j1 = max(d, 0), n + min(d, 0)
-            if j0 < j1:
-                out[j0 - d : j1 - d] += self.data[self.kb - d, j0:j1] * x[j0:j1]
-        return out
+        """A x by BLAS `dgbmv`.  scipy's wrapper rejects fewer than 2kb + 1
+        rows, so the product is formed with max(n, 2kb + 1) rows and cut to
+        n; the extra rows read only the unused lower corner of `data`."""
+        kb, n = self.kb, self.n
+        return dgbmv(max(n, 2 * kb + 1), n, kb, kb, 1.0, self.data, x)[:n]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution x of A x = rhs by LAPACK: tridiagonal `dgtsv` for

@@ -81,15 +81,16 @@ class StepKernel:
     width gamma of the nonlocal values, b2, C and the quadrature points of
     the ne loads.  Per equation a step needs the interior LHS band and the full RHS band
 
-        M/d + (a_i b2 K - C)/2 = M/d + (a_i b2/2) K - C/2,
-        M/d - (a_i b2 K - C)/2 = M/d - (a_i b2/2) K + C/2,
+        M/d + (a_i b2 K - C)/2 = (M/d - C/2) + (a_i b2/2) K,
+        M/d - (a_i b2 K - C)/2 = (M/d + C/2) - (a_i b2/2) K,
 
-    of which only a_i, b2, C and d change between steps.  M/d is kept
-    until d changes and C/2 is formed once per step; each equation then
-    writes its bands into the same work arrays, with the operand order of
-    the expressions above, so every entry is the one those expressions
-    give.  The arrays are Fortran-ordered like the operator bands, so an
-    interior column slice is contiguous.
+    in which only a_i b2/2 differs between equations.  `begin_step` forms
+    the bases M/d - C/2 (interior) and M/d + C/2 once per step (M/d once per
+    d); each equation writes D = (a_i b2/2) K into a scratch band, sets its
+    bands to base + D and base - D, in that operand order, and applies the
+    RHS band by BLAS `dgbmv` (README, "Performance", states the rule its
+    last bits follow).  The arrays are Fortran-ordered like the operator
+    bands, so an interior column slice is contiguous.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -102,26 +103,27 @@ class StepKernel:
         self.conv_linear = ops.conv_linear.data
         width, n = self.mass.shape
         self.dt = self.gamma = self.b2 = self.loads = None
-        self.m_over_dt, self.c_half, self.scratch, self.diff_half, rhs_band = (
-            np.empty((width, n), order="F") for _ in range(5)
-        )
+        self.m_over_dt, self.rhs_base, self.scratch, rhs_band = (np.empty((width, n), order="F") for _ in range(4))
+        self.lhs_base, lhs_band = (np.empty((width, n - 2), order="F") for _ in range(2))
         self.rhs_op = BandedMatrix(rhs_band, kb)
-        self.lhs = BandedMatrix(np.empty((width, n - 2), order="F"), kb)
+        self.lhs = BandedMatrix(lhs_band, kb)
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
-        """Set M/dt, C/2, b2, gamma and the ne loads for a step of length dt
-        about t_mid; M/dt only when dt differs from the last step's."""
+        """Set M/dt (if dt changed), the bases M/dt -+ C/2, b2, gamma and the
+        ne loads for a step of length dt about t_mid."""
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
             self.dt = dt
         motion = problem.motion
         g = self.gamma = motion.gamma(t_mid)
         self.b2 = motion.coeff_b2(t_mid)
-        c_half = self.c_half
-        np.multiply(motion.alpha_prime(t_mid) / g, self.conv_const, out=c_half)
-        np.multiply(motion.gamma_prime(t_mid) / g, self.conv_linear, out=self.scratch)
-        np.add(c_half, self.scratch, out=c_half)
-        np.multiply(0.5, c_half, out=c_half)
+        # C/2 goes in the scratch band, its second term in the RHS band; each equation overwrites both
+        c_half = self.scratch
+        np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=c_half)
+        np.multiply(motion.gamma_prime(t_mid) / (2.0 * g), self.conv_linear, out=self.rhs_op.data)
+        np.add(c_half, self.rhs_op.data, out=c_half)
+        np.subtract(self.m_over_dt[:, 1:-1], c_half[:, 1:-1], out=self.lhs_base)
+        np.add(self.m_over_dt, c_half, out=self.rhs_base)
         x_q = motion.to_moving(self.space.element_quad_points, t_mid)
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
             self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
@@ -129,14 +131,10 @@ class StepKernel:
     def solve(self, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
         """V^(n) of one equation from V^(n-1), its load and its diffusion
         coefficient; `where` names the step and equation in errors."""
-        diff_half = self.diff_half
+        diff_half = self.scratch
         np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
-        lhs = self.lhs.data
-        np.add(self.m_over_dt[:, 1:-1], diff_half[:, 1:-1], out=lhs)
-        np.subtract(lhs, self.c_half[:, 1:-1], out=lhs)
-        rhs_band = self.rhs_op.data
-        np.subtract(self.m_over_dt, diff_half, out=rhs_band)
-        np.add(rhs_band, self.c_half, out=rhs_band)
+        np.add(self.lhs_base, diff_half[:, 1:-1], out=self.lhs.data)
+        np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
         rhs = self.rhs_op.matvec(v_prev) + load
         v_new = np.zeros(len(v_prev))
         try:

@@ -314,9 +314,9 @@ def test_criterion_9_spline_benchmark_regression(tmp_path):
     while all 150 interior values differ in their last bits, by at most
     5.0e-16 = 3.1e-15 of the largest |value| (0.16).  No single layer
     explains that drift: BLAS products in assemble_static, np.dot in
-    nonlocal_value, SIMD np.exp in the forcing and leggauss each move the
-    values by at most 2.8e-15, and LAPACK gbsv and CubicSpline are beyond
-    the program's control.  Genuine scheme changes move the values by
+    nonlocal_value, BLAS dgbmv in the step's matvec, SIMD np.exp in the
+    forcing and leggauss each move the values by at most 2.8e-15, and
+    LAPACK gbsv and CubicSpline are beyond the program's control.  Genuine scheme changes move the values by
     6.4e-11 (q = k + 1), 1.7e-5 (no bootstrap corrector), 1.0e-4 (nonlocal
     width factor a step early) and 6.0e-4 (frozen instead of extrapolated
     coefficients) of that scale, all far above FIXTURE_RTOL.

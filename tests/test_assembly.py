@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbcon, dgbtrf
 
 import mbfem
 from mbfem import build_space, fixed_interval, nonlocal_value
@@ -83,6 +84,41 @@ def toarray(band: BandedMatrix) -> np.ndarray:
         for j in range(max(0, i - kb), min(n, i + kb + 1)):
             a[i, j] = band.data[kb + i - j, j]
     return a
+
+
+def in_band(band: BandedMatrix) -> np.ndarray:
+    """Mask of the entries of `band.data` that hold matrix entries: row r of
+    column j is entry (j + r - kb, j), which must lie in 0..n-1."""
+    kb, n = band.kb, band.n
+    rows = np.arange(n)[None, :] + np.arange(2 * kb + 1)[:, None] - kb
+    return (rows >= 0) & (rows < n)
+
+
+def condition_1norm(band: BandedMatrix) -> float:
+    """LAPACK's estimate of the 1-norm condition number of a banded matrix:
+    `dgbtrf`, then `dgbcon` with the 1-norm of the entries in the band (its
+    unused corners masked out)."""
+    kb = band.kb
+    entries = np.where(in_band(band), band.data, 0.0)
+    ab = np.zeros((3 * kb + 1, band.n), order="F")
+    ab[kb:] = entries
+    lu, ipiv, info = dgbtrf(ab, kb, kb)
+    assert info == 0, info
+    rcond, info = dgbcon(kb, kb, lu, ipiv, np.abs(entries).sum(axis=0).max())
+    assert info == 0, info
+    return 1.0 / rcond
+
+
+def loop_matvec(band: BandedMatrix, x: np.ndarray) -> np.ndarray:
+    """A x by a Python loop over the 2kb + 1 diagonals, each added in order
+    from the lowest column: the product `BandedMatrix.matvec` replaced."""
+    kb, n = band.kb, band.n
+    out = np.zeros(n)
+    for d in range(-kb, kb + 1):
+        j0, j1 = max(d, 0), n + min(d, 0)
+        if j0 < j1:
+            out[j0 - d : j1 - d] += band.data[kb - d, j0:j1] * x[j0:j1]
+    return out
 
 
 # --- closed forms -----------------------------------------------------------
@@ -256,6 +292,32 @@ def test_banded_solve_equals_solve_banded(nt, k, q):
     assert np.array_equal(BandedMatrix(np.ascontiguousarray(lhs.data), k).solve(rhs), expected)
 
 
+# with nt = 1 a band has fewer than 2kb + 1 rows, so `matvec` pads the product
+MATVEC_SIZES = list(dict.fromkeys([(1, 4)] + [(nt, k) for nt, k, _ in BIT_GRID]))
+
+
+@pytest.mark.parametrize("nt,k", MATVEC_SIZES)
+def test_banded_matvec_equals_the_dense_product(nt, k):
+    # each entry of A x is a sum of at most 2kb + 1 products, so two orders
+    # of summation differ by at most 2 (2kb + 1) eps (|A| |x|); the unused
+    # corners, filled with NaN, must not reach the result
+    ops = assemble_static(build_space(nt, k))
+    rng = np.random.default_rng(nt * 10 + k)
+    eps = np.finfo(float).eps
+    interior = BandedMatrix(ops.conv_const.data[:, 1:-1], k)
+    for a in (ops.mass, ops.conv_linear, interior) if interior.n else (ops.mass, ops.conv_linear):
+        x = rng.standard_normal(a.n)
+        got = a.matvec(x)
+        if a.n <= 1000:
+            expected, scale = toarray(a) @ x, np.abs(toarray(a)) @ np.abs(x)
+        else:  # a dense copy at 12,289 dofs would take 1.2 GB
+            expected, scale = loop_matvec(a, x), loop_matvec(BandedMatrix(np.abs(a.data), k), np.abs(x))
+        assert got.shape == (a.n,)
+        assert np.all(np.abs(got - expected) <= 2 * (2 * k + 1) * eps * scale)
+        poisoned = BandedMatrix(np.where(in_band(a), a.data, np.nan), k)
+        assert np.array_equal(poisoned.matvec(x), got)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_banded_solve_raises_on_a_singular_system(k):
     for n in (1, 5):
@@ -349,12 +411,16 @@ def test_nonlocal_value_quadratic():
 
 def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
     # OpenBLAS splits a ddot of more than 10,000 entries across threads;
-    # 12,289 is the dof count of nt=4096, k=3
+    # 12,289 is the dof count of nt=4096, k=3.  The same children apply a
+    # band of that size by `BandedMatrix.matvec`, whose bits must not depend
+    # on the thread count either
     n = 12289
     code = (
-        "import numpy as np; from mbfem import nonlocal_value; "
+        "import numpy as np; from mbfem import nonlocal_value; from mbfem.assembly import BandedMatrix; "
         f"w, v = np.random.default_rng(0).standard_normal((2, {n})); "
-        "print(nonlocal_value(w, v, 1.5).hex())"
+        "print(nonlocal_value(w, v, 1.5).hex()); "
+        f"band = BandedMatrix(np.asfortranarray(np.random.default_rng(1).standard_normal((7, {n}))), 3); "
+        "print(band.matvec(v).tobytes().hex())"
     )
     src = os.path.dirname(os.path.dirname(mbfem.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -367,11 +433,15 @@ def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
         )
         for threads in ("1", "2")
     ]
-    values = [child.communicate(timeout=60)[0] for child in children]
+    outputs = [child.communicate(timeout=60)[0].split() for child in children]
     assert [child.returncode for child in children] == [0, 0]
-    assert values[0] == values[1]
+    (value, product), (value_2, product_2) = outputs
+    assert value == value_2
+    assert product == product_2
     w, v = np.random.default_rng(0).standard_normal((2, n))
-    assert float.fromhex(values[0]) == pytest.approx(1.5 * math.fsum(w * v), rel=1e-12)
+    assert float.fromhex(value) == pytest.approx(1.5 * math.fsum(w * v), rel=1e-12)
+    band = BandedMatrix(np.random.default_rng(1).standard_normal((7, n)), 3)
+    assert np.allclose(np.frombuffer(bytes.fromhex(product)), loop_matvec(band, v), rtol=1e-12, atol=1e-12)
 
 
 def test_diffusion_scalar_values():

@@ -10,11 +10,12 @@ from scipy.linalg import solve_banded
 
 from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
-from mbfem.assembly import BandedMatrix, assemble_static
+from mbfem import stepper
+from mbfem.assembly import BandedMatrix, assemble_static, nonlocal_value
 from mbfem.cli import parse_problem
 from mbfem.stepper import StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
-from test_assembly import cardinal_polys, simpson_weights, toarray
+from test_assembly import cardinal_polys, condition_1norm, loop_matvec, simpson_weights, toarray
 
 
 def zero_problem(T=1.0):
@@ -224,12 +225,18 @@ def dense_mass_and_stiffness(nt, k):
     return mass, stiff
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_fixed_interval_with_constant_diffusion_is_dense_crank_nicolson(k):
     # on (0, 1) with a constant a and f = 0 the scheme is plain Crank-Nicolson
     # Galerkin, [M/d + aK/2] V^n = [M/d - aK/2] V^(n-1) on the interior dofs,
-    # whose M-norm never grows
-    a, nt, delta = 0.7, 6, 0.01
+    # whose M-norm never grows; one element (k >= 2) has fewer than 2k + 1
+    # dofs, so its bands take the padded BLAS product
+    for nt in (6, 1) if k > 1 else (6,):
+        check_dense_crank_nicolson(nt, k)
+
+
+def check_dense_crank_nicolson(nt, k):
+    a, delta = 0.7, 0.01
     p = replace(heat_problem(T=0.2), diffusion=(lambda r: a,))
     levels = run_levels(p, build_space(nt, k), delta)
     mass, stiff = dense_mass_and_stiffness(nt, k)
@@ -465,8 +472,27 @@ def test_run_rejects_bad_delta():
 
 
 def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
-    """One equation's step written as plain band expressions, solved by
-    scipy's solve_banded: the arithmetic the kernel must reproduce."""
+    """One equation's step written as plain band expressions in the kernel's
+    operand order, (M/d - C/2) + D and (M/d + C/2) - D with D = (a_i b2/2) K,
+    applied by `BandedMatrix.matvec` and solved by scipy's solve_banded: the
+    arithmetic the kernel must reproduce."""
+    g = motion.gamma(t_mid)
+    c_half = (motion.alpha_prime(t_mid) / (2.0 * g)) * ops.conv_const.data + (
+        motion.gamma_prime(t_mid) / (2.0 * g)
+    ) * ops.conv_linear.data
+    m_over_dt = ops.mass.data / dt
+    diff_half = (0.5 * a_i * motion.coeff_b2(t_mid)) * ops.stiffness.data
+    kb = ops.mass.kb
+    rhs = BandedMatrix(m_over_dt + c_half - diff_half, kb).matvec(v_prev) + load
+    v_new = np.zeros_like(v_prev)
+    v_new[1:-1] = solve_banded((kb, kb), (m_over_dt - c_half + diff_half)[:, 1:-1], rhs[1:-1])
+    return v_new
+
+
+def loop_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
+    """One equation's step in the operand order (M/d + D) - C/2 and
+    (M/d - D) + C/2, applied by a Python loop over the diagonals: the
+    arithmetic of the kernel before it formed per-step bases and used BLAS."""
     g = motion.gamma(t_mid)
     c_half = 0.5 * (
         (motion.alpha_prime(t_mid) / g) * ops.conv_const.data
@@ -475,20 +501,21 @@ def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
     m_over_dt = ops.mass.data / dt
     diff_half = (0.5 * a_i * motion.coeff_b2(t_mid)) * ops.stiffness.data
     kb = ops.mass.kb
-    rhs = BandedMatrix(m_over_dt - diff_half + c_half, kb).matvec(v_prev) + load
+    rhs = loop_matvec(BandedMatrix(m_over_dt - diff_half + c_half, kb), v_prev) + load
     v_new = np.zeros_like(v_prev)
     v_new[1:-1] = solve_banded((kb, kb), (m_over_dt + diff_half - c_half)[:, 1:-1], rhs[1:-1])
     return v_new
 
 
-@pytest.mark.parametrize("nt,k", [(8, 1), (1, 2), (8, 3), (64, 2)])
-def test_step_kernel_equals_the_plain_expressions(nt, k):
+def kernel_steps(nt, k):
+    """The kernel's result, its LHS band and the arguments of
+    `plain_equation` for six equation steps of example1 with random data;
+    a repeated dt keeps M/dt, a new one recomputes it."""
     p = example1()
     space = build_space(nt, k)
     ops = assemble_static(space)
     kernel = StepKernel(ops)
     rng = np.random.default_rng(nt + k)
-    # a repeated dt keeps M/dt, a new one recomputes it
     for t_mid, dt, a_i in ((0.105, 0.01, 1.7), (0.115, 0.01, 2.3), (0.1235, 0.007, 0.9)):
         kernel.begin_step(p, t_mid, dt)
         for _ in range(2):
@@ -496,7 +523,30 @@ def test_step_kernel_equals_the_plain_expressions(nt, k):
             v_prev[[0, -1]] = 0.0
             load = rng.standard_normal(space.n_dofs)
             got = kernel.solve(a_i, v_prev, load, "a test step")
-            assert np.array_equal(got, plain_equation(ops, p.motion, t_mid, a_i, dt, v_prev, load))
+            yield got, kernel.lhs, (ops, p.motion, t_mid, a_i, dt, v_prev, load)
+
+
+@pytest.mark.parametrize("nt,k", [(8, 1), (1, 2), (8, 3), (64, 2)])
+def test_step_kernel_equals_the_plain_expressions(nt, k):
+    for got, _, args in kernel_steps(nt, k):
+        assert np.array_equal(got, plain_equation(*args))
+
+
+# c of the last-bit rule (README, "Performance"), fixed before measuring; the
+# largest drift seen since is 3.5 eps kappa_1, on an 8-equation catalog run
+LAST_BIT_C = 10
+
+
+@pytest.mark.parametrize("nt,k", [(8, 1), (1, 2), (8, 3), (64, 2), (4096, 3)])
+def test_step_kernel_moves_last_bits_within_the_condition_scaled_rule(nt, k):
+    # a reordered sum moves the bands and the RHS by a few eps of their
+    # entries, and the solve amplifies that by at most about kappa_1 of the
+    # LHS band, which is about 3e6 at (4096, 3)
+    eps = np.finfo(float).eps
+    for got, lhs, args in kernel_steps(nt, k):
+        expected = loop_equation(*args)
+        bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= bound
 
 
 def counted_motion(motion, counts):
@@ -538,6 +588,75 @@ def test_motion_calls_per_advance_do_not_grow_with_ne():
     assert all(per_advance[1].values())
 
 
+def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
+    # the pattern the traced benchmark checks: ne banded solves and ne load
+    # assemblies per advance, 2 ne solves and ne loads in the bootstrap
+    counts = {"solve": 0, "load": 0}
+    steps = []
+
+    def counting(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    def recording(step):
+        def call(*args):
+            before = dict(counts)
+            new = step(*args)
+            steps.append((step.__name__, counts["solve"] - before["solve"], counts["load"] - before["load"]))
+            return new
+
+        return call
+
+    monkeypatch.setattr(BandedMatrix, "solve", counting("solve", BandedMatrix.solve))
+    monkeypatch.setattr(stepper, "assemble_load", counting("load", stepper.assemble_load))
+    for name in ("bootstrap_first_step", "advance"):
+        monkeypatch.setattr(stepper, name, recording(getattr(stepper, name)))
+    for p, delta in ((replace(example1(), T=0.1), 0.01), (three_equation_problem((0, 1, 2)), 0.02)):
+        steps.clear()
+        run(p, build_space(4, 2), delta)
+        ne = p.ne
+        assert steps == [("bootstrap_first_step", 2 * ne, ne)] + [("advance", ne, ne)] * 9
+
+
+def implicit_final_level(p, space, delta):
+    """Final vectors of the fully implicit Crank-Nicolson scheme: each step
+    takes the nonlocal values at the level average (V^n + V^(n+1))/2, found
+    by fixed-point iteration from V^n until no entry moves by 1e-14."""
+    kernel = StepKernel(assemble_static(space))
+    v = initialize(space, p, delta).current
+    n_steps = len(level_grid(p.T, delta)) - 1
+    for n in range(n_steps):
+        kernel.begin_step(p, 0.5 * (n * delta + (n + 1) * delta), delta)
+        new = v
+        for _ in range(50):
+            l_mid = [nonlocal_value(kernel.weights, 0.5 * (a + b), kernel.gamma) for a, b in zip(new, v)]
+            new, last = kernel.solve_all(p, l_mid, v, f"step {n + 1}"), new
+            if max(np.abs(a - b).max() for a, b in zip(new, last)) < 1e-14:
+                break
+        else:
+            raise AssertionError(f"the fixed point of step {n + 1} did not converge")
+        v = new
+    return v
+
+
+def test_extrapolated_coefficients_differ_from_the_implicit_scheme_by_delta_squared():
+    # the linearization replaces l at the level average by its extrapolation
+    # 3/2 V^n - 1/2 V^(n-1) (and a predictor-corrector first step), an
+    # O(delta^2) change per unit time, so halving delta quarters the gap
+    p = replace(example1(), T=0.5)
+    space = build_space(16, 2)
+    gaps = []
+    for delta in (1 / 40, 1 / 80, 1 / 160):
+        linearized = run(p, space, delta).final.current
+        implicit = implicit_final_level(p, space, delta)
+        gaps.append(max(np.abs(a - b).max() for a, b in zip(linearized, implicit)))
+    ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
+    assert all(3.5 <= r <= 4.5 for r in ratios), (gaps, ratios)
+
+
 # --- the convection term against the transformed PDE ------------------------
 
 
@@ -576,8 +695,12 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
         def b1(y):
             return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
 
-        conv = toarray(BandedMatrix(2.0 * kernel.c_half, k))
-        assert np.allclose(conv, dense_convection(space, b1), atol=1e-10)
+        # the bases are M/d + C/2 (full) and M/d - C/2 (interior)
+        dense = dense_convection(space, b1)
+        conv = toarray(BandedMatrix(2.0 * (kernel.rhs_base - kernel.m_over_dt), k))
+        assert np.allclose(conv, dense, atol=1e-10)
+        conv = toarray(BandedMatrix(2.0 * (kernel.m_over_dt[:, 1:-1] - kernel.lhs_base), k))
+        assert np.allclose(conv, dense[1:-1, 1:-1], atol=1e-10)
 
 
 # --- failures name the step, its time and the equation ----------------------
