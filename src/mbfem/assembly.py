@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv, dgtsv
@@ -80,6 +81,63 @@ class BandedMatrix:
         if info < 0:
             raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
         return x
+
+
+def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray) -> None:
+    """Solve the Dirichlet-interior system of `a`, the full-width band of
+    nt degree-k Lagrange elements (kb == k, n = nt k + 1), by static
+    condensation; x[1:-1] receives the solution and x[0] = x[-1] = 0 are
+    read as the boundary values.
+
+    The k - 1 interior dofs of every element are eliminated first, without
+    pivoting, one local pivot at a time over all elements at once: entry
+    (r, c) of every element block is the length-nt strided view
+    a.data[k + r - c, c::k], and only the vertex diagonals are shared
+    between elements.  That leaves the tridiagonal Schur complement on
+    the nt - 1 interior vertices, rows 0, k and 2k of the vertex columns,
+    solved by one `BandedMatrix.solve`; back-substitution gives the
+    interior dofs.  Elimination without pivoting needs nonsingular element
+    blocks and Schur complement, which a positive-definite symmetric part
+    of the interior matrix guarantees.  The boundary rows and columns of
+    the band must be finite: they are updated alongside and multiply
+    x[0] = x[-1] = 0.  Overwrites a.data and rhs; work is (2, k, nt) scratch.
+    """
+    d, k = a.data, a.kb
+    nt = (a.n - 1) // k
+    span = nt * k
+
+    def local(v):  # v[r, e] = entry e k + r of a vector of length n
+        s = v.strides[0]
+        return as_strided(v, (k + 1, nt), (s, k * s))
+
+    b, u = local(rhs), local(x)
+    # the multipliers of pivot p (rows p+1..k, then row 0) and their
+    # products go to C-ordered work rows, so that numpy runs each operation
+    # along the elements, not along the few local rows of a band column
+    mult, prod = work
+    for p in range(1, k):
+        m = k - p
+        pivot = d[k, p : p + span : k]
+        np.divide(d[k + 1 : k + 1 + m, p : p + span : k], pivot, out=mult[:m])
+        np.divide(d[k - p, p : p + span : k], pivot, out=mult[m])
+        for c in (0, *range(p + 1, k + 1)):
+            cols = slice(c, c + span, k)
+            np.multiply(mult[: m + 1], d[k + p - c, cols], out=prod[: m + 1])
+            below, top = d[k + p + 1 - c : 2 * k + 1 - c, cols], d[k - c, cols]
+            np.subtract(below, prod[:m], out=below)
+            np.subtract(top, prod[m], out=top)
+        np.multiply(mult[: m + 1], b[p], out=prod[: m + 1])
+        np.subtract(b[p + 1 :], prod[:m], out=b[p + 1 :])
+        np.subtract(b[0], prod[m], out=b[0])
+    x[k:span:k] = BandedMatrix(d[::k, k:span:k], 1).solve(rhs[k:span:k])
+    term = prod[0]
+    for p in range(k - 1, 0, -1):
+        np.multiply(d[k + p, 0:span:k], u[0], out=term)
+        np.subtract(b[p], term, out=u[p])
+        for c in range(p + 1, k + 1):
+            np.multiply(d[k + p - c, c : c + span : k], u[c], out=term)
+            np.subtract(u[p], term, out=u[p])
+        np.divide(u[p], d[k, p : p + span : k], out=u[p])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ for identical configs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -622,7 +623,10 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about a millisecond, and `parse_args` does not change it."""
     parser = argparse.ArgumentParser(
         prog="mbfem",
         description="Finite-element solver for nonlocal reaction-diffusion systems on moving intervals.",
@@ -640,7 +644,11 @@ def main(argv=None) -> int:
         else:
             p.add_argument("--out", default=".", help="output directory (default: the working directory)")
         p.set_defaults(handler=handler)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

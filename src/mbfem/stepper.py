@@ -25,11 +25,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .assembly import BandedMatrix, OperatorSet, assemble_load, assemble_static, diffusion_scalar, nonlocal_value
+from .assembly import (
+    BandedMatrix,
+    OperatorSet,
+    _solve_condensed,
+    assemble_load,
+    assemble_static,
+    diffusion_scalar,
+    nonlocal_value,
+)
 from .discretization import FESpace, interpolate
 from .geometry import time_tolerance
 
 __all__ = ["SchemeState", "RunResult", "StepKernel", "initialize", "bootstrap_first_step", "advance", "run"]
+
+# Elements from which StepKernel may solve by static condensation instead of
+# dgbsv: demos/condensation_crossover.py measures the crossover (README,
+# "Performance").
+CONDENSE_MIN_ELEMENTS = 512
 
 
 @dataclass(frozen=True)
@@ -85,12 +98,25 @@ class StepKernel:
         M/d - (a_i b2 K - C)/2 = (M/d + C/2) - (a_i b2/2) K,
 
     in which only a_i b2/2 differs between equations.  `begin_step` forms
-    the bases M/d - C/2 (interior) and M/d + C/2 once per step (M/d once per
-    d); each equation writes D = (a_i b2/2) K into a scratch band, sets its
-    bands to base + D and base - D, in that operand order, and applies the
-    RHS band by BLAS `dgbmv` (README, "Performance", states the rule its
-    last bits follow).  The arrays are Fortran-ordered like the operator
-    bands, so an interior column slice is contiguous.
+    the bases M/d - C/2 (`lhs_base` is its interior) and M/d + C/2 once per
+    step (M/d once per d); each equation writes D = (a_i b2/2) K into a
+    scratch band, sets its bands to base + D and base - D, in that operand
+    order, and applies the RHS band by BLAS `dgbmv` (README, "Performance",
+    states the rule its last bits follow).  The arrays are Fortran-ordered
+    like the operator bands, so an interior column slice is contiguous.
+
+    The interior system is solved one of two ways.  By default its band is
+    written to `lhs` and solved by LAPACK `dgbsv`.  On meshes of at least
+    CONDENSE_MIN_ELEMENTS elements of degree k >= 2, an equation whose step
+    has 4 gamma + dt gamma' > 0 and whose a_i > 0 is solved by static
+    condensation instead (`assembly._solve_condensed`): its full-width LHS
+    band goes to the scratch band, the element-interior dofs are eliminated
+    without pivoting, and one tridiagonal solve on the vertices remains.
+    Both conditions make the symmetric part of the interior LHS,
+    M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K, positive definite (the
+    symmetric parts of conv_const and conv_linear there are 0 and -M/2),
+    so no pivot can vanish.  Either way a step makes one
+    `BandedMatrix.solve` call per equation.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -103,10 +129,15 @@ class StepKernel:
         self.conv_linear = ops.conv_linear.data
         width, n = self.mass.shape
         self.dt = self.gamma = self.b2 = self.loads = None
-        self.m_over_dt, self.rhs_base, self.scratch, rhs_band = (np.empty((width, n), order="F") for _ in range(4))
-        self.lhs_base, lhs_band = (np.empty((width, n - 2), order="F") for _ in range(2))
+        self.condense = False
+        self.m_over_dt, self.rhs_base, self.lhs_base_full, self.scratch, rhs_band = (
+            np.empty((width, n), order="F") for _ in range(5)
+        )
+        self.lhs_base = self.lhs_base_full[:, 1:-1]
         self.rhs_op = BandedMatrix(rhs_band, kb)
-        self.lhs = BandedMatrix(lhs_band, kb)
+        self.lhs = BandedMatrix(np.empty((width, n - 2), order="F"), kb)
+        nt = self.space.n_elements
+        self.condense_work = np.empty((2, kb, nt)) if kb >= 2 and nt >= CONDENSE_MIN_ELEMENTS else None
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
         """Set M/dt (if dt changed), the bases M/dt -+ C/2, b2, gamma and the
@@ -116,13 +147,15 @@ class StepKernel:
             self.dt = dt
         motion = problem.motion
         g = self.gamma = motion.gamma(t_mid)
+        gp = motion.gamma_prime(t_mid)
         self.b2 = motion.coeff_b2(t_mid)
+        self.condense = self.condense_work is not None and 4.0 * g + dt * gp > 0.0
         # C/2 goes in the scratch band, its second term in the RHS band; each equation overwrites both
         c_half = self.scratch
         np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=c_half)
-        np.multiply(motion.gamma_prime(t_mid) / (2.0 * g), self.conv_linear, out=self.rhs_op.data)
+        np.multiply(gp / (2.0 * g), self.conv_linear, out=self.rhs_op.data)
         np.add(c_half, self.rhs_op.data, out=c_half)
-        np.subtract(self.m_over_dt[:, 1:-1], c_half[:, 1:-1], out=self.lhs_base)
+        np.subtract(self.m_over_dt, c_half, out=self.lhs_base_full)
         np.add(self.m_over_dt, c_half, out=self.rhs_base)
         x_q = motion.to_moving(self.space.element_quad_points, t_mid)
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
@@ -133,12 +166,16 @@ class StepKernel:
         coefficient; `where` names the step and equation in errors."""
         diff_half = self.scratch
         np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
-        np.add(self.lhs_base, diff_half[:, 1:-1], out=self.lhs.data)
         np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
         rhs = self.rhs_op.matvec(v_prev) + load
         v_new = np.zeros(len(v_prev))
         try:
-            v_new[1:-1] = self.lhs.solve(rhs[1:-1])
+            if self.condense and a_i > 0.0:
+                np.add(self.lhs_base_full, diff_half, out=diff_half)
+                _solve_condensed(BandedMatrix(diff_half, self.lhs.kb), rhs, v_new, self.condense_work)
+            else:
+                np.add(self.lhs_base, diff_half[:, 1:-1], out=self.lhs.data)
+                v_new[1:-1] = self.lhs.solve(rhs[1:-1])
         except LinAlgError as exc:
             raise RuntimeError(f"singular Crank-Nicolson system at {where} ({exc})") from exc
         if not np.isfinite(v_new).all():

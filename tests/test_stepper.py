@@ -12,8 +12,9 @@ from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fi
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem import stepper
 from mbfem.assembly import BandedMatrix, assemble_static, nonlocal_value
+from mbfem.geometry import BoundaryMotion
 from mbfem.cli import parse_problem
-from mbfem.stepper import StepKernel, advance, bootstrap_first_step, initialize, level_grid
+from mbfem.stepper import CONDENSE_MIN_ELEMENTS, StepKernel, advance, bootstrap_first_step, initialize, level_grid
 from conftest import heat_problem
 from test_assembly import cardinal_polys, condition_1norm, loop_matvec, simpson_weights, toarray
 
@@ -230,12 +231,18 @@ def test_fixed_interval_with_constant_diffusion_is_dense_crank_nicolson(k):
     # on (0, 1) with a constant a and f = 0 the scheme is plain Crank-Nicolson
     # Galerkin, [M/d + aK/2] V^n = [M/d - aK/2] V^(n-1) on the interior dofs,
     # whose M-norm never grows; one element (k >= 2) has fewer than 2k + 1
-    # dofs, so its bands take the padded BLAS product
+    # dofs, so its bands take the padded BLAS product, and CONDENSE_MIN_ELEMENTS
+    # quadratic elements are solved by static condensation
     for nt in (6, 1) if k > 1 else (6,):
         check_dense_crank_nicolson(nt, k)
+    if k == 2:
+        check_dense_crank_nicolson(CONDENSE_MIN_ELEMENTS, k, condition_scaled=True)
 
 
-def check_dense_crank_nicolson(nt, k):
+def check_dense_crank_nicolson(nt, k, condition_scaled=False):
+    # the levels agree within 1e-12 of max|v|, or, on a mesh whose LHS is too
+    # ill-conditioned for that (kappa_1 = 2e4 at 1,023 unknowns, where dgbsv
+    # drifts by 2.3e-11), within the last-bit rule summed over the 20 steps
     a, delta = 0.7, 0.01
     p = replace(heat_problem(T=0.2), diffusion=(lambda r: a,))
     levels = run_levels(p, build_space(nt, k), delta)
@@ -247,9 +254,11 @@ def check_dense_crank_nicolson(nt, k):
     v = np.sin(np.pi * nodes)
     v[0] = v[-1] = 0.0
     assert len(levels) == 21
+    eps = np.finfo(float).eps
+    tol = 20 * LAST_BIT_C * eps * np.linalg.cond(lhs, 1) if condition_scaled else 1e-12
     for level in levels:
         (u,) = level
-        assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+        assert np.max(np.abs(u - v)) <= tol * np.max(np.abs(v))
         v = np.concatenate([[0.0], np.linalg.solve(lhs, rhs @ v[inner]), [0.0]])
     norms = [u @ mass @ u for (u,) in levels]
     assert all(later <= earlier for earlier, later in zip(norms, norms[1:]))
@@ -491,8 +500,10 @@ def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
 
 def loop_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
     """One equation's step in the operand order (M/d + D) - C/2 and
-    (M/d - D) + C/2, applied by a Python loop over the diagonals: the
-    arithmetic of the kernel before it formed per-step bases and used BLAS."""
+    (M/d - D) + C/2, applied by a Python loop over the diagonals and solved
+    by scipy's solve_banded: the arithmetic of the kernel before it formed
+    per-step bases and used BLAS.  Returns the step and the interior LHS
+    band it solved."""
     g = motion.gamma(t_mid)
     c_half = 0.5 * (
         (motion.alpha_prime(t_mid) / g) * ops.conv_const.data
@@ -502,15 +513,16 @@ def loop_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
     diff_half = (0.5 * a_i * motion.coeff_b2(t_mid)) * ops.stiffness.data
     kb = ops.mass.kb
     rhs = loop_matvec(BandedMatrix(m_over_dt - diff_half + c_half, kb), v_prev) + load
+    lhs = BandedMatrix((m_over_dt + diff_half - c_half)[:, 1:-1], kb)
     v_new = np.zeros_like(v_prev)
-    v_new[1:-1] = solve_banded((kb, kb), (m_over_dt + diff_half - c_half)[:, 1:-1], rhs[1:-1])
-    return v_new
+    v_new[1:-1] = solve_banded((kb, kb), lhs.data, rhs[1:-1])
+    return v_new, lhs
 
 
 def kernel_steps(nt, k):
-    """The kernel's result, its LHS band and the arguments of
-    `plain_equation` for six equation steps of example1 with random data;
-    a repeated dt keeps M/dt, a new one recomputes it."""
+    """The kernel's result and the arguments of `plain_equation` for six
+    equation steps of example1 with random data; a repeated dt keeps M/dt,
+    a new one recomputes it."""
     p = example1()
     space = build_space(nt, k)
     ops = assemble_static(space)
@@ -523,12 +535,12 @@ def kernel_steps(nt, k):
             v_prev[[0, -1]] = 0.0
             load = rng.standard_normal(space.n_dofs)
             got = kernel.solve(a_i, v_prev, load, "a test step")
-            yield got, kernel.lhs, (ops, p.motion, t_mid, a_i, dt, v_prev, load)
+            yield got, (ops, p.motion, t_mid, a_i, dt, v_prev, load)
 
 
 @pytest.mark.parametrize("nt,k", [(8, 1), (1, 2), (8, 3), (64, 2)])
 def test_step_kernel_equals_the_plain_expressions(nt, k):
-    for got, _, args in kernel_steps(nt, k):
+    for got, args in kernel_steps(nt, k):
         assert np.array_equal(got, plain_equation(*args))
 
 
@@ -541,12 +553,98 @@ LAST_BIT_C = 10
 def test_step_kernel_moves_last_bits_within_the_condition_scaled_rule(nt, k):
     # a reordered sum moves the bands and the RHS by a few eps of their
     # entries, and the solve amplifies that by at most about kappa_1 of the
-    # LHS band, which is about 3e6 at (4096, 3)
+    # LHS band, which is about 3e6 at (4096, 3), where the kernel solves by
+    # static condensation and forms no band of its own
     eps = np.finfo(float).eps
-    for got, lhs, args in kernel_steps(nt, k):
-        expected = loop_equation(*args)
+    for got, args in kernel_steps(nt, k):
+        expected, lhs = loop_equation(*args)
         bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
         assert np.abs(got - expected).max() <= bound
+
+
+# --- static condensation against the banded solve ----------------------------
+
+
+def linear_motion(alpha_rate, beta_rate):
+    """(0, 1) moving as alpha = alpha_rate t, beta = 1 + beta_rate t, T = 1."""
+    return BoundaryMotion(
+        alpha=lambda t: alpha_rate * t,
+        beta=lambda t: 1.0 + beta_rate * t,
+        alpha_prime=lambda t: alpha_rate,
+        beta_prime=lambda t: beta_rate,
+        T=1.0,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(nt=st.integers(1, 16), k=st.integers(1, 6))
+def test_convection_has_the_symmetric_parts_of_integration_by_parts(nt, k):
+    # on the Dirichlet interior phi_i phi_j vanishes at both ends, so
+    # int (phi_i phi_j)' = 0 and int y (phi_i phi_j)' = -int phi_i phi_j:
+    # sym(conv_const) = 0 and sym(conv_linear) = -M/2, the premise of the
+    # step kernel's condensation guard
+    ops = assemble_static(build_space(nt, k))
+    inner = slice(1, -1)
+    tol = 128 * np.finfo(float).eps
+    c0, c1 = (toarray(band) for band in (ops.conv_const, ops.conv_linear))
+    mass = toarray(ops.mass)[inner, inner]
+    assert np.abs(c0[inner, inner] + c0[inner, inner].T).max(initial=0.0) <= tol * np.abs(c0).max()
+    assert np.abs(c1[inner, inner] + c1[inner, inner].T + mass).max(initial=0.0) <= tol * np.abs(c1).max()
+
+
+@pytest.mark.parametrize("shrinking", [False, True])
+@pytest.mark.parametrize("nt,k", [(CONDENSE_MIN_ELEMENTS, k) for k in range(2, 7)] + [(4096, 3)])
+def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking):
+    # random coefficients inside the guard, 4 gamma + dt gamma' > 0 and
+    # a_i > 0; the condensed solve must agree with solve_banded on the same
+    # interior band and RHS within the last-bit rule
+    rng = np.random.default_rng(nt + 10 * k + shrinking)
+    space = build_space(nt, k)
+    ops = assemble_static(space)
+    kernel = StepKernel(ops)
+    eps = np.finfo(float).eps
+    for _ in range(2):
+        rate = rng.uniform(0.2, 1.0)
+        motion = linear_motion(rng.uniform(-1.0, 1.0), -rate if shrinking else rate)
+        t_mid, dt, a_i = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05), rng.uniform(0.05, 5.0)
+        kernel.begin_step(replace(zero_problem(), motion=motion), t_mid, dt)
+        assert kernel.condense
+        v_prev = rng.standard_normal(space.n_dofs)
+        v_prev[[0, -1]] = 0.0
+        load = rng.standard_normal(space.n_dofs)
+        got = kernel.solve(a_i, v_prev, load, "a test step")
+        lhs = BandedMatrix(kernel.lhs_base + (0.5 * a_i * kernel.b2) * ops.stiffness.data[:, 1:-1], k)
+        rhs = kernel.rhs_op.matvec(v_prev) + load
+        expected = solve_banded((k, k), lhs.data, rhs[1:-1])
+        bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
+        assert got[0] == got[-1] == 0.0
+        assert np.abs(got[1:-1] - expected).max() <= bound
+
+
+def test_a_pinching_step_takes_the_banded_solve():
+    # gamma = 1e-6 + (1 - t)^2 is a valid motion, but at t = 0.9985 with
+    # dt = 0.005, 4 gamma + dt gamma' = -2e-6: the interior LHS may lose
+    # its positive-definite symmetric part, so the kernel keeps dgbsv
+    motion = BoundaryMotion(
+        alpha=lambda t: 0.0,
+        beta=lambda t: 1e-6 + (1.0 - t) ** 2,
+        alpha_prime=lambda t: 0.0,
+        beta_prime=lambda t: -2.0 * (1.0 - t),
+        T=1.0,
+    )
+    p = replace(zero_problem(), motion=motion)
+    space = build_space(CONDENSE_MIN_ELEMENTS, 2)
+    ops = assemble_static(space)
+    kernel = StepKernel(ops)
+    rng = np.random.default_rng(3)
+    for t_mid, condensed in ((0.5, True), (0.9985, False)):
+        kernel.begin_step(p, t_mid, 0.005)
+        assert kernel.condense is condensed
+    v_prev = rng.standard_normal(space.n_dofs)
+    v_prev[[0, -1]] = 0.0
+    load = rng.standard_normal(space.n_dofs)
+    got = kernel.solve(1.3, v_prev, load, "a test step")
+    assert np.array_equal(got, plain_equation(ops, motion, 0.9985, 1.3, 0.005, v_prev, load))
 
 
 def counted_motion(motion, counts):
@@ -590,8 +688,9 @@ def test_motion_calls_per_advance_do_not_grow_with_ne():
 
 def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
     # the pattern the traced benchmark checks: ne banded solves and ne load
-    # assemblies per advance, 2 ne solves and ne loads in the bootstrap
-    counts = {"solve": 0, "load": 0}
+    # assemblies per advance, 2 ne solves and ne loads in the bootstrap, on
+    # either solve path
+    counts = {"solve": 0, "load": 0, "condensed": 0}
     steps = []
 
     def counting(key, fn):
@@ -612,13 +711,21 @@ def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
 
     monkeypatch.setattr(BandedMatrix, "solve", counting("solve", BandedMatrix.solve))
     monkeypatch.setattr(stepper, "assemble_load", counting("load", stepper.assemble_load))
+    monkeypatch.setattr(stepper, "_solve_condensed", counting("condensed", stepper._solve_condensed))
     for name in ("bootstrap_first_step", "advance"):
         monkeypatch.setattr(stepper, name, recording(getattr(stepper, name)))
-    for p, delta in ((replace(example1(), T=0.1), 0.01), (three_equation_problem((0, 1, 2)), 0.02)):
+    cases = (
+        (replace(example1(), T=0.1), 4, 0.01),
+        (three_equation_problem((0, 1, 2)), 4, 0.02),
+        (replace(example1(), T=0.1), CONDENSE_MIN_ELEMENTS, 0.01),
+    )
+    for p, nt, delta in cases:
         steps.clear()
-        run(p, build_space(4, 2), delta)
+        condensed = counts["condensed"]
+        run(p, build_space(nt, 2), delta)
         ne = p.ne
         assert steps == [("bootstrap_first_step", 2 * ne, ne)] + [("advance", ne, ne)] * 9
+        assert counts["condensed"] - condensed == (11 * ne if nt >= CONDENSE_MIN_ELEMENTS else 0)
 
 
 def implicit_final_level(p, space, delta):
@@ -738,5 +845,17 @@ def test_non_finite_solution_names_step_time_and_equation():
     # a declared diffusion of 1e308 overflows the second equation's bands
     p = second_equation_diffusion(1e308)
     space = build_space(4, 2)
+    with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
+        run(p, space, 0.01)
+
+
+def test_an_overflow_on_the_condensed_path_is_a_non_finite_solution():
+    # the same overflow on a mesh the kernel condenses: the elimination's
+    # inf and NaN reach the solution, not a numpy warning
+    p = second_equation_diffusion(1e308)
+    space = build_space(CONDENSE_MIN_ELEMENTS, 2)
+    kernel = StepKernel(assemble_static(space))
+    kernel.begin_step(p, 0.005, 0.01)
+    assert kernel.condense
     with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
         run(p, space, 0.01)
