@@ -83,24 +83,32 @@ class BandedMatrix:
         return x
 
 
-def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray) -> None:
-    """Solve the Dirichlet-interior system of `a`, the full-width band of
-    nt degree-k Lagrange elements (kb == k, n = nt k + 1), by static
-    condensation; x[1:-1] receives the solution and x[0] = x[-1] = 0 are
-    read as the boundary values.
+def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray, systems: int) -> None:
+    """Solve the Dirichlet-interior systems of `a` by static condensation.
+
+    `a` is the full-width band of `systems` systems laid end to end, each
+    of nt degree-k Lagrange elements (kb == k, n = systems nt k + 1), so
+    system i owns columns i nt k .. (i + 1) nt k and shares its boundary
+    columns with its neighbours.  x[1:-1] receives the solutions, and the
+    boundary entries x[i nt k], which must be 0, are read as the boundary
+    values.
 
     The k - 1 interior dofs of every element are eliminated first, without
-    pivoting, one local pivot at a time over all elements at once: entry
-    (r, c) of every element block is the length-nt strided view
+    pivoting, one local pivot at a time over the elements of all systems at
+    once: entry (r, c) of every element block is the strided view
     a.data[k + r - c, c::k], and only the vertex diagonals are shared
-    between elements.  That leaves the tridiagonal Schur complement on
-    the nt - 1 interior vertices, rows 0, k and 2k of the vertex columns,
-    solved by one `BandedMatrix.solve`; back-substitution gives the
-    interior dofs.  Elimination without pivoting needs nonsingular element
-    blocks and Schur complement, which a positive-definite symmetric part
-    of the interior matrix guarantees.  The boundary rows and columns of
-    the band must be finite: they are updated alongside and multiply
-    x[0] = x[-1] = 0.  Overwrites a.data and rhs; work is (2, k, nt) scratch.
+    between elements.  That leaves, per system, the tridiagonal Schur
+    complement on its nt - 1 interior vertices (rows 0, k and 2k of the
+    vertex columns), solved by one `BandedMatrix.solve`; back-substitution
+    gives the interior dofs.  Elimination without pivoting needs nonsingular
+    element blocks and Schur complements, which a positive-definite
+    symmetric part of each interior matrix guarantees.  A boundary column
+    is read only in products with its x = 0, and only in its rows 1..k-1
+    by the elements to its left and rows k+1..2k-1 by those to its right,
+    so those entries must be finite: a NaN there would reach the system
+    that reads them.  A singular vertex system is a LinAlgError whose
+    `system` attribute is its index.  Overwrites a.data and rhs; work is
+    (2, k, systems nt) scratch.
     """
     d, k = a.data, a.kb
     nt = (a.n - 1) // k
@@ -129,7 +137,14 @@ def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.n
         np.multiply(mult[: m + 1], b[p], out=prod[: m + 1])
         np.subtract(b[p + 1 :], prod[:m], out=b[p + 1 :])
         np.subtract(b[0], prod[m], out=b[0])
-    x[k:span:k] = BandedMatrix(d[::k, k:span:k], 1).solve(rhs[k:span:k])
+    own = span // systems
+    for i in range(systems):
+        vertices = slice(i * own + k, (i + 1) * own, k)
+        try:
+            x[vertices] = BandedMatrix(d[::k, vertices], 1).solve(rhs[vertices])
+        except LinAlgError as exc:
+            exc.system = i
+            raise
     term = prod[0]
     for p in range(k - 1, 0, -1):
         np.multiply(d[k + p, 0:span:k], u[0], out=term)

@@ -39,9 +39,9 @@ from .geometry import time_tolerance
 
 __all__ = ["SchemeState", "RunResult", "StepKernel", "initialize", "bootstrap_first_step", "advance", "run"]
 
-# Elements from which StepKernel may solve by static condensation instead of
-# dgbsv: demos/condensation_crossover.py measures the crossover (README,
-# "Performance").
+# Elements, counted over all equations, from which StepKernel may solve a step
+# by static condensation instead of dgbsv: demos/condensation_crossover.py
+# measures the crossover (README, "Performance").
 CONDENSE_MIN_ELEMENTS = 512
 
 
@@ -100,44 +100,44 @@ class StepKernel:
     in which only a_i b2/2 differs between equations.  `begin_step` forms
     the bases M/d - C/2 (`lhs_base` is its interior) and M/d + C/2 once per
     step (M/d once per d); each equation writes D = (a_i b2/2) K into a
-    scratch band, sets its bands to base + D and base - D, in that operand
-    order, and applies the RHS band by BLAS `dgbmv` (README, "Performance",
-    states the rule its last bits follow).  The arrays are Fortran-ordered
-    like the operator bands, so an interior column slice is contiguous.
+    band, sets its bands to base + D and base - D, in that operand order,
+    and applies the RHS band by BLAS `dgbmv` (README, "Performance", states
+    the rule its last bits follow).  The arrays are Fortran-ordered like
+    the operator bands, so an interior column slice is contiguous.
 
-    The interior system is solved one of two ways.  By default its band is
-    written to `lhs` and solved by LAPACK `dgbsv`.  On meshes of at least
-    CONDENSE_MIN_ELEMENTS elements of degree k >= 2, an equation whose step
-    has 4 gamma + dt gamma' > 0 and whose a_i > 0 is solved by static
-    condensation instead (`assembly._solve_condensed`): its full-width LHS
-    band goes to the scratch band, the element-interior dofs are eliminated
-    without pivoting, and one tridiagonal solve on the vertices remains.
-    Both conditions make the symmetric part of the interior LHS,
-    M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K, positive definite (the
-    symmetric parts of conv_const and conv_linear there are 0 and -M/2),
-    so no pivot can vanish.  Either way a step makes one
-    `BandedMatrix.solve` call per equation.
+    `solve_all` solves a step's ne interior systems one of two ways.  When
+    k >= 2, ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and
+    every a_i > 0, it condenses them all at once: the ne full-width LHS
+    bands are written end to end into one band of ne nt k + 1 columns,
+    neighbours sharing their boundary column, and
+    `assembly._solve_condensed` eliminates the element-interior dofs of all
+    ne nt elements without pivoting, then solves each equation's
+    tridiagonal vertex system.  The last two conditions make the symmetric
+    part of each interior LHS, M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K,
+    positive definite (the symmetric parts of conv_const and conv_linear
+    there are 0 and -M/2), so no pivot can vanish.  Otherwise every
+    equation takes `solve`, LAPACK `dgbsv` on its interior band.  Either
+    way a step makes one `BandedMatrix.solve` call per equation.  Each
+    path's work arrays are allocated when it first runs.
     """
 
     def __init__(self, ops: OperatorSet):
-        kb = ops.mass.kb
         self.space = ops.space
         self.weights = ops.nonlocal_weights
         self.mass = ops.mass.data
         self.stiffness = ops.stiffness.data
         self.conv_const = ops.conv_const.data
         self.conv_linear = ops.conv_linear.data
-        width, n = self.mass.shape
+        self.kb = ops.mass.kb
         self.dt = self.gamma = self.b2 = self.loads = None
         self.condense = False
-        self.m_over_dt, self.rhs_base, self.lhs_base_full, self.scratch, rhs_band = (
-            np.empty((width, n), order="F") for _ in range(5)
+        self.m_over_dt, self.rhs_base, self.lhs_base_full, rhs_band = (
+            np.empty(self.mass.shape, order="F") for _ in range(4)
         )
         self.lhs_base = self.lhs_base_full[:, 1:-1]
-        self.rhs_op = BandedMatrix(rhs_band, kb)
-        self.lhs = BandedMatrix(np.empty((width, n - 2), order="F"), kb)
-        nt = self.space.n_elements
-        self.condense_work = np.empty((2, kb, nt)) if kb >= 2 and nt >= CONDENSE_MIN_ELEMENTS else None
+        self.rhs_op = BandedMatrix(rhs_band, self.kb)
+        self.scratch = self.lhs = None  # the banded path's D and LHS band
+        self.stack = self.stack_rhs = self.work = None  # the condensed path's
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
         """Set M/dt (if dt changed), the bases M/dt -+ C/2, b2, gamma and the
@@ -149,9 +149,10 @@ class StepKernel:
         g = self.gamma = motion.gamma(t_mid)
         gp = motion.gamma_prime(t_mid)
         self.b2 = motion.coeff_b2(t_mid)
-        self.condense = self.condense_work is not None and 4.0 * g + dt * gp > 0.0
-        # C/2 goes in the scratch band, its second term in the RHS band; each equation overwrites both
-        c_half = self.scratch
+        large = self.kb >= 2 and problem.ne * self.space.n_elements >= CONDENSE_MIN_ELEMENTS
+        self.condense = large and 4.0 * g + dt * gp > 0.0
+        # C/2 goes in rhs_base, its second term in the RHS band, which each equation overwrites
+        c_half = self.rhs_base
         np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=c_half)
         np.multiply(gp / (2.0 * g), self.conv_linear, out=self.rhs_op.data)
         np.add(c_half, self.rhs_op.data, out=c_half)
@@ -162,20 +163,19 @@ class StepKernel:
             self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
 
     def solve(self, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
-        """V^(n) of one equation from V^(n-1), its load and its diffusion
-        coefficient; `where` names the step and equation in errors."""
+        """V^(n) of one equation by `dgbsv` from V^(n-1), its load and its
+        diffusion coefficient; `where` names the step and equation in errors."""
+        if self.lhs is None:
+            self.scratch = np.empty_like(self.rhs_base, order="F")
+            self.lhs = BandedMatrix(np.empty_like(self.lhs_base, order="F"), self.kb)
         diff_half = self.scratch
         np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
         np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
         rhs = self.rhs_op.matvec(v_prev) + load
+        np.add(self.lhs_base, diff_half[:, 1:-1], out=self.lhs.data)
         v_new = np.zeros(len(v_prev))
         try:
-            if self.condense and a_i > 0.0:
-                np.add(self.lhs_base_full, diff_half, out=diff_half)
-                _solve_condensed(BandedMatrix(diff_half, self.lhs.kb), rhs, v_new, self.condense_work)
-            else:
-                np.add(self.lhs_base, diff_half[:, 1:-1], out=self.lhs.data)
-                v_new[1:-1] = self.lhs.solve(rhs[1:-1])
+            v_new[1:-1] = self.lhs.solve(rhs[1:-1])
         except LinAlgError as exc:
             raise RuntimeError(f"singular Crank-Nicolson system at {where} ({exc})") from exc
         if not np.isfinite(v_new).all():
@@ -183,16 +183,50 @@ class StepKernel:
         v_new.flags.writeable = False
         return v_new
 
+    def solve_condensed(self, a, v_prev, label: str) -> tuple[np.ndarray, ...]:
+        """V^(n) of every equation, the coefficients a[i], by one static
+        condensation over the ne LHS bands laid end to end; `label` names
+        the step in errors."""
+        ne, kb = len(a), self.kb
+        n = len(v_prev[0])
+        span = n - 1
+        if self.stack is None or self.stack.shape[1] != ne * span + 1:
+            self.stack = np.empty((2 * kb + 1, ne * span + 1), order="F")
+            self.stack_rhs = np.empty(ne * span + 1)
+            self.work = np.empty((2, kb, ne * (span // kb)))
+        band, rhs = self.stack, self.stack_rhs
+        for i, a_i in enumerate(a):
+            window = slice(i * span, i * span + n)
+            diff_half = band[:, window]
+            np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
+            np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
+            np.add(self.rhs_op.matvec(v_prev[i]), self.loads[i], out=rhs[window])
+            np.add(self.lhs_base_full, diff_half, out=diff_half)
+        # a shared column holds the right neighbour's band corner, s 0 with
+        # s = a_i b2/2, which is NaN when s overflows; the equation on the
+        # left reads rows 1..k-1 of it, so they are set to the 0 of a finite s
+        band[:kb, span:-1:span] = 0.0
+        x = np.zeros(ne * span + 1)
+        try:
+            _solve_condensed(BandedMatrix(band, kb), rhs, x, self.work, ne)
+        except LinAlgError as exc:
+            raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {exc.system} ({exc})") from exc
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // span}")
+        x.flags.writeable = False
+        return tuple(x[i * span : i * span + n] for i in range(ne))
+
     def solve_all(self, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
         """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
-        `label` names the step in errors.  An overflow in the band arithmetic
-        is reported by the non-finite-solution check alone."""
-        new = []
+        `label` names the step in errors.  Every a_i is computed before the
+        first solve.  An overflow in the band arithmetic is reported by the
+        non-finite-solution check alone."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(problem.ne):
-                a_i = diffusion_scalar(problem, i, nonlocal_values)
-                new.append(self.solve(a_i, v_prev[i], self.loads[i], f"{label}, equation {i}"))
-        return tuple(new)
+            a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
+            if self.condense and min(a) > 0.0:
+                return self.solve_condensed(a, v_prev, label)
+            return tuple([self.solve(a[i], v_prev[i], self.loads[i], f"{label}, equation {i}") for i in range(problem.ne)])
 
 
 def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:

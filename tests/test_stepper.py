@@ -11,7 +11,7 @@ from scipy.linalg import solve_banded
 from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem import stepper
-from mbfem.assembly import BandedMatrix, assemble_static, nonlocal_value
+from mbfem.assembly import BandedMatrix, _solve_condensed, assemble_static, nonlocal_value
 from mbfem.geometry import BoundaryMotion
 from mbfem.cli import parse_problem
 from mbfem.stepper import CONDENSE_MIN_ELEMENTS, StepKernel, advance, bootstrap_first_step, initialize, level_grid
@@ -480,21 +480,38 @@ def test_run_rejects_bad_delta():
 # --- the step kernel against the plain band expressions ---------------------
 
 
-def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
-    """One equation's step written as plain band expressions in the kernel's
-    operand order, (M/d - C/2) + D and (M/d + C/2) - D with D = (a_i b2/2) K,
-    applied by `BandedMatrix.matvec` and solved by scipy's solve_banded: the
-    arithmetic the kernel must reproduce."""
+def plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load):
+    """One equation's full-width LHS band and RHS as plain band expressions
+    in the kernel's operand order, (M/d - C/2) + D and (M/d + C/2) - D with
+    D = (a_i b2/2) K, the RHS band applied by `BandedMatrix.matvec`."""
     g = motion.gamma(t_mid)
     c_half = (motion.alpha_prime(t_mid) / (2.0 * g)) * ops.conv_const.data + (
         motion.gamma_prime(t_mid) / (2.0 * g)
     ) * ops.conv_linear.data
     m_over_dt = ops.mass.data / dt
     diff_half = (0.5 * a_i * motion.coeff_b2(t_mid)) * ops.stiffness.data
+    rhs = BandedMatrix(m_over_dt + c_half - diff_half, ops.mass.kb).matvec(v_prev) + load
+    return m_over_dt - c_half + diff_half, rhs
+
+
+def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
+    """One equation's step from `plain_bands`, solved by scipy's
+    solve_banded: the arithmetic of the kernel's banded path."""
+    lhs, rhs = plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load)
     kb = ops.mass.kb
-    rhs = BandedMatrix(m_over_dt + c_half - diff_half, kb).matvec(v_prev) + load
     v_new = np.zeros_like(v_prev)
-    v_new[1:-1] = solve_banded((kb, kb), (m_over_dt - c_half + diff_half)[:, 1:-1], rhs[1:-1])
+    v_new[1:-1] = solve_banded((kb, kb), lhs[:, 1:-1], rhs[1:-1])
+    return v_new
+
+
+def plain_condensed(ops, motion, t_mid, a_i, dt, v_prev, load):
+    """One equation's step from `plain_bands`, solved by static condensation
+    of that one system: the arithmetic the kernel's condensed path must
+    reproduce for every equation it lays end to end."""
+    lhs, rhs = plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load)
+    kb = ops.mass.kb
+    v_new = np.zeros_like(v_prev)
+    _solve_condensed(BandedMatrix(lhs, kb), rhs, v_new, np.empty((2, kb, ops.space.n_elements)), 1)
     return v_new
 
 
@@ -553,8 +570,7 @@ LAST_BIT_C = 10
 def test_step_kernel_moves_last_bits_within_the_condition_scaled_rule(nt, k):
     # a reordered sum moves the bands and the RHS by a few eps of their
     # entries, and the solve amplifies that by at most about kappa_1 of the
-    # LHS band, which is about 3e6 at (4096, 3), where the kernel solves by
-    # static condensation and forms no band of its own
+    # LHS band, which is about 3e6 at (4096, 3)
     eps = np.finfo(float).eps
     for got, args in kernel_steps(nt, k):
         expected, lhs = loop_equation(*args)
@@ -592,12 +608,53 @@ def test_convection_has_the_symmetric_parts_of_integration_by_parts(nt, k):
     assert np.abs(c1[inner, inner] + c1[inner, inner].T + mass).max(initial=0.0) <= tol * np.abs(c1).max()
 
 
+def constant_problem(motion, a):
+    """len(a) equations on `motion`, equation i with the constant diffusion
+    coefficient a[i] (declared as its bounds) and zero data."""
+    zero = zero_problem()
+    return replace(
+        zero,
+        ne=len(a),
+        diffusion=tuple((lambda *r, a_i=a_i: a_i) for a_i in a),
+        diffusion_bounds=tuple((a_i, a_i) for a_i in a),
+        forcing=zero.forcing * len(a),
+        initial=zero.initial * len(a),
+        motion=motion,
+    )
+
+
+def random_step(kernel, p, t_mid, dt, rng):
+    """`solve_all` of the kernel's step of p about t_mid from random V^(n-1)
+    and loads (zero at the boundary dofs), with those V^(n-1) and loads."""
+    kernel.begin_step(p, t_mid, dt)
+    v_prev = []
+    for _ in range(p.ne):
+        v = rng.standard_normal(kernel.space.n_dofs)
+        v[[0, -1]] = 0.0
+        v_prev.append(v)
+    kernel.loads = [rng.standard_normal(kernel.space.n_dofs) for _ in range(p.ne)]
+    return kernel.solve_all(p, (0.0,) * p.ne, v_prev, "a test step"), v_prev, kernel.loads
+
+
+@pytest.fixture
+def condensations(monkeypatch):
+    """The number of systems of each `_solve_condensed` call the stepper makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return _solve_condensed(*args)
+
+    monkeypatch.setattr(stepper, "_solve_condensed", counted)
+    return calls
+
+
 @pytest.mark.parametrize("shrinking", [False, True])
 @pytest.mark.parametrize("nt,k", [(CONDENSE_MIN_ELEMENTS, k) for k in range(2, 7)] + [(4096, 3)])
-def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking):
+def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensations):
     # random coefficients inside the guard, 4 gamma + dt gamma' > 0 and
-    # a_i > 0; the condensed solve must agree with solve_banded on the same
-    # interior band and RHS within the last-bit rule
+    # a_i > 0, for two equations condensed in one call; each must agree with
+    # solve_banded on the same interior band and RHS within the last-bit rule
     rng = np.random.default_rng(nt + 10 * k + shrinking)
     space = build_space(nt, k)
     ops = assemble_static(space)
@@ -606,22 +663,21 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking):
     for _ in range(2):
         rate = rng.uniform(0.2, 1.0)
         motion = linear_motion(rng.uniform(-1.0, 1.0), -rate if shrinking else rate)
-        t_mid, dt, a_i = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05), rng.uniform(0.05, 5.0)
-        kernel.begin_step(replace(zero_problem(), motion=motion), t_mid, dt)
-        assert kernel.condense
-        v_prev = rng.standard_normal(space.n_dofs)
-        v_prev[[0, -1]] = 0.0
-        load = rng.standard_normal(space.n_dofs)
-        got = kernel.solve(a_i, v_prev, load, "a test step")
-        lhs = BandedMatrix(kernel.lhs_base + (0.5 * a_i * kernel.b2) * ops.stiffness.data[:, 1:-1], k)
-        rhs = kernel.rhs_op.matvec(v_prev) + load
-        expected = solve_banded((k, k), lhs.data, rhs[1:-1])
-        bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
-        assert got[0] == got[-1] == 0.0
-        assert np.abs(got[1:-1] - expected).max() <= bound
+        t_mid, dt = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05)
+        a = rng.uniform(0.05, 5.0, size=2).tolist()
+        got, v_prev, loads = random_step(kernel, constant_problem(motion, a), t_mid, dt, rng)
+        for a_i, v, load, u in zip(a, v_prev, loads, got):
+            diff_half = (0.5 * a_i * kernel.b2) * ops.stiffness.data
+            lhs = BandedMatrix(kernel.lhs_base + diff_half[:, 1:-1], k)
+            rhs = BandedMatrix(kernel.rhs_base - diff_half, k).matvec(v) + load
+            expected = solve_banded((k, k), lhs.data, rhs[1:-1])
+            bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
+            assert u[0] == u[-1] == 0.0
+            assert np.abs(u[1:-1] - expected).max() <= bound
+    assert condensations == [2, 2]
 
 
-def test_a_pinching_step_takes_the_banded_solve():
+def test_a_pinching_step_takes_the_banded_solve(condensations):
     # gamma = 1e-6 + (1 - t)^2 is a valid motion, but at t = 0.9985 with
     # dt = 0.005, 4 gamma + dt gamma' = -2e-6: the interior LHS may lose
     # its positive-definite symmetric part, so the kernel keeps dgbsv
@@ -632,19 +688,48 @@ def test_a_pinching_step_takes_the_banded_solve():
         beta_prime=lambda t: -2.0 * (1.0 - t),
         T=1.0,
     )
-    p = replace(zero_problem(), motion=motion)
+    p = constant_problem(motion, (1.3,))
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     ops = assemble_static(space)
     kernel = StepKernel(ops)
     rng = np.random.default_rng(3)
-    for t_mid, condensed in ((0.5, True), (0.9985, False)):
-        kernel.begin_step(p, t_mid, 0.005)
-        assert kernel.condense is condensed
-    v_prev = rng.standard_normal(space.n_dofs)
-    v_prev[[0, -1]] = 0.0
-    load = rng.standard_normal(space.n_dofs)
-    got = kernel.solve(1.3, v_prev, load, "a test step")
-    assert np.array_equal(got, plain_equation(ops, motion, 0.9985, 1.3, 0.005, v_prev, load))
+    for t_mid, condensed, reference in ((0.5, [1], plain_condensed), (0.9985, [], plain_equation)):
+        condensations.clear()
+        (got,), (v_prev,), (load,) = random_step(kernel, p, t_mid, 0.005, rng)
+        assert condensations == condensed
+        assert np.array_equal(got, reference(ops, motion, t_mid, 1.3, 0.005, v_prev, load))
+
+
+@pytest.mark.parametrize("nt,k,a", [(CONDENSE_MIN_ELEMENTS, 2, (0.4, 1.7, 3.1)), (4096, 3, (0.9, 2.2))])
+def test_condensing_equations_end_to_end_equals_condensing_each_alone(nt, k, a, condensations):
+    # the bands laid end to end share only their boundary columns, which
+    # meet nothing but x = 0, so every equation gets the bits of its own
+    # single-system condensation; the vectors are the state's, read-only
+    motion = linear_motion(0.3, 0.6)
+    space = build_space(nt, k)
+    ops = assemble_static(space)
+    got, v_prev, loads = random_step(StepKernel(ops), constant_problem(motion, a), 0.2, 0.01, np.random.default_rng(nt))
+    assert condensations == [len(a)]
+    for a_i, v, load, u in zip(a, v_prev, loads, got):
+        assert np.array_equal(u, plain_condensed(ops, motion, 0.2, a_i, 0.01, v, load))
+        assert u[0] == u[-1] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            u[1] = 1.0
+
+
+def test_a_zero_diffusion_coefficient_takes_the_banded_solve_for_every_equation(condensations):
+    # a_1 = 0 leaves the second interior LHS without the stiffness term its
+    # positive-definite symmetric part needs, so no equation is condensed
+    # and every one keeps dgbsv, bit for bit
+    a = (1.3, 0.0, 0.7)
+    motion = linear_motion(0.3, 0.6)
+    space = build_space(CONDENSE_MIN_ELEMENTS, 2)
+    ops = assemble_static(space)
+    kernel = StepKernel(ops)
+    got, v_prev, loads = random_step(kernel, constant_problem(motion, a), 0.2, 0.01, np.random.default_rng(5))
+    assert kernel.condense and condensations == []
+    for a_i, v, load, u in zip(a, v_prev, loads, got):
+        assert np.array_equal(u, plain_equation(ops, motion, 0.2, a_i, 0.01, v, load))
 
 
 def counted_motion(motion, counts):
@@ -689,7 +774,9 @@ def test_motion_calls_per_advance_do_not_grow_with_ne():
 def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
     # the pattern the traced benchmark checks: ne banded solves and ne load
     # assemblies per advance, 2 ne solves and ne loads in the bootstrap, on
-    # either solve path
+    # either solve path; a condensed step condenses its ne equations in one
+    # call, and the rule counts the elements of all equations, so three
+    # equations of CONDENSE_MIN_ELEMENTS / 2 elements are condensed
     counts = {"solve": 0, "load": 0, "condensed": 0}
     steps = []
 
@@ -718,6 +805,7 @@ def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
         (replace(example1(), T=0.1), 4, 0.01),
         (three_equation_problem((0, 1, 2)), 4, 0.02),
         (replace(example1(), T=0.1), CONDENSE_MIN_ELEMENTS, 0.01),
+        (three_equation_problem((0, 1, 2)), CONDENSE_MIN_ELEMENTS // 2, 0.02),
     )
     for p, nt, delta in cases:
         steps.clear()
@@ -725,7 +813,7 @@ def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
         run(p, build_space(nt, 2), delta)
         ne = p.ne
         assert steps == [("bootstrap_first_step", 2 * ne, ne)] + [("advance", ne, ne)] * 9
-        assert counts["condensed"] - condensed == (11 * ne if nt >= CONDENSE_MIN_ELEMENTS else 0)
+        assert counts["condensed"] - condensed == (11 if ne * nt >= CONDENSE_MIN_ELEMENTS else 0)
 
 
 def implicit_final_level(p, space, delta):
@@ -849,13 +937,50 @@ def test_non_finite_solution_names_step_time_and_equation():
         run(p, space, 0.01)
 
 
-def test_an_overflow_on_the_condensed_path_is_a_non_finite_solution():
+def test_an_overflow_on_the_condensed_path_is_a_non_finite_solution(condensations):
     # the same overflow on a mesh the kernel condenses: the elimination's
     # inf and NaN reach the solution, not a numpy warning
     p = second_equation_diffusion(1e308)
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     kernel = StepKernel(assemble_static(space))
     kernel.begin_step(p, 0.005, 0.01)
-    assert kernel.condense
+    v0 = initialize(space, p, 0.01).current
+    l_init = [nonlocal_value(kernel.weights, v, p.motion.gamma(0.0)) for v in v0]
     with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
-        run(p, space, 0.01)
+        kernel.solve_all(p, l_init, v0, "the predictor of step 1 (t=0.01)")
+    assert condensations == [2]
+
+
+def test_an_overflowing_coefficient_is_named_not_its_neighbour(condensations):
+    # on (0, 1/2) b2 = 4, so s = a_1 b2/2 itself overflows and the second
+    # band's corner s 0, in the column it shares with the first band, is
+    # NaN; the first equation reads that column and must not see it
+    p = replace(second_equation_diffusion(1.7e308), motion=fixed_interval(0.0, 0.5, T=3.0))
+    with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
+        run(p, build_space(CONDENSE_MIN_ELEMENTS, 2), 0.01)
+    assert condensations == [2]
+
+
+def test_a_singular_vertex_system_names_step_time_and_equation(condensations):
+    # mass I, no convection and a stiffness of +1 on the element-interior
+    # and -1 on the vertex diagonals: at dt = 1/2 and b2 = 1 every
+    # element-interior pivot is 2 + a_i/2 and every vertex diagonal of the
+    # Schur complement 2 - a_i/2, zero for a_1 = 4 alone
+    nt, k = CONDENSE_MIN_ELEMENTS, 2
+    space = build_space(nt, k)
+    ops = assemble_static(space)
+    mass, stiffness, zero = (np.zeros_like(ops.mass.data) for _ in range(3))
+    mass[k] = 1.0
+    stiffness[k] = 1.0
+    stiffness[k, ::k] = -1.0
+    fake = replace(
+        ops,
+        mass=BandedMatrix(mass, k),
+        stiffness=BandedMatrix(stiffness, k),
+        conv_const=BandedMatrix(zero, k),
+        conv_linear=BandedMatrix(zero, k),
+    )
+    p = constant_problem(fixed_interval(0.0, 1.0, T=1.0), (1.0, 4.0))
+    with pytest.raises(RuntimeError, match=rf"singular Crank-Nicolson system at the predictor of step 1 \(t=0\.5\), equation 1 \(zero pivot at unknown 1 of {nt - 1}\)$"):
+        bootstrap_first_step(initialize(space, p, 0.5), StepKernel(fake), p)
+    assert condensations == [2]
