@@ -1,9 +1,10 @@
 """Time a whole step's ne solves on both of the step kernel's solve paths.
 
-`StepKernel.solve_all` solves a step's ne interior systems either one at a
-time by LAPACK `dgbsv` on each band, or all at once by static condensation
-(the ne bands laid end to end, the element-interior dofs of all ne nt
-elements eliminated together, then one tridiagonal solve per equation).
+`StepKernel.solve_all` lays a step's ne bands end to end in one band, then
+solves their interior systems either one at a time by LAPACK `dgbsv` on
+each equation's window, or all at once by static condensation (the
+element-interior dofs of all ne nt elements eliminated together, then one
+tridiagonal solve per equation).
 This script times `solve_all` on both paths for ne = 1, 2 and 8 equations,
 degrees k = 1..6 and meshes of 32..4096 elements, on example2's motion at
 t = 0.1 with dt = 0.005 and a distinct constant a_i per equation, and marks

@@ -92,33 +92,33 @@ class StepKernel:
     Every moving-domain quantity of a step is a function of t alone, so
     `begin_step` evaluates the motion once, at the step's midpoint: the
     width gamma of the nonlocal values, b2, C and the quadrature points of
-    the ne loads.  Per equation a step needs the interior LHS band and the full RHS band
+    the ne loads.  Per equation a step needs the LHS and RHS bands
 
         M/d + (a_i b2 K - C)/2 = (M/d - C/2) + (a_i b2/2) K,
         M/d - (a_i b2 K - C)/2 = (M/d + C/2) - (a_i b2/2) K,
 
     in which only a_i b2/2 differs between equations.  `begin_step` forms
-    the bases M/d - C/2 (`lhs_base` is its interior) and M/d + C/2 once per
-    step (M/d once per d); each equation writes D = (a_i b2/2) K into a
-    band, sets its bands to base + D and base - D, in that operand order,
-    and applies the RHS band by BLAS `dgbmv` (README, "Performance", states
-    the rule its last bits follow).  The arrays are Fortran-ordered like
-    the operator bands, so an interior column slice is contiguous.
+    the bases M/d - C/2 and M/d + C/2 once per step (M/d once per d).
+    `solve_all` lays the ne full-width LHS bands end to end in one band
+    `stack` of ne nt k + 1 columns, neighbours sharing their boundary
+    column: each equation writes D = (a_i b2/2) K into its window, sets the
+    RHS band to base - D and the window to base + D, in that operand order,
+    and applies the RHS band by BLAS `dgbmv` into its window of `stack_rhs`
+    (README, "Performance", states the rule its last bits follow).  The
+    arrays are Fortran-ordered like the operator bands, so a column slice
+    is contiguous.
 
-    `solve_all` solves a step's ne interior systems one of two ways.  When
-    k >= 2, ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and
-    every a_i > 0, it condenses them all at once: the ne full-width LHS
-    bands are written end to end into one band of ne nt k + 1 columns,
-    neighbours sharing their boundary column, and
-    `assembly._solve_condensed` eliminates the element-interior dofs of all
-    ne nt elements without pivoting, then solves each equation's
-    tridiagonal vertex system.  The last two conditions make the symmetric
-    part of each interior LHS, M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K,
-    positive definite (the symmetric parts of conv_const and conv_linear
-    there are 0 and -M/2), so no pivot can vanish.  Otherwise every
-    equation takes `solve`, LAPACK `dgbsv` on its interior band.  Either
-    way a step makes one `BandedMatrix.solve` call per equation.  Each
-    path's work arrays are allocated when it first runs.
+    Only the solve of the band differs.  When k >= 2,
+    ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and every
+    a_i > 0, `assembly._solve_condensed` eliminates the element-interior
+    dofs of all ne nt elements without pivoting, then solves each
+    equation's tridiagonal vertex system.  The last two conditions make the
+    symmetric part of each interior LHS, M (1/dt + gamma'/(4 gamma)) +
+    (a_i b2/2) K, positive definite (the symmetric parts of conv_const and
+    conv_linear there are 0 and -M/2), so no pivot can vanish.  Otherwise
+    each equation's interior window is solved by LAPACK `dgbsv`.  Either
+    way a step makes one `BandedMatrix.solve` call per equation, and the
+    ne vectors are read-only views of one solution vector.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -131,13 +131,11 @@ class StepKernel:
         self.kb = ops.mass.kb
         self.dt = self.gamma = self.b2 = self.loads = None
         self.condense = False
-        self.m_over_dt, self.rhs_base, self.lhs_base_full, rhs_band = (
+        self.m_over_dt, self.rhs_base, self.lhs_base, rhs_band = (
             np.empty(self.mass.shape, order="F") for _ in range(4)
         )
-        self.lhs_base = self.lhs_base_full[:, 1:-1]
         self.rhs_op = BandedMatrix(rhs_band, self.kb)
-        self.scratch = self.lhs = None  # the banded path's D and LHS band
-        self.stack = self.stack_rhs = self.work = None  # the condensed path's
+        self.stack = self.stack_rhs = self.work = None
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
         """Set M/dt (if dt changed), the bases M/dt -+ C/2, b2, gamma and the
@@ -156,77 +154,61 @@ class StepKernel:
         np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=c_half)
         np.multiply(gp / (2.0 * g), self.conv_linear, out=self.rhs_op.data)
         np.add(c_half, self.rhs_op.data, out=c_half)
-        np.subtract(self.m_over_dt, c_half, out=self.lhs_base_full)
+        np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
         np.add(self.m_over_dt, c_half, out=self.rhs_base)
         x_q = motion.to_moving(self.space.element_quad_points, t_mid)
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
             self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
 
-    def solve(self, a_i: float, v_prev: np.ndarray, load: np.ndarray, where: str) -> np.ndarray:
-        """V^(n) of one equation by `dgbsv` from V^(n-1), its load and its
-        diffusion coefficient; `where` names the step and equation in errors."""
-        if self.lhs is None:
-            self.scratch = np.empty_like(self.rhs_base, order="F")
-            self.lhs = BandedMatrix(np.empty_like(self.lhs_base, order="F"), self.kb)
-        diff_half = self.scratch
-        np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
-        np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
-        rhs = self.rhs_op.matvec(v_prev) + load
-        np.add(self.lhs_base, diff_half[:, 1:-1], out=self.lhs.data)
-        v_new = np.zeros(len(v_prev))
-        try:
-            v_new[1:-1] = self.lhs.solve(rhs[1:-1])
-        except LinAlgError as exc:
-            raise RuntimeError(f"singular Crank-Nicolson system at {where} ({exc})") from exc
-        if not np.isfinite(v_new).all():
-            raise RuntimeError(f"non-finite solution at {where}")
-        v_new.flags.writeable = False
-        return v_new
-
-    def solve_condensed(self, a, v_prev, label: str) -> tuple[np.ndarray, ...]:
-        """V^(n) of every equation, the coefficients a[i], by one static
-        condensation over the ne LHS bands laid end to end; `label` names
-        the step in errors."""
-        ne, kb = len(a), self.kb
+    def solve_all(self, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
+        """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
+        `label` names the step in errors.  Every a_i is computed before the
+        first solve, and every equation is solved before the solution is
+        checked, so an overflow in the band arithmetic is reported by the
+        non-finite-solution check alone."""
+        ne, kb = problem.ne, self.kb
         n = len(v_prev[0])
         span = n - 1
         if self.stack is None or self.stack.shape[1] != ne * span + 1:
             self.stack = np.empty((2 * kb + 1, ne * span + 1), order="F")
             self.stack_rhs = np.empty(ne * span + 1)
-            self.work = np.empty((2, kb, ne * (span // kb)))
+            self.work = None
         band, rhs = self.stack, self.stack_rhs
-        for i, a_i in enumerate(a):
-            window = slice(i * span, i * span + n)
-            diff_half = band[:, window]
-            np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
-            np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
-            np.add(self.rhs_op.matvec(v_prev[i]), self.loads[i], out=rhs[window])
-            np.add(self.lhs_base_full, diff_half, out=diff_half)
-        # a shared column holds the right neighbour's band corner, s 0 with
-        # s = a_i b2/2, which is NaN when s overflows; the equation on the
-        # left reads rows 1..k-1 of it, so they are set to the 0 of a finite s
-        band[:kb, span:-1:span] = 0.0
-        x = np.zeros(ne * span + 1)
-        try:
-            _solve_condensed(BandedMatrix(band, kb), rhs, x, self.work, ne)
-        except LinAlgError as exc:
-            raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {exc.system} ({exc})") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(ne)]
+            for i, a_i in enumerate(a):
+                window = slice(i * span, i * span + n)
+                diff_half = band[:, window]
+                np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
+                np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
+                np.add(self.rhs_op.matvec(v_prev[i]), self.loads[i], out=rhs[window])
+                np.add(self.lhs_base, diff_half, out=diff_half)
+            x = np.zeros(ne * span + 1)
+            try:
+                if self.condense and min(a) > 0.0:
+                    # a shared column holds the right neighbour's band corner,
+                    # s 0 with s = a_i b2/2, which is NaN when s overflows; the
+                    # equation on the left reads rows 1..k-1 of it, so they are
+                    # set to the 0 of a finite s
+                    band[:kb, span:-1:span] = 0.0
+                    if self.work is None:
+                        self.work = np.empty((2, kb, ne * (span // kb)))
+                    _solve_condensed(BandedMatrix(band, kb), rhs, x, self.work, ne)
+                else:
+                    for i in range(ne):
+                        inner = slice(i * span + 1, (i + 1) * span)
+                        try:
+                            x[inner] = BandedMatrix(band[:, inner], kb).solve(rhs[inner])
+                        except LinAlgError as exc:
+                            exc.system = i
+                            raise
+            except LinAlgError as exc:
+                raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {exc.system} ({exc})") from exc
         finite = np.isfinite(x)
         if not finite.all():
             raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // span}")
         x.flags.writeable = False
         return tuple(x[i * span : i * span + n] for i in range(ne))
-
-    def solve_all(self, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
-        """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
-        `label` names the step in errors.  Every a_i is computed before the
-        first solve.  An overflow in the band arithmetic is reported by the
-        non-finite-solution check alone."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
-            if self.condense and min(a) > 0.0:
-                return self.solve_condensed(a, v_prev, label)
-            return tuple([self.solve(a[i], v_prev[i], self.loads[i], f"{label}, equation {i}") for i in range(problem.ne)])
 
 
 def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
