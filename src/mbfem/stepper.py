@@ -1,13 +1,15 @@
 """Linearized Crank-Nicolson time stepping for the coupled system.
 
-Each step solves, per equation,
+Each step of the scheme takes, per equation,
 
-    [M/d + (a_i b2 K - C)/2] V^(n) = [M/d - (a_i b2 K - C)/2] V^(n-1) + G
+    LHS_i V^(n) = RHS_i V^(n-1) + G,   LHS_i, RHS_i = M/d +- (a_i b2 K - C)/2,
 
 with all coefficients evaluated at the midpoint t_{n-1/2}, where
 C(t) = (alpha'/gamma) conv_const + (gamma'/gamma) conv_linear and a_i is
 the diffusion coefficient at extrapolated nonlocal values
 l(V_bar) = gamma(t_{n-1/2}) * weights . (3/2 V^(n-1) - 1/2 V^(n-2)).
+Since RHS_i = 2M/d - LHS_i, the step is solved in the midpoint form
+LHS_i U = (2M/d) V^(n-1) + G, V^(n) = U - V^(n-1).
 The first step has no V^(-1), so it is bootstrapped with one predictor
 solve (diffusion frozen at the initial nonlocal values) and one
 corrector solve (diffusion at the averaged predictor level).
@@ -92,21 +94,17 @@ class StepKernel:
     Every moving-domain quantity of a step is a function of t alone, so
     `begin_step` evaluates the motion once, at the step's midpoint: the
     width gamma of the nonlocal values, b2, C and the quadrature points of
-    the ne loads.  Per equation a step needs the LHS and RHS bands
-
-        M/d + (a_i b2 K - C)/2 = (M/d - C/2) + (a_i b2/2) K,
-        M/d - (a_i b2 K - C)/2 = (M/d + C/2) - (a_i b2/2) K,
-
-    in which only a_i b2/2 differs between equations.  `begin_step` forms
-    the bases M/d - C/2 and M/d + C/2 once per step (M/d once per d).
-    `solve_all` lays the ne full-width LHS bands end to end in one band
-    `stack` of ne nt k + 1 columns, neighbours sharing their boundary
-    column: each equation writes D = (a_i b2/2) K into its window, sets the
-    RHS band to base - D and the window to base + D, in that operand order,
-    and applies the RHS band by BLAS `dgbmv` into its window of `stack_rhs`
-    (README, "Performance", states the rule its last bits follow).  The
-    arrays are Fortran-ordered like the operator bands, so a column slice
-    is contiguous.
+    the ne loads.  Per equation a step solves the midpoint form
+    [(M/d - C/2) + (a_i b2/2) K] U = (2M/d) V^(n-1) + G, in which only
+    a_i b2/2 differs between equations.  M/d and 2M/d are formed once per
+    d, the base M/d - C/2 once per step by `begin_step`.  `solve_all` lays
+    the ne full-width LHS bands end to end in one band `stack` of
+    ne nt k + 1 columns, neighbours sharing their boundary column: each
+    equation writes D = (a_i b2/2) K into its window and sets the window
+    to base + D, in that operand order, and applies 2M/d by BLAS `dgbmv`
+    into its window of `stack_rhs` (README, "Performance", states the rule
+    its last bits follow).  The arrays are Fortran-ordered like the
+    operator bands, so a column slice is contiguous.
 
     Only the solve of the band differs.  When k >= 2,
     ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and every
@@ -117,7 +115,8 @@ class StepKernel:
     (a_i b2/2) K, positive definite (the symmetric parts of conv_const and
     conv_linear there are 0 and -M/2), so no pivot can vanish.  Otherwise
     each equation's interior window is solved by LAPACK `dgbsv`.  Either
-    way a step makes one `BandedMatrix.solve` call per equation, and the
+    way a step makes one `BandedMatrix.solve` call per equation; each
+    equation's window of the solution then becomes U - V^(n-1), and the
     ne vectors are read-only views of one solution vector.
     """
 
@@ -131,17 +130,16 @@ class StepKernel:
         self.kb = ops.mass.kb
         self.dt = self.gamma = self.b2 = self.loads = None
         self.condense = False
-        self.m_over_dt, self.rhs_base, self.lhs_base, rhs_band = (
-            np.empty(self.mass.shape, order="F") for _ in range(4)
-        )
-        self.rhs_op = BandedMatrix(rhs_band, self.kb)
+        self.m_over_dt, self.lhs_base, two_m_over_dt = (np.empty(self.mass.shape, order="F") for _ in range(3))
+        self.two_m_over_dt = BandedMatrix(two_m_over_dt, self.kb)
         self.stack = self.stack_rhs = self.work = None
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
-        """Set M/dt (if dt changed), the bases M/dt -+ C/2, b2, gamma and the
-        ne loads for a step of length dt about t_mid."""
+        """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma
+        and the ne loads for a step of length dt about t_mid."""
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
+            np.add(self.m_over_dt, self.m_over_dt, out=self.two_m_over_dt.data)
             self.dt = dt
         motion = problem.motion
         g = self.gamma = motion.gamma(t_mid)
@@ -149,13 +147,9 @@ class StepKernel:
         self.b2 = motion.coeff_b2(t_mid)
         large = self.kb >= 2 and problem.ne * self.space.n_elements >= CONDENSE_MIN_ELEMENTS
         self.condense = large and 4.0 * g + dt * gp > 0.0
-        # C/2 goes in rhs_base, its second term in the RHS band, which each equation overwrites
-        c_half = self.rhs_base
-        np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=c_half)
-        np.multiply(gp / (2.0 * g), self.conv_linear, out=self.rhs_op.data)
-        np.add(c_half, self.rhs_op.data, out=c_half)
+        c_half = np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=self.lhs_base)
+        c_half += (gp / (2.0 * g)) * self.conv_linear
         np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
-        np.add(self.m_over_dt, c_half, out=self.rhs_base)
         x_q = motion.to_moving(self.space.element_quad_points, t_mid)
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
             self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
@@ -180,9 +174,8 @@ class StepKernel:
                 window = slice(i * span, i * span + n)
                 diff_half = band[:, window]
                 np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
-                np.subtract(self.rhs_base, diff_half, out=self.rhs_op.data)
-                np.add(self.rhs_op.matvec(v_prev[i]), self.loads[i], out=rhs[window])
                 np.add(self.lhs_base, diff_half, out=diff_half)
+                np.add(self.two_m_over_dt.matvec(v_prev[i]), self.loads[i], out=rhs[window])
             x = np.zeros(ne * span + 1)
             try:
                 if self.condense and min(a) > 0.0:
@@ -204,6 +197,8 @@ class StepKernel:
                             raise
             except LinAlgError as exc:
                 raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {exc.system} ({exc})") from exc
+            for i in range(ne):
+                x[i * span : i * span + n] -= v_prev[i]
         finite = np.isfinite(x)
         if not finite.all():
             raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // span}")

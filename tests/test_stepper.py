@@ -432,6 +432,14 @@ def test_observer_vectors_are_read_only():
     run(p, space, 0.25, observers=[vandal])
 
 
+def assert_zero_boundaries_and_read_only(v):
+    """The invariant of every stored vector: boundary entries +0.0 (as the
+    snapshot text shows them), and no writes."""
+    assert v[0] == v[-1] == 0.0 and not np.signbit(v[[0, -1]]).any()
+    with pytest.raises(ValueError, match="read-only"):
+        v[1] = 1.0
+
+
 def test_state_vectors_are_read_only_and_observers_get_them():
     p = example1()
     space = build_space(4, 2)
@@ -441,8 +449,7 @@ def test_state_vectors_are_read_only_and_observers_get_them():
     s2 = advance(s1, kernel, p)
     for state in (s0, s1, s2):
         for v in state.current + (state.previous or ()):
-            with pytest.raises(ValueError, match="read-only"):
-                v[1] = 1.0
+            assert_zero_boundaries_and_read_only(v)
     seen = []
     result = run(replace(p, T=0.2), space, 0.05, observers=[lambda n, t, v: seen.append(v)])
     assert len(seen[-1]) == p.ne
@@ -510,39 +517,46 @@ def test_run_rejects_bad_delta():
 # --- the step kernel against the plain band expressions ---------------------
 
 
-def plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load):
-    """One equation's full-width LHS band and RHS as plain band expressions
-    in the kernel's operand order, (M/d - C/2) + D and (M/d + C/2) - D with
-    D = (a_i b2/2) K, the RHS band applied by `BandedMatrix.matvec`."""
+def half_convection(ops, motion, t_mid):
+    """C/2 at t_mid in the kernel's operand order."""
     g = motion.gamma(t_mid)
-    c_half = (motion.alpha_prime(t_mid) / (2.0 * g)) * ops.conv_const.data + (
+    return (motion.alpha_prime(t_mid) / (2.0 * g)) * ops.conv_const.data + (
         motion.gamma_prime(t_mid) / (2.0 * g)
     ) * ops.conv_linear.data
+
+
+def plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load):
+    """One equation's full-width LHS band and RHS of the midpoint form as
+    plain band expressions in the kernel's operand order, (M/d - C/2) + D
+    with D = (a_i b2/2) K and (2M/d) V^(n-1) + G, the band 2 (M/d) applied
+    by `BandedMatrix.matvec`."""
     m_over_dt = ops.mass.data / dt
     diff_half = (0.5 * a_i * motion.coeff_b2(t_mid)) * ops.stiffness.data
-    rhs = BandedMatrix(m_over_dt + c_half - diff_half, ops.mass.kb).matvec(v_prev) + load
-    return m_over_dt - c_half + diff_half, rhs
+    rhs = BandedMatrix(2.0 * m_over_dt, ops.mass.kb).matvec(v_prev) + load
+    return m_over_dt - half_convection(ops, motion, t_mid) + diff_half, rhs
 
 
 def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
     """One equation's step from `plain_bands`, solved by scipy's
-    solve_banded: the arithmetic of the kernel's banded path."""
+    solve_banded for U and returned as U - V^(n-1): the arithmetic of the
+    kernel's banded path."""
     lhs, rhs = plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load)
     kb = ops.mass.kb
-    v_new = np.zeros_like(v_prev)
-    v_new[1:-1] = solve_banded((kb, kb), lhs[:, 1:-1], rhs[1:-1])
-    return v_new
+    u = np.zeros_like(v_prev)
+    u[1:-1] = solve_banded((kb, kb), lhs[:, 1:-1], rhs[1:-1])
+    return u - v_prev
 
 
 def plain_condensed(ops, motion, t_mid, a_i, dt, v_prev, load):
-    """One equation's step from `plain_bands`, solved by static condensation
-    of that one system: the arithmetic the kernel's condensed path must
-    reproduce for every equation it lays end to end."""
+    """One equation's step from `plain_bands`, solved for U by static
+    condensation of that one system and returned as U - V^(n-1): the
+    arithmetic the kernel's condensed path must reproduce for every
+    equation it lays end to end."""
     lhs, rhs = plain_bands(ops, motion, t_mid, a_i, dt, v_prev, load)
     kb = ops.mass.kb
-    v_new = np.zeros_like(v_prev)
-    _solve_condensed(BandedMatrix(lhs, kb), rhs, v_new, np.empty((2, kb, ops.space.n_elements)), 1)
-    return v_new
+    u = np.zeros_like(v_prev)
+    _solve_condensed(BandedMatrix(lhs, kb), rhs, u, np.empty((2, kb, ops.space.n_elements)), 1)
+    return u - v_prev
 
 
 def loop_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
@@ -593,6 +607,7 @@ def kernel_steps(nt, k):
 def test_step_kernel_equals_the_plain_expressions(nt, k):
     for got, args in kernel_steps(nt, k):
         assert np.array_equal(got, plain_equation(*args))
+        assert_zero_boundaries_and_read_only(got)
 
 
 # c of the last-bit rule (README, "Performance"), fixed before measuring; the
@@ -688,7 +703,8 @@ def condensations(monkeypatch):
 def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensations):
     # random coefficients inside the guard, 4 gamma + dt gamma' > 0 and
     # a_i > 0, for two equations condensed in one call; each must agree with
-    # solve_banded on the same interior band and RHS within the last-bit rule
+    # solve_banded on the same interior band and the RHS of the two-sided
+    # form, (M/d + C/2 - D) V^(n-1) + G, within the last-bit rule
     rng = np.random.default_rng(nt + 10 * k + shrinking)
     space = build_space(nt, k)
     ops = assemble_static(space)
@@ -703,7 +719,8 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
         for a_i, v, load, u in zip(a, v_prev, loads, got):
             diff_half = (0.5 * a_i * kernel.b2) * ops.stiffness.data
             lhs = BandedMatrix((kernel.lhs_base + diff_half)[:, 1:-1], k)
-            rhs = BandedMatrix(kernel.rhs_base - diff_half, k).matvec(v) + load
+            rhs_band = kernel.m_over_dt + half_convection(ops, motion, t_mid) - diff_half
+            rhs = BandedMatrix(rhs_band, k).matvec(v) + load
             expected = solve_banded((k, k), lhs.data, rhs[1:-1])
             bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
             assert u[0] == u[-1] == 0.0
@@ -924,12 +941,11 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
         def b1(y):
             return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
 
-        # the bases are M/d + C/2 and M/d - C/2
+        # the LHS base is M/d - C/2
         dense = dense_convection(space, b1)
-        conv = toarray(BandedMatrix(2.0 * (kernel.rhs_base - kernel.m_over_dt), k))
-        assert np.allclose(conv, dense, atol=1e-10)
-        conv = toarray(BandedMatrix(2.0 * (kernel.m_over_dt - kernel.lhs_base)[:, 1:-1], k))
-        assert np.allclose(conv, dense[1:-1, 1:-1], atol=1e-10)
+        conv = 2.0 * (kernel.m_over_dt - kernel.lhs_base)
+        assert np.allclose(toarray(BandedMatrix(conv, k)), dense, atol=1e-10)
+        assert np.allclose(toarray(BandedMatrix(conv[:, 1:-1], k)), dense[1:-1, 1:-1], atol=1e-10)
 
 
 # --- failures name the step, its time and the equation ----------------------
