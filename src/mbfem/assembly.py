@@ -53,7 +53,9 @@ class BandedMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x by BLAS `dgbmv`.  scipy's wrapper rejects fewer than 2kb + 1
         rows, so the product is formed with max(n, 2kb + 1) rows and cut to
-        n; the extra rows read only the unused lower corner of `data`."""
+        n; the extra rows read only the unused lower corner of `data`.
+        `dgbmv` reads column-major storage, so a `data` that is not in
+        Fortran order is copied on every call."""
         kb, n = self.kb, self.n
         return dgbmv(max(n, 2 * kb + 1), n, kb, kb, 1.0, self.data, x)[:n]
 
@@ -96,8 +98,9 @@ def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.n
     The k - 1 interior dofs of every element are eliminated first, without
     pivoting, one local pivot at a time over the elements of all systems at
     once: entry (r, c) of every element block is the strided view
-    a.data[k + r - c, c::k], and only the vertex diagonals are shared
-    between elements.  That leaves, per system, the tridiagonal Schur
+    a.data[k + r - c, c::k], read k entries apart when a.data is row-major
+    (either order gives the same bits), and only the vertex diagonals are
+    shared between elements.  That leaves, per system, the tridiagonal Schur
     complement on its nt - 1 interior vertices (rows 0, k and 2k of the
     vertex columns), solved by one `BandedMatrix.solve`; back-substitution
     gives the interior dofs.  Elimination without pivoting needs nonsingular
@@ -119,9 +122,10 @@ def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.n
         return as_strided(v, (k + 1, nt), (s, k * s))
 
     b, u = local(rhs), local(x)
-    # the multipliers of pivot p (rows p+1..k, then row 0) and their
-    # products go to C-ordered work rows, so that numpy runs each operation
-    # along the elements, not along the few local rows of a band column
+    # every operation runs along the elements: a view of one block entry is
+    # a band row read k entries apart, since the band is row-major, and the
+    # multipliers of pivot p (rows p+1..k, then row 0) and their products
+    # go to the caller's contiguous work rows, not to new arrays per pivot
     mult, prod = work
     for p in range(1, k):
         m = k - p
@@ -183,13 +187,14 @@ def _scatter_blocks(data: np.ndarray, kb: int, local: np.ndarray) -> None:
 
 
 def _scatter_vectors(out: np.ndarray, local: np.ndarray) -> None:
-    """Add the (nt, k + 1) element vectors into the global vector: each
-    entry is 0.0 plus one term, or two at a node shared by two elements."""
-    nt, m = local.shape
+    """Add the element vectors, column e of the (k + 1, nt) `local`, into
+    the global vector: each entry is 0.0 plus one term, or two at a node
+    shared by two elements."""
+    m, nt = local.shape
     k = m - 1
     body = out[:-1].reshape(nt, k)
-    body += local[:, :k]
-    out[k::k] += local[:, k]
+    body += local[:k].T
+    out[k::k] += local[k]
 
 
 def assemble_static(space: FESpace) -> OperatorSet:
@@ -202,13 +207,15 @@ def assemble_static(space: FESpace) -> OperatorSet:
     depend on the order of its terms, so the scatter adds nothing
     order-dependent to the local blocks.  Mass and stiffness local blocks
     are formed as S'S with S the shape table scaled by sqrt(weight), which
-    makes them symmetric to the last bit.  The bands are stored in Fortran
-    order, so that the interior columns the solver reads are contiguous.
+    makes them symmetric to the last bit.  The bands are stored row-major,
+    so that a band row, one diagonal, is contiguous: the step kernel's band
+    arithmetic and its elimination, which reads one entry of every element
+    block at a time, then walk a row, k entries apart at most.
     """
     k = space.degree
     n = space.n_dofs
     width = 2 * k + 1
-    mass, stiff, conv0, conv1 = (np.zeros((width, n), order="F") for _ in range(4))
+    mass, stiff, conv0, conv1 = (np.zeros((width, n)) for _ in range(4))
     weights = np.zeros(n)
 
     V = space.shape_values
@@ -224,7 +231,7 @@ def assemble_static(space: FESpace) -> OperatorSet:
     conv0_block = V.T @ (w[:, None] * D)
     _scatter_blocks(conv0, k, np.broadcast_to(conv0_block, (space.n_elements,) + conv0_block.shape))
     _scatter_blocks(conv1, k, V.T @ ((w * space.element_quad_points)[:, :, None] * D))
-    _scatter_vectors(weights, jac * (w @ V))
+    _scatter_vectors(weights, (w @ V)[:, None] * space.jacobians)
 
     return OperatorSet(
         space=space,
@@ -261,8 +268,14 @@ def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> flo
 
 def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) -> np.ndarray:
     """Load vector of equation i at time t: entry j is
-    int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the space's element
-    quadrature points mapped to the interval at time t."""
+    int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the space's (nt, q)
+    element quadrature points mapped to the interval at time t.
+
+    The element vectors are formed as one (k + 1, q) by (q, nt) product, so
+    every elementwise pass runs along the elements; points in Fortran order
+    (as the step kernel keeps them) make fv.T contiguous for it.  Either
+    order gives the same bits.
+    """
     fv = sample(problem.forcing[i], x_q, t)
     if not np.isfinite(fv).all():
         e_bad, q_bad = np.argwhere(~np.isfinite(fv))[0]
@@ -271,7 +284,7 @@ def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) ->
         )
 
     w = space.quad.weights
-    contrib = (fv * w[None, :]) @ space.shape_values * space.jacobians[:, None]
+    contrib = space.shape_values.T @ (fv.T * w[:, None]) * space.jacobians
     out = np.zeros(space.n_dofs)
     _scatter_vectors(out, contrib)
     return out

@@ -361,7 +361,7 @@ def _forcing_from_specs(specs):
 
     def f(x, t):
         x = np.asarray(x, dtype=float)
-        total = np.zeros(x.shape)
+        total = np.zeros_like(x)
         for fx, ft in terms:
             try:
                 ftv = ft(t)

@@ -103,8 +103,12 @@ class StepKernel:
     equation writes D = (a_i b2/2) K into its window and sets the window
     to base + D, in that operand order, and applies 2M/d by BLAS `dgbmv`
     into its window of `stack_rhs` (README, "Performance", states the rule
-    its last bits follow).  The arrays are Fortran-ordered like the
-    operator bands, so a column slice is contiguous.
+    its last bits follow).  Like the operator bands, M/d, the base and
+    `stack` are row-major, so the elementwise passes and the elimination
+    walk band rows; only 2M/d, formed once per d, is in Fortran order, the
+    layout `dgbmv` reads without a copy.  The quadrature points are kept in
+    Fortran order, so that `assemble_load` contracts them along the
+    elements.
 
     Only the solve of the band differs.  When k >= 2,
     ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and every
@@ -130,8 +134,9 @@ class StepKernel:
         self.kb = ops.mass.kb
         self.dt = self.gamma = self.b2 = self.loads = None
         self.condense = False
-        self.m_over_dt, self.lhs_base, two_m_over_dt = (np.empty(self.mass.shape, order="F") for _ in range(3))
-        self.two_m_over_dt = BandedMatrix(two_m_over_dt, self.kb)
+        self.quad_points = np.asfortranarray(self.space.element_quad_points)
+        self.m_over_dt, self.lhs_base = np.empty(self.mass.shape), np.empty(self.mass.shape)
+        self.two_m_over_dt = BandedMatrix(np.empty(self.mass.shape, order="F"), self.kb)
         self.stack = self.stack_rhs = self.work = None
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
@@ -150,7 +155,7 @@ class StepKernel:
         c_half = np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=self.lhs_base)
         c_half += (gp / (2.0 * g)) * self.conv_linear
         np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
-        x_q = motion.to_moving(self.space.element_quad_points, t_mid)
+        x_q = motion.to_moving(self.quad_points, t_mid)
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
             self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
 
@@ -164,7 +169,7 @@ class StepKernel:
         n = len(v_prev[0])
         span = n - 1
         if self.stack is None or self.stack.shape[1] != ne * span + 1:
-            self.stack = np.empty((2 * kb + 1, ne * span + 1), order="F")
+            self.stack = np.empty((2 * kb + 1, ne * span + 1))
             self.stack_rhs = np.empty(ne * span + 1)
             self.work = None
         band, rhs = self.stack, self.stack_rhs

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -280,6 +281,18 @@ def test_assemble_load_equals_the_element_loop(nt, k, q):
 
 
 @pytest.mark.parametrize("nt,k,q", BIT_GRID)
+def test_assemble_load_has_the_same_bits_for_either_point_order(nt, k, q):
+    # the step kernel passes Fortran-ordered points, the element loop above
+    # reads row-major ones
+    space = space_with_rule(nt, k, q)
+    p = example1()
+    for i, t in ((0, 0.0), (1, 0.37)):
+        x_q = p.motion.to_moving(space.element_quad_points, t)
+        by_rows = assemble_load(space, p, i, np.ascontiguousarray(x_q), t)
+        assert np.array_equal(assemble_load(space, p, i, np.asfortranarray(x_q), t), by_rows)
+
+
+@pytest.mark.parametrize("nt,k,q", BIT_GRID)
 def test_banded_solve_equals_solve_banded(nt, k, q):
     # a Crank-Nicolson matrix of example1 at t = 0.25, dt = 1e-3
     space = space_with_rule(nt, k, q)
@@ -382,6 +395,18 @@ def test_load_reports_nonfinite_forcing():
         assemble_load(space, p, 0, space.element_quad_points, 0.0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_load_names_the_point_where_the_forcing_is_not_finite(order):
+    # one NaN, at element 2 and point 1: the reported x must be that point's
+    # in either memory order of the points
+    space = build_space(4, 2)
+    points = np.array(space.element_quad_points, order=order)
+    bad = points[2, 1]
+    p = zero_motion_problem(lambda x, t: np.where(x == bad, np.nan, x))
+    with pytest.raises(ValueError, match=re.escape(f"non-finite value at x={bad}, t=0.0")):
+        assemble_load(space, p, 0, points, 0.0)
+
+
 # --- nonlocal values and diffusion scalars ----------------------------------
 
 
@@ -412,15 +437,21 @@ def test_nonlocal_value_quadratic():
 def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
     # OpenBLAS splits a ddot of more than 10,000 entries across threads;
     # 12,289 is the dof count of nt=4096, k=3.  The same children apply a
-    # band of that size by `BandedMatrix.matvec`, whose bits must not depend
-    # on the thread count either
+    # band of that size by `BandedMatrix.matvec` and assemble a load of
+    # that size on the step kernel's points, a (4, 5) by (5, 4096) dgemm;
+    # their bits must not depend on the thread count either
     n = 12289
     code = (
-        "import numpy as np; from mbfem import nonlocal_value; from mbfem.assembly import BandedMatrix; "
+        "import numpy as np; from mbfem import nonlocal_value, build_space, example2; "
+        "from mbfem.assembly import BandedMatrix, assemble_load, assemble_static; "
+        "from mbfem.stepper import StepKernel; "
         f"w, v = np.random.default_rng(0).standard_normal((2, {n})); "
         "print(nonlocal_value(w, v, 1.5).hex()); "
         f"band = BandedMatrix(np.asfortranarray(np.random.default_rng(1).standard_normal((7, {n}))), 3); "
-        "print(band.matvec(v).tobytes().hex())"
+        "print(band.matvec(v).tobytes().hex()); "
+        "space = build_space(4096, 3); p = example2(); "
+        "x_q = p.motion.to_moving(StepKernel(assemble_static(space)).quad_points, 0.3); "
+        "print(assemble_load(space, p, 0, x_q, 0.3).tobytes().hex())"
     )
     src = os.path.dirname(os.path.dirname(mbfem.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -435,13 +466,16 @@ def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
     ]
     outputs = [child.communicate(timeout=60)[0].split() for child in children]
     assert [child.returncode for child in children] == [0, 0]
-    (value, product), (value_2, product_2) = outputs
+    (value, product, load), (value_2, product_2, load_2) = outputs
     assert value == value_2
     assert product == product_2
+    assert load == load_2
     w, v = np.random.default_rng(0).standard_normal((2, n))
     assert float.fromhex(value) == pytest.approx(1.5 * math.fsum(w * v), rel=1e-12)
     band = BandedMatrix(np.random.default_rng(1).standard_normal((7, n)), 3)
     assert np.allclose(np.frombuffer(bytes.fromhex(product)), loop_matvec(band, v), rtol=1e-12, atol=1e-12)
+    space = build_space(4096, 3)
+    assert np.array_equal(np.frombuffer(bytes.fromhex(load)), loop_assemble_load(space, example2(), 0, 0.3))
 
 
 def test_diffusion_scalar_values():

@@ -728,6 +728,35 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
     assert condensations == [2, 2]
 
 
+@pytest.mark.parametrize("nt,k", [(CONDENSE_MIN_ELEMENTS, k) for k in range(2, 7)] + [(4096, 3)])
+def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch):
+    # the kernel's stacked band is row-major, LAPACK's layout is column-major:
+    # the condensation of the band and the banded solve of each equation's
+    # window must not depend on which one holds the band
+    stacks = []
+
+    def keep(a, rhs, x, work, systems):
+        stacks.append((a.data.copy(order="K"), rhs.copy()))
+        return _solve_condensed(a, rhs, x, work, systems)
+
+    monkeypatch.setattr(stepper, "_solve_condensed", keep)
+    kernel = StepKernel(assemble_static(build_space(nt, k)))
+    random_step(kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 0.2, 0.01, np.random.default_rng(nt + k))
+    ((band, rhs),) = stacks
+    assert band.flags.c_contiguous
+    span = nt * k
+    condensed, banded = [], []
+    for order in "CF":
+        data = np.array(band, order=order)
+        x = np.zeros(len(rhs))
+        windows = [BandedMatrix(data[:, i * span + 1 : (i + 1) * span], k).solve(rhs[i * span + 1 : (i + 1) * span]) for i in range(2)]
+        _solve_condensed(BandedMatrix(data, k), rhs.copy(), x, np.empty((2, k, 2 * nt)), 2)
+        condensed.append(x)
+        banded.append(np.concatenate(windows))
+    assert np.array_equal(*condensed)
+    assert np.array_equal(*banded)
+
+
 def test_a_pinching_step_takes_the_banded_solve(condensations):
     # gamma = 1e-6 + (1 - t)^2 is a valid motion, but at t = 0.9985 with
     # dt = 0.005, 4 gamma + dt gamma' = -2e-6: the interior LHS may lose
