@@ -1,10 +1,13 @@
 """Time a whole step's ne solves on both of the step kernel's solve paths.
 
-`StepKernel.solve_all` lays a step's ne bands end to end in one band, then
-solves their interior systems either one at a time by LAPACK `dgbsv` on
-each equation's window, or all at once by static condensation (the
-element-interior dofs of all ne nt elements eliminated together, then one
-tridiagonal solve per equation).
+`StepKernel.solve_all` writes a step's ne bands into one (2k+1, ne, n + k - 1)
+stack, each equation's n columns followed by the k - 1 padding columns of
+an inert padding element, then solves their interior systems either one at
+a time by LAPACK `dgbsv` on each equation's window, or all at once by
+static condensation (the element-interior dofs of all ne (nt + 1) - 1
+elements of the stack read flat, the padding elements among them,
+eliminated together, then one tridiagonal solve per equation).  V^(n-1) is
+an (ne, n) array, one row per equation, as a level's state holds it.
 This script times `solve_all` on both paths for ne = 1, 2 and 8 equations,
 degrees k = 1..6 and meshes of 32..4096 elements, on example2's motion at
 t = 0.1 with dt = 0.005 and a distinct constant a_i per equation, and marks
@@ -41,7 +44,7 @@ def problem(ne):
 
 
 def best_us(kernel, condense, p, v_prev, repeats=5):
-    number = max(1, 40000 // (p.ne * len(v_prev[0])))
+    number = max(1, 40000 // v_prev.size)
     best = float("inf")
     for _ in range(repeats):
         kernel.condense = condense
@@ -63,11 +66,8 @@ for ne in (1, 2, 8):
             space = build_space(nt, k)
             kernel = StepKernel(assemble_static(space))
             kernel.begin_step(p, 0.1, 0.005)
-            v_prev = []
-            for _ in range(ne):
-                v = rng.standard_normal(space.n_dofs)
-                v[[0, -1]] = 0.0
-                v_prev.append(v)
+            v_prev = rng.standard_normal((ne, space.n_dofs))
+            v_prev[:, [0, -1]] = 0.0
             banded, condensed = best_us(kernel, False, p, v_prev), best_us(kernel, True, p, v_prev)
             pick = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
             cells.append(f"{banded:.0f}{'' if pick else '*'} / {condensed:.0f}{'*' if pick else ''}")

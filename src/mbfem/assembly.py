@@ -88,38 +88,46 @@ class BandedMatrix:
 def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray, systems: int) -> None:
     """Solve the Dirichlet-interior systems of `a` by static condensation.
 
-    `a` is the full-width band of `systems` systems laid end to end, each
-    of nt degree-k Lagrange elements (kb == k, n = systems nt k + 1), so
-    system i owns columns i nt k .. (i + 1) nt k and shares its boundary
-    columns with its neighbours.  x[1:-1] receives the solutions, and the
-    boundary entries x[i nt k], which must be 0, are read as the boundary
-    values.
+    `a` is the band of `systems` systems of nt degree-k Lagrange elements
+    laid end to end (kb == k), each owning own = a.n / systems columns:
+    its n = nt k + 1 columns, then, in the step kernel's padded layout,
+    k - 1 padding columns (own = (nt + 1) k), or nothing for one unpadded
+    system (own = n).  The padding columns are the interior of a padding
+    element between the system's right boundary and the next system's
+    left boundary: it must meet its vertices in no entry and have nonzero
+    pivots, so that its multipliers are 0 and its elimination changes no
+    entry another element reads.  x receives the solutions, and its
+    boundary entries x[i own] and x[i own + nt k], which must be 0, are
+    read as the boundary values.
 
-    The k - 1 interior dofs of every element are eliminated first, without
-    pivoting, one local pivot at a time over the elements of all systems at
-    once: entry (r, c) of every element block is the strided view
-    a.data[k + r - c, c::k], read k entries apart when a.data is row-major
-    (either order gives the same bits), and only the vertex diagonals are
-    shared between elements.  That leaves, per system, the tridiagonal Schur
-    complement on its nt - 1 interior vertices (rows 0, k and 2k of the
-    vertex columns), solved by one `BandedMatrix.solve`; back-substitution
-    gives the interior dofs.  Elimination without pivoting needs nonsingular
-    element blocks and Schur complements, which a positive-definite
-    symmetric part of each interior matrix guarantees.  A boundary column
-    is read only in products with its x = 0, and only in its rows 1..k-1
-    by the elements to its left and rows k+1..2k-1 by those to its right,
-    so those entries must be finite: a NaN there would reach the system
-    that reads them.  A singular vertex system is a LinAlgError whose
-    `system` attribute is its index.  Overwrites a.data and rhs; work is
-    (2, k, systems nt) scratch.
+    The k - 1 interior dofs of every element, padding elements included,
+    are eliminated first, without pivoting, one local pivot at a time over
+    all (a.n - 1) // k elements at once: entry (r, c) of every element
+    block is the strided view a.data[k + r - c, c::k], read k entries apart
+    when a.data is row-major (either order gives the same bits), and only
+    the vertex diagonals are shared between elements.  That leaves, per
+    system, the tridiagonal Schur complement on its nt - 1 interior
+    vertices (rows 0, k and 2k of the vertex columns), solved by one
+    `BandedMatrix.solve`; back-substitution gives the interior dofs.
+    Elimination without pivoting needs nonsingular element blocks and
+    Schur complements, which a positive-definite symmetric part of each
+    interior matrix guarantees.  A boundary column is read only in
+    products with its x = 0, by the elements on either side of it, and
+    what a padding element writes (into boundary and padding entries) no
+    other element reads; so each system's interior values get the bits of
+    its condensation alone, even when another system's band holds NaN.  A
+    singular vertex system is a LinAlgError whose `system` attribute is
+    its index.  Overwrites a.data and rhs, and x at padding dofs; work is
+    (2, k, (a.n - 1) // k) scratch.
     """
     d, k = a.data, a.kb
-    nt = (a.n - 1) // k
-    span = nt * k
+    elements = (a.n - 1) // k
+    span = elements * k
+    own = a.n // systems
 
-    def local(v):  # v[r, e] = entry e k + r of a vector of length n
+    def local(v):  # v[r, e] = entry e k + r of a vector of length a.n
         s = v.strides[0]
-        return as_strided(v, (k + 1, nt), (s, k * s))
+        return as_strided(v, (k + 1, elements), (s, k * s))
 
     b, u = local(rhs), local(x)
     # every operation runs along the elements: a view of one block entry is
@@ -141,9 +149,8 @@ def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.n
         np.multiply(mult[: m + 1], b[p], out=prod[: m + 1])
         np.subtract(b[p + 1 :], prod[:m], out=b[p + 1 :])
         np.subtract(b[0], prod[m], out=b[0])
-    own = span // systems
     for i in range(systems):
-        vertices = slice(i * own + k, (i + 1) * own, k)
+        vertices = slice(i * own + k, (i + 1) * own - k, k)
         try:
             x[vertices] = BandedMatrix(d[::k, vertices], 1).solve(rhs[vertices])
         except LinAlgError as exc:
@@ -266,7 +273,7 @@ def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> flo
     return gamma * total
 
 
-def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) -> np.ndarray:
+def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float, out=None, work=None) -> np.ndarray:
     """Load vector of equation i at time t: entry j is
     int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the space's (nt, q)
     element quadrature points mapped to the interval at time t.
@@ -274,7 +281,10 @@ def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) ->
     The element vectors are formed as one (k + 1, q) by (q, nt) product, so
     every elementwise pass runs along the elements; points in Fortran order
     (as the step kernel keeps them) make fv.T contiguous for it.  Either
-    order gives the same bits.
+    order gives the same bits.  The vector is written into `out`, a
+    contiguous array of n_dofs entries, when one is given, and the product
+    into `work`, a pair of C-ordered (q, nt) and (k + 1, nt) arrays; both
+    save allocations and neither changes a bit.
     """
     fv = sample(problem.forcing[i], x_q, t)
     if not np.isfinite(fv).all():
@@ -283,9 +293,13 @@ def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float) ->
             f"forcing {i} returned a non-finite value at x={x_q[e_bad, q_bad]}, t={t}"
         )
 
-    w = space.quad.weights
-    contrib = space.shape_values.T @ (fv.T * w[:, None]) * space.jacobians
-    out = np.zeros(space.n_dofs)
+    weighted, contrib = work or (None, None)
+    weighted = np.multiply(fv.T, space.quad.weights[:, None], out=weighted)
+    contrib = np.matmul(space.shape_values.T, weighted, out=contrib)
+    contrib *= space.jacobians
+    if out is None:
+        out = np.empty(space.n_dofs)
+    out.fill(0.0)
     _scatter_vectors(out, contrib)
     return out
 

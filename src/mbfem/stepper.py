@@ -15,7 +15,14 @@ solve (diffusion frozen at the initial nonlocal values) and one
 corrector solve (diffusion at the averaged predictor level).
 
 The ne systems of one step are mutually independent; coupling enters
-only through the already-known nonlocal values.
+only through the already-known nonlocal values.  So a level is stored as
+one read-only (ne, n) array whose rows are the equations' coefficient
+vectors, and every elementwise phase of a step (the extrapolation V_bar,
+the left-hand bands, U - V^(n-1)) is one array pass over all equations.
+The step kernel keeps the ne left-hand bands in one (2k+1, ne, n + k - 1)
+band: each equation's n columns are followed by k - 1 padding columns, the
+interior of an inert padding element (`StepKernel`), so no two equations
+share a column and every band row of all equations is contiguous.
 """
 
 from __future__ import annotations
@@ -51,14 +58,15 @@ CONDENSE_MIN_ELEMENTS = 512
 class SchemeState:
     """Coefficient vectors at the current and previous time levels.
 
-    Boundary dofs of every stored vector are exactly zero, and every
-    vector is read-only from the moment it is made.
+    `current` and `previous` are (ne, n) arrays, row i the vector of
+    equation i.  Boundary dofs of every stored vector are exactly zero, and
+    every array is read-only from the moment it is made.
     """
 
     t_index: int
     delta: float
-    current: tuple[np.ndarray, ...]
-    previous: tuple[np.ndarray, ...] | None
+    current: np.ndarray
+    previous: np.ndarray | None
 
     @property
     def time(self) -> float:
@@ -79,13 +87,22 @@ class RunResult:
 def initialize(space: FESpace, problem, delta: float) -> SchemeState:
     """State at n = 0: nodal interpolants of the transformed initial data."""
     motion = problem.motion
-    vecs = []
-    for u0 in problem.initial:
+    vecs = np.empty((problem.ne, space.n_dofs))
+    for v, u0 in zip(vecs, problem.initial):
         with np.errstate(over="ignore", invalid="ignore"):  # interpolate reports a non-finite sample
-            v = interpolate(space, lambda y: u0(motion.to_moving(y, 0.0)))
-        v.flags.writeable = False
-        vecs.append(v)
-    return SchemeState(t_index=0, delta=delta, current=tuple(vecs), previous=None)
+            v[:] = interpolate(space, lambda y: u0(motion.to_moving(y, 0.0)))
+    vecs.flags.writeable = False
+    return SchemeState(t_index=0, delta=delta, current=vecs, previous=None)
+
+
+def _padded(band: np.ndarray, k: int, diagonal: float) -> np.ndarray:
+    """`band` followed by k - 1 columns, zero but for `diagonal` on the main
+    diagonal: the interior of one padding element."""
+    rows, n = band.shape
+    out = np.zeros((rows, n + k - 1))
+    out[:, :n] = band
+    out[k, n:] = diagonal
+    return out
 
 
 class StepKernel:
@@ -96,55 +113,71 @@ class StepKernel:
     width gamma of the nonlocal values, b2, C and the quadrature points of
     the ne loads.  Per equation a step solves the midpoint form
     [(M/d - C/2) + (a_i b2/2) K] U = (2M/d) V^(n-1) + G, in which only
-    a_i b2/2 differs between equations.  M/d and 2M/d are formed once per
-    d, the base M/d - C/2 once per step by `begin_step`.  `solve_all` lays
-    the ne full-width LHS bands end to end in one band `stack` of
-    ne nt k + 1 columns, neighbours sharing their boundary column: each
-    equation writes D = (a_i b2/2) K into its window and sets the window
-    to base + D, in that operand order, and applies 2M/d by BLAS `dgbmv`
-    into its window of `stack_rhs` (README, "Performance", states the rule
-    its last bits follow).  Like the operator bands, M/d, the base and
-    `stack` are row-major, so the elementwise passes and the elimination
-    walk band rows; only 2M/d, formed once per d, is in Fortran order, the
-    layout `dgbmv` reads without a copy.  The quadrature points are kept in
-    Fortran order, so that `assemble_load` contracts them along the
-    elements.
+    s_i = a_i b2/2 differs between equations.  M/d and 2M/d are formed once
+    per d, the base M/d - C/2 once per step by `begin_step`, and the ne
+    loads G by `assemble_load` into the rows of one (ne, n) array.
 
-    Only the solve of the band differs.  When k >= 2,
+    The kernel keeps M, K, C0 and C1 padded to n' = n + k - 1 = (nt + 1) k
+    columns (and so M/d and the base; the operator set's unpadded bands are
+    not kept).  The k - 1 padding columns hold one padding element: its
+    interior has diagonal 1 in M and 0 everywhere else in M, K and C, and
+    it meets its two vertices in no entry.  `solve_all` writes the ne
+    left-hand bands into one C-ordered `stack` of shape (2k+1, ne, n') with
+    two broadcast passes, s_i K, then base + s_i K, in that operand order;
+    row r of the stack, read flat, is row r of all ne padded bands end to
+    end, one contiguous run of ne n' entries.  The right-hand sides go into
+    the first n columns of the rows of an (ne, n') `stack_rhs`, whose
+    padding is made 0: 2M/d, the one band in Fortran order (the layout
+    `dgbmv` reads without a copy), is applied by one `dgbmv` per equation
+    and formed once per d from the first n columns of M/d (README,
+    "Performance", states the rule the last bits follow).  The quadrature
+    points are kept in Fortran order, so that `assemble_load` contracts
+    them along the elements.
+
+    Only the solve of the stack differs.  When k >= 2,
     ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and every
-    a_i > 0, `assembly._solve_condensed` eliminates the element-interior
-    dofs of all ne nt elements without pivoting, then solves each
-    equation's tridiagonal vertex system.  The last two conditions make the
-    symmetric part of each interior LHS, M (1/dt + gamma'/(4 gamma)) +
-    (a_i b2/2) K, positive definite (the symmetric parts of conv_const and
-    conv_linear there are 0 and -M/2), so no pivot can vanish.  Otherwise
-    each equation's interior window is solved by LAPACK `dgbsv`.  Either
-    way a step makes one `BandedMatrix.solve` call per equation; each
-    equation's window of the solution then becomes U - V^(n-1), and the
-    ne vectors are read-only views of one solution vector.
+    a_i > 0, `assembly._solve_condensed` reads the stack flat, as one band
+    of ne (nt + 1) - 1 elements, the padding element between equations i
+    and i + 1 among them, eliminates their interior dofs without pivoting
+    and solves each equation's tridiagonal vertex system.  The last two
+    conditions make the symmetric part of each interior LHS,
+    M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K, positive definite (the
+    symmetric parts of conv_const and conv_linear there are 0 and -M/2),
+    so no pivot can vanish.  A padding element is inert: its multipliers
+    are 0 over its pivots 1/d, so it changes no entry another element
+    reads.  When s_i overflows, the products inf 0 make equation i's
+    padding element NaN, but what it writes lands only in boundary and
+    padding entries that no equation's solution reads, so the neighbours
+    keep their bits and the error names equation i.  Otherwise each
+    equation's interior window is solved by LAPACK `dgbsv`.  Either way a
+    step makes one `BandedMatrix.solve` call per equation, and the step's
+    (ne, n) result is U - V^(n-1) in one pass.
     """
 
     def __init__(self, ops: OperatorSet):
         self.space = ops.space
         self.weights = ops.nonlocal_weights
-        self.mass = ops.mass.data
-        self.stiffness = ops.stiffness.data
-        self.conv_const = ops.conv_const.data
-        self.conv_linear = ops.conv_linear.data
-        self.kb = ops.mass.kb
-        self.dt = self.gamma = self.b2 = self.loads = None
+        k = self.kb = ops.mass.kb
+        self.mass = _padded(ops.mass.data, k, 1.0)
+        self.stiffness, self.conv_const, self.conv_linear = (
+            _padded(band.data, k, 0.0) for band in (ops.stiffness, ops.conv_const, ops.conv_linear)
+        )
+        self.dt = self.gamma = self.b2 = None
         self.condense = False
         self.quad_points = np.asfortranarray(self.space.element_quad_points)
+        n, nt = self.space.n_dofs, self.space.n_elements
         self.m_over_dt, self.lhs_base = np.empty(self.mass.shape), np.empty(self.mass.shape)
-        self.two_m_over_dt = BandedMatrix(np.empty(self.mass.shape, order="F"), self.kb)
-        self.stack = self.stack_rhs = self.work = None
+        self.two_m_over_dt = BandedMatrix(np.empty((2 * k + 1, n), order="F"), k)
+        self.load_work = (np.empty((len(self.space.quad.weights), nt)), np.empty((k + 1, nt)))
+        self.loads = self.stack = self.stack_rhs = self.solution = self.work = None
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
         """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma
         and the ne loads for a step of length dt about t_mid."""
+        n = self.space.n_dofs
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
-            np.add(self.m_over_dt, self.m_over_dt, out=self.two_m_over_dt.data)
+            np.add(self.m_over_dt[:, :n], self.m_over_dt[:, :n], out=self.two_m_over_dt.data)
             self.dt = dt
         motion = problem.motion
         g = self.gamma = motion.gamma(t_mid)
@@ -156,59 +189,51 @@ class StepKernel:
         c_half += (gp / (2.0 * g)) * self.conv_linear
         np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
         x_q = motion.to_moving(self.quad_points, t_mid)
+        if self.loads is None or len(self.loads) != problem.ne:
+            self.loads = np.empty((problem.ne, n))
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
-            self.loads = [assemble_load(self.space, problem, i, x_q, t_mid) for i in range(problem.ne)]
+            for i, load in enumerate(self.loads):
+                assemble_load(self.space, problem, i, x_q, t_mid, load, self.load_work)
 
-    def solve_all(self, problem, nonlocal_values, v_prev, label: str) -> tuple[np.ndarray, ...]:
-        """V^(n) of every equation, its diffusion taken at `nonlocal_values`;
-        `label` names the step in errors.  Every a_i is computed before the
-        first solve, and every equation is solved before the solution is
-        checked, so an overflow in the band arithmetic is reported by the
+    def solve_all(self, problem, nonlocal_values, v_prev: np.ndarray, label: str) -> np.ndarray:
+        """V^(n) of every equation as a read-only (ne, n) array, the diffusion
+        taken at `nonlocal_values` and V^(n-1) the rows of `v_prev`; `label`
+        names the step in errors.  Every a_i is computed before the first
+        solve, and every equation is solved before the solution is checked,
+        so an overflow in the band arithmetic is reported by the
         non-finite-solution check alone."""
-        ne, kb = problem.ne, self.kb
-        n = len(v_prev[0])
-        span = n - 1
-        if self.stack is None or self.stack.shape[1] != ne * span + 1:
-            self.stack = np.empty((2 * kb + 1, ne * span + 1))
-            self.stack_rhs = np.empty(ne * span + 1)
-            self.work = None
-        band, rhs = self.stack, self.stack_rhs
+        ne, kb, n = problem.ne, self.kb, self.space.n_dofs
+        if self.stack is None or self.stack.shape[1] != ne:
+            self.stack = np.empty((2 * kb + 1, ne, self.mass.shape[1]))
+            self.stack_rhs, self.solution = np.zeros(self.stack.shape[1:]), np.zeros(self.stack.shape[1:])
+            self.work = np.empty((2, kb, ne * (self.space.n_elements + 1) - 1))
+        band, rhs, x = self.stack, self.stack_rhs, self.solution
         with np.errstate(over="ignore", invalid="ignore"):
             a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(ne)]
-            for i, a_i in enumerate(a):
-                window = slice(i * span, i * span + n)
-                diff_half = band[:, window]
-                np.multiply(0.5 * a_i * self.b2, self.stiffness, out=diff_half)
-                np.add(self.lhs_base, diff_half, out=diff_half)
-                np.add(self.two_m_over_dt.matvec(v_prev[i]), self.loads[i], out=rhs[window])
-            x = np.zeros(ne * span + 1)
+            s = 0.5 * np.array(a) * self.b2
+            np.multiply(s[None, :, None], self.stiffness[:, None, :], out=band)
+            np.add(self.lhs_base[:, None, :], band, out=band)
+            for i in range(ne):
+                np.add(self.two_m_over_dt.matvec(v_prev[i]), self.loads[i], out=rhs[i, :n])
             try:
                 if self.condense and min(a) > 0.0:
-                    # a shared column holds the right neighbour's band corner,
-                    # s 0 with s = a_i b2/2, which is NaN when s overflows; the
-                    # equation on the left reads rows 1..k-1 of it, so they are
-                    # set to the 0 of a finite s
-                    band[:kb, span:-1:span] = 0.0
-                    if self.work is None:
-                        self.work = np.empty((2, kb, ne * (span // kb)))
-                    _solve_condensed(BandedMatrix(band, kb), rhs, x, self.work, ne)
+                    flat = BandedMatrix(band.reshape(2 * kb + 1, -1), kb)
+                    _solve_condensed(flat, rhs.reshape(-1), x.reshape(-1), self.work, ne)
                 else:
                     for i in range(ne):
-                        inner = slice(i * span + 1, (i + 1) * span)
                         try:
-                            x[inner] = BandedMatrix(band[:, inner], kb).solve(rhs[inner])
+                            x[i, 1 : n - 1] = BandedMatrix(band[:, i, 1 : n - 1], kb).solve(rhs[i, 1 : n - 1])
                         except LinAlgError as exc:
                             exc.system = i
                             raise
             except LinAlgError as exc:
                 raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {exc.system} ({exc})") from exc
-            for i in range(ne):
-                x[i * span : i * span + n] -= v_prev[i]
-        finite = np.isfinite(x)
+            new = np.subtract(x[:, :n], v_prev)
+        finite = np.isfinite(new)
         if not finite.all():
-            raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // span}")
-        x.flags.writeable = False
-        return tuple(x[i * span : i * span + n] for i in range(ne))
+            raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // n}")
+        new.flags.writeable = False
+        return new
 
 
 def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
@@ -228,7 +253,7 @@ def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> Sch
     g0 = problem.motion.gamma(0.0)
     l_init = [nonlocal_value(w, v, g0) for v in v0]
     predicted = kernel.solve_all(problem, l_init, v0, f"the predictor of {label}")
-    l_mid = [nonlocal_value(w, 0.5 * (p + v), kernel.gamma) for p, v in zip(predicted, v0)]
+    l_mid = [nonlocal_value(w, v, kernel.gamma) for v in 0.5 * (predicted + v0)]
     corrected = kernel.solve_all(problem, l_mid, v0, f"the corrector of {label}")
     return SchemeState(t_index=1, delta=dt, current=corrected, previous=v0)
 
@@ -238,7 +263,7 @@ def advance(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
     t_new = (state.t_index + 1) * state.delta
-    v_bar = [1.5 * v - 0.5 * u for v, u in zip(state.current, state.previous)]
+    v_bar = 1.5 * state.current - 0.5 * state.previous
     kernel.begin_step(problem, 0.5 * (state.time + t_new), state.delta)
     l_bar = [nonlocal_value(kernel.weights, v, kernel.gamma) for v in v_bar]
     new = kernel.solve_all(problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
@@ -275,6 +300,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
     kernel = StepKernel(ops)
+    del ops  # the kernel keeps padded copies of the bands it needs
     while True:
         for obs in observers:
             obs(state.t_index, state.time, state.current)

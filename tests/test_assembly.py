@@ -407,6 +407,27 @@ def test_load_names_the_point_where_the_forcing_is_not_finite(order):
         assemble_load(space, p, 0, points, 0.0)
 
 
+
+def test_a_load_written_into_a_row_has_the_allocating_bits_and_touches_no_other_row():
+    # the step kernel assembles equation i's load into row i of one (ne, n)
+    # array, through kept work arrays; the row starts as garbage
+    space = build_space(8, 3)
+    p = example1()
+    x_q = p.motion.to_moving(np.asfortranarray(space.element_quad_points), 0.37)
+    work = (np.empty((len(space.quad.weights), space.n_elements)), np.empty((space.degree + 1, space.n_elements)))
+    rows = np.full((3, space.n_dofs), 7.0)
+    for i in range(p.ne):
+        got = assemble_load(space, p, i, x_q, 0.37, out=rows[1], work=work)
+        assert np.shares_memory(got, rows[1])
+        assert rows[1].tobytes() == assemble_load(space, p, i, x_q, 0.37).tobytes()
+        assert np.all(rows[[0, 2]] == 7.0)
+    bad = zero_motion_problem(lambda x, t: np.full(np.asarray(x, float).shape, np.nan))
+    with pytest.raises(ValueError) as allocating:
+        assemble_load(space, bad, 0, x_q, 0.0)
+    with pytest.raises(ValueError) as into_row:
+        assemble_load(space, bad, 0, x_q, 0.0, out=rows[1], work=work)
+    assert "non-finite" in str(into_row.value) and str(into_row.value) == str(allocating.value)
+
 # --- nonlocal values and diffusion scalars ----------------------------------
 
 

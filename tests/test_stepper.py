@@ -202,12 +202,43 @@ def test_cycling_three_catalog_equations_cycles_every_level():
         assert all(np.array_equal(w[new], v[old]) for new, old in enumerate(order))
 
 
+
+def decoupled_problem(equations):
+    """The catalog problem of the listed THREE_EQUATIONS, each expsq diffusion
+    reading its own equation's nonlocal value and no other."""
+    lines = [
+        f"ne={len(equations)} T=0.2 motion=rational",
+        "alpha_num=0,-0.3 alpha_den=1,1 beta_num=1,0.8 beta_den=1,0.5",
+    ]
+    for n, old in enumerate(equations, 1):
+        eq = THREE_EQUATIONS[old]
+        diffusion = f"expsq:{n}" if eq["diffusion"].startswith("expsq") else eq["diffusion"]
+        lines.append(f"diffusion{n}={diffusion} initial{n}={eq['initial']} forcing{n}={eq['forcing']}")
+    return parse_problem("\n".join(lines))
+
 def run_levels(p, space, delta):
     """The coefficient vectors of every level of a run."""
     levels = []
     run(p, space, delta, observers=[lambda n, t, v: levels.append(v)])
     return levels
 
+
+
+@pytest.mark.parametrize("nt", [4, CONDENSE_MIN_ELEMENTS])
+def test_decoupled_equations_have_the_bits_of_each_equation_run_alone(nt, condensations):
+    # when a_i reads only l_i, the equations of a run share nothing but the
+    # arrays they are stacked in, so every level's row i has the bytes of
+    # equation i run as a one-equation problem, on the dgbsv path (nt = 4)
+    # and on the condensed path, where each run alone condenses too
+    space = build_space(nt, 2)
+    together = run_levels(decoupled_problem((0, 1, 2)), space, 0.01)
+    for i in range(3):
+        alone = run_levels(decoupled_problem((i,)), space, 0.01)
+        assert len(alone) == len(together) == 21
+        for v, u in zip(together, alone):
+            assert v.shape == (3, space.n_dofs) and u.shape == (1, space.n_dofs)
+            assert v[i].tobytes() == u[0].tobytes()
+    assert condensations == ([3] * 21 + [1] * 63 if nt == CONDENSE_MIN_ELEMENTS else [])
 
 def dense_mass_and_stiffness(nt, k):
     """Mass and stiffness of degree-k Lagrange elements on nt equal elements
@@ -448,12 +479,17 @@ def test_state_vectors_are_read_only_and_observers_get_them():
     s1 = bootstrap_first_step(s0, kernel, p)
     s2 = advance(s1, kernel, p)
     for state in (s0, s1, s2):
-        for v in state.current + (state.previous or ()):
-            assert_zero_boundaries_and_read_only(v)
+        for vectors in (state.current, state.previous):
+            if vectors is None:
+                continue
+            assert vectors.shape == (p.ne, space.n_dofs)
+            with pytest.raises(ValueError, match="read-only"):
+                vectors[0, 1] = 1.0
+            for v in vectors:
+                assert_zero_boundaries_and_read_only(v)
     seen = []
     result = run(replace(p, T=0.2), space, 0.05, observers=[lambda n, t, v: seen.append(v)])
-    assert len(seen[-1]) == p.ne
-    assert all(a is b for a, b in zip(seen[-1], result.final.current))
+    assert seen[-1] is result.final.current
 
 
 @pytest.mark.parametrize(
@@ -583,7 +619,8 @@ def loop_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
 def kernel_steps(nt, k):
     """The kernel's result and the arguments of `plain_equation` for six
     one-equation steps on example1's motion with random data, each by
-    `solve_all` on the banded path; a repeated dt keeps M/dt, a new one
+    `solve_all` on the banded path, V^(n-1) a (1, n) state and the load the
+    first row of the kernel's loads; a repeated dt keeps M/dt, a new one
     recomputes it."""
     p = example1()
     space = build_space(nt, k)
@@ -598,8 +635,8 @@ def kernel_steps(nt, k):
             v_prev = rng.standard_normal(space.n_dofs)
             v_prev[[0, -1]] = 0.0
             load = rng.standard_normal(space.n_dofs)
-            kernel.loads = [load]
-            (got,) = kernel.solve_all(one, (0.0,), (v_prev,), "a test step")
+            kernel.loads[0] = load
+            (got,) = kernel.solve_all(one, (0.0,), v_prev[None, :], "a test step")
             yield got, (ops, p.motion, t_mid, a_i, dt, v_prev, load)
 
 
@@ -673,16 +710,15 @@ def constant_problem(motion, a):
 
 
 def random_step(kernel, p, t_mid, dt, rng):
-    """`solve_all` of the kernel's step of p about t_mid from random V^(n-1)
-    and loads (zero at the boundary dofs), with those V^(n-1) and loads."""
+    """`solve_all` of the kernel's step of p about t_mid from a random (ne, n)
+    V^(n-1) (zero at the boundary dofs) and random loads, written into the
+    kernel's (ne, n) loads, with those V^(n-1) and loads."""
     kernel.begin_step(p, t_mid, dt)
-    v_prev = []
-    for _ in range(p.ne):
-        v = rng.standard_normal(kernel.space.n_dofs)
-        v[[0, -1]] = 0.0
-        v_prev.append(v)
-    kernel.loads = [rng.standard_normal(kernel.space.n_dofs) for _ in range(p.ne)]
-    return kernel.solve_all(p, (0.0,) * p.ne, v_prev, "a test step"), v_prev, kernel.loads
+    v_prev = rng.standard_normal((p.ne, kernel.space.n_dofs))
+    v_prev[:, [0, -1]] = 0.0
+    loads = rng.standard_normal(kernel.loads.shape)
+    kernel.loads[:] = loads
+    return kernel.solve_all(p, (0.0,) * p.ne, v_prev, "a test step"), v_prev, loads
 
 
 @pytest.fixture
@@ -716,10 +752,11 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
         t_mid, dt = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05)
         a = rng.uniform(0.05, 5.0, size=2).tolist()
         got, v_prev, loads = random_step(kernel, constant_problem(motion, a), t_mid, dt, rng)
+        n = space.n_dofs  # the kernel's M/d and base are padded past column n
         for a_i, v, load, u in zip(a, v_prev, loads, got):
             diff_half = (0.5 * a_i * kernel.b2) * ops.stiffness.data
-            lhs = BandedMatrix((kernel.lhs_base + diff_half)[:, 1:-1], k)
-            rhs_band = kernel.m_over_dt + half_convection(ops, motion, t_mid) - diff_half
+            lhs = BandedMatrix((kernel.lhs_base[:, :n] + diff_half)[:, 1:-1], k)
+            rhs_band = kernel.m_over_dt[:, :n] + half_convection(ops, motion, t_mid) - diff_half
             rhs = BandedMatrix(rhs_band, k).matvec(v) + load
             expected = solve_banded((k, k), lhs.data, rhs[1:-1])
             bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
@@ -732,7 +769,8 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
 def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch):
     # the kernel's stacked band is row-major, LAPACK's layout is column-major:
     # the condensation of the band and the banded solve of each equation's
-    # window must not depend on which one holds the band
+    # window must not depend on which one holds the band; equation i owns
+    # the (nt + 1) k columns from i (nt + 1) k, its interior from 1 past that
     stacks = []
 
     def keep(a, rhs, x, work, systems):
@@ -744,13 +782,13 @@ def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch)
     random_step(kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 0.2, 0.01, np.random.default_rng(nt + k))
     ((band, rhs),) = stacks
     assert band.flags.c_contiguous
-    span = nt * k
+    own, inner = (nt + 1) * k, slice(1, nt * k)
     condensed, banded = [], []
     for order in "CF":
         data = np.array(band, order=order)
         x = np.zeros(len(rhs))
-        windows = [BandedMatrix(data[:, i * span + 1 : (i + 1) * span], k).solve(rhs[i * span + 1 : (i + 1) * span]) for i in range(2)]
-        _solve_condensed(BandedMatrix(data, k), rhs.copy(), x, np.empty((2, k, 2 * nt)), 2)
+        windows = [BandedMatrix(data[:, i * own :][:, inner], k).solve(rhs[i * own :][inner]) for i in range(2)]
+        _solve_condensed(BandedMatrix(data, k), rhs.copy(), x, np.empty((2, k, 2 * nt + 1)), 2)
         condensed.append(x)
         banded.append(np.concatenate(windows))
     assert np.array_equal(*condensed)
@@ -782,9 +820,10 @@ def test_a_pinching_step_takes_the_banded_solve(condensations):
 
 @pytest.mark.parametrize("nt,k,a", [(CONDENSE_MIN_ELEMENTS, 2, (0.4, 1.7, 3.1)), (4096, 3, (0.9, 2.2))])
 def test_condensing_equations_end_to_end_equals_condensing_each_alone(nt, k, a, condensations):
-    # the bands laid end to end share only their boundary columns, which
-    # meet nothing but x = 0, so every equation gets the bits of its own
-    # single-system condensation; the vectors are the state's, read-only
+    # the padded bands laid end to end share no column, and the padding
+    # element between two equations eliminates with multipliers 0, so every
+    # equation gets the bits of its own single-system condensation; the
+    # rows are the state's (ne, n) array, read-only
     motion = linear_motion(0.3, 0.6)
     space = build_space(nt, k)
     ops = assemble_static(space)
@@ -970,9 +1009,10 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
         def b1(y):
             return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
 
-        # the LHS base is M/d - C/2
+        # the LHS base is M/d - C/2, both padded past column n
         dense = dense_convection(space, b1)
-        conv = 2.0 * (kernel.m_over_dt - kernel.lhs_base)
+        n = space.n_dofs
+        conv = 2.0 * (kernel.m_over_dt[:, :n] - kernel.lhs_base[:, :n])
         assert np.allclose(toarray(BandedMatrix(conv, k)), dense, atol=1e-10)
         assert np.allclose(toarray(BandedMatrix(conv[:, 1:-1], k)), dense[1:-1, 1:-1], atol=1e-10)
 
@@ -1061,6 +1101,31 @@ def test_an_overflowing_coefficient_is_named_not_its_neighbour(condensations):
         run(p, build_space(CONDENSE_MIN_ELEMENTS, 2), 0.01)
     assert condensations == [2]
 
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_an_overflowing_middle_equation_leaves_the_bits_of_both_neighbours(k, monkeypatch):
+    # on (0, 1/2) b2 = 4, so s = a_1 b2/2 overflows and every zero entry of
+    # the middle band, its padding element's included, is inf 0 = NaN; the
+    # condensed U of equations 0 and 2 must keep the bits they have beside a
+    # finite middle equation, and the error must name equation 1 alone
+    space = build_space(CONDENSE_MIN_ELEMENTS // 2, k)
+    solutions = []
+
+    def keep(a, rhs, x, work, systems):
+        _solve_condensed(a, rhs, x, work, systems)
+        solutions.append(x.reshape(systems, -1)[:, : space.n_dofs].copy())
+
+    monkeypatch.setattr(stepper, "_solve_condensed", keep)
+    motion = fixed_interval(0.0, 0.5, T=3.0)
+    finite = constant_problem(motion, (0.9, 1.0, 2.2))
+    random_step(StepKernel(assemble_static(space)), finite, 0.2, 0.01, np.random.default_rng(7))
+    overflowing = constant_problem(motion, (0.9, 1.7e308, 2.2))
+    with pytest.raises(RuntimeError, match=r"non-finite solution at a test step, equation 1$"):
+        random_step(StepKernel(assemble_static(space)), overflowing, 0.2, 0.01, np.random.default_rng(7))
+    before, after = solutions
+    assert np.isfinite(before).all() and not np.isfinite(after[1, 1:-1]).any()
+    assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
 
 def test_a_singular_vertex_system_names_step_time_and_equation(condensations):
     # mass I, no convection and a stiffness of +1 on the element-interior
