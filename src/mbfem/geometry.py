@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = ["BoundaryMotion", "fixed_interval"]
 
 ScalarFunc = Callable[[float], float]
@@ -79,6 +81,16 @@ class BoundaryMotion:
         """Map reference coordinates in [0, 1] to [alpha(t), beta(t)]."""
         a = self.alpha(t)
         return a + self.gamma(t) * y
+
+    def step_frame(self, y: np.ndarray, t: float, out: np.ndarray) -> tuple[float, float]:
+        """gamma(t) and coeff_b2(t), with to_moving(y, t) written into `out`,
+        from one evaluation of gamma: the bits of the three methods, since
+        gamma y + alpha, the order the buffer is filled in, is alpha + gamma y
+        (IEEE addition commutes)."""
+        g = self.gamma(t)
+        np.multiply(g, y, out=out)
+        out += self.alpha(t)
+        return g, 1.0 / (g * g)
 
 
 def fixed_interval(a: float = 0.0, b: float = 1.0, T: float = 1.0) -> BoundaryMotion:

@@ -73,12 +73,18 @@ class ProblemSpec:
 
 def _horner(coeffs, t):
     """The polynomial sum c[j] t**j at t, a float or an array, by the
-    recurrence of numpy's `polyval`; an `np.polynomial.Polynomial` of
-    these coefficients gives the same bits, since its default domain and
-    window map t to 0 + 1*t."""
-    r = coeffs[-1] + t * 0
+    recurrence of numpy's `polyval`, r = c[-1] + t*0, then r = c + r*t; an
+    `np.polynomial.Polynomial` of these coefficients gives the same bits,
+    since its default domain and window map t to 0 + 1*t.  On an array the
+    recurrence runs in one new buffer, r = t*0 then r += c[-1], r *= t,
+    r += c: IEEE addition and multiplication commute, so each step rounds
+    the same two operands as polyval, signed zeros and NaNs included, and
+    t is not modified."""
+    r = t * 0.0
+    r += coeffs[-1]
     for c in coeffs[-2::-1]:
-        r = c + r * t
+        r *= t
+        r += c
     return r
 
 
@@ -99,15 +105,33 @@ def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T:
     if len(time_factors) != len(profiles):
         raise ValueError("need one (F, F') time-factor pair per profile")
     P = np.polynomial.polynomial
-    integrals = [_horner(P.polyint(q).tolist(), 1.0) for q in profiles]
+    # (F_j, int_0^1 q_j) of every equation, the factors of I_j
+    integrals = [(F, _horner(P.polyint(q).tolist(), 1.0)) for (F, _), q in zip(time_factors, profiles)]
 
-    def frame(x, t):
-        g = motion.gamma(t)  # checks t
-        a, b = motion.alpha(t), motion.beta(t)
+    def frame(x, t, g, a, b):
+        """z = (x - alpha) / gamma of the points x at t, whose gamma, alpha and
+        beta are g, a and b."""
         tol = 1e-9 * max(1.0, abs(a), abs(b))
-        if not np.logical_and(a - tol <= x, x <= b + tol).all():  # NaN fails too
+        x = np.asarray(x)
+        if x.size and not (a - tol <= x.min() and x.max() <= b + tol):  # a NaN min or max fails too
             raise ValueError(f"position {x} outside the moving interval [{a}, {b}] at t={t}")
-        return (x - a) / g, g
+        z = x - a
+        z /= g
+        return z
+
+    shared = [(None, None)]  # the last t a forcing was called at, and its scalars
+
+    def forcing_scalars(t):
+        """gamma, alpha, beta, alpha', gamma' and the a_i arguments at t.  A
+        step calls the ne forcings with one t object, so they are evaluated
+        once per t object, the same values every forcing would compute."""
+        last, values = shared[0]
+        if last is not t:
+            g = motion.gamma(t)  # checks t
+            values = (g, motion.alpha(t), motion.beta(t), motion.alpha_prime(t), motion.gamma_prime(t),
+                      [g * Fj(t) * Q for Fj, Q in integrals])
+            shared[0] = (t, values)
+        return values
 
     def equation(i):
         (F, dF), a_i, q = time_factors[i], diffusion[i], profiles[i]
@@ -116,14 +140,15 @@ def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T:
                          P.polyder(q, 2).tolist() + [0.0, 0.0]))
 
         def u(x, t):
-            return F(t) * _horner(q, frame(x, t)[0])
+            g = motion.gamma(t)  # checks t
+            return F(t) * _horner(q, frame(x, t, g, motion.alpha(t), motion.beta(t)))
 
         def f(x, t):
-            z, g = frame(x, t)
+            g, a, b, alpha_p, gamma_p, args = forcing_scalars(t)
+            z = frame(x, t, g, a, b)
             Ft = F(t)
-            a = a_i(*(g * Fj(t) * Q for (Fj, _), Q in zip(time_factors, integrals)))
-            s0, s1, s2 = dF(t), -Ft * motion.alpha_prime(t) / g, -Ft * motion.gamma_prime(t) / g
-            s3 = -a * Ft / (g * g)
+            s0, s1, s2 = dF(t), -Ft * alpha_p / g, -Ft * gamma_p / g
+            s3 = -a_i(*args) * Ft / (g * g)
             return _horner([s0 * c + s1 * c1 + s2 * zc1 + s3 * c2 for c, c1, zc1, c2 in terms], z)
 
         return u, f

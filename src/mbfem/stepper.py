@@ -132,7 +132,8 @@ class StepKernel:
     and formed once per d from the first n columns of M/d (README,
     "Performance", states the rule the last bits follow).  The quadrature
     points are kept in Fortran order, so that `assemble_load` contracts
-    them along the elements.
+    them along the elements, and the mapped points x_q that the forcings
+    receive are one kept buffer, rewritten by every `begin_step`.
 
     Only the solve of the stack differs.  When k >= 2,
     ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and every
@@ -165,6 +166,7 @@ class StepKernel:
         self.dt = self.gamma = self.b2 = None
         self.condense = False
         self.quad_points = np.asfortranarray(self.space.element_quad_points)
+        self.x_q = np.empty_like(self.quad_points)
         n, nt = self.space.n_dofs, self.space.n_elements
         self.m_over_dt, self.lhs_base = np.empty(self.mass.shape), np.empty(self.mass.shape)
         self.two_m_over_dt = BandedMatrix(np.empty((2 * k + 1, n), order="F"), k)
@@ -172,28 +174,29 @@ class StepKernel:
         self.loads = self.stack = self.stack_rhs = self.solution = self.work = None
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
-        """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma
-        and the ne loads for a step of length dt about t_mid."""
+        """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma,
+        the quadrature points x_q and the ne loads for a step of length dt
+        about t_mid.  gamma, b2 and x_q come from one `step_frame` call,
+        with the bits of the motion's gamma, coeff_b2 and to_moving."""
         n = self.space.n_dofs
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
             np.add(self.m_over_dt[:, :n], self.m_over_dt[:, :n], out=self.two_m_over_dt.data)
             self.dt = dt
         motion = problem.motion
-        g = self.gamma = motion.gamma(t_mid)
+        g, self.b2 = motion.step_frame(self.quad_points, t_mid, self.x_q)
+        self.gamma = g
         gp = motion.gamma_prime(t_mid)
-        self.b2 = motion.coeff_b2(t_mid)
         large = self.kb >= 2 and problem.ne * self.space.n_elements >= CONDENSE_MIN_ELEMENTS
         self.condense = large and 4.0 * g + dt * gp > 0.0
         c_half = np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=self.lhs_base)
         c_half += (gp / (2.0 * g)) * self.conv_linear
         np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
-        x_q = motion.to_moving(self.quad_points, t_mid)
         if self.loads is None or len(self.loads) != problem.ne:
             self.loads = np.empty((problem.ne, n))
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
             for i, load in enumerate(self.loads):
-                assemble_load(self.space, problem, i, x_q, t_mid, load, self.load_work)
+                assemble_load(self.space, problem, i, self.x_q, t_mid, load, self.load_work)
 
     def solve_all(self, problem, nonlocal_values, v_prev: np.ndarray, label: str) -> np.ndarray:
         """V^(n) of every equation as a read-only (ne, n) array, the diffusion

@@ -1,5 +1,6 @@
 import copy
 import csv
+import math
 import os
 import re
 import subprocess
@@ -381,6 +382,51 @@ def test_horner_is_the_numpy_polynomial_bit_for_bit(num, den, T, s, x):
         with np.errstate(all="ignore"):  # a zero of den: numpy's inf or nan is the reference
             want = ref_f(t), ref_fp(t)
         assert (bits(f(t)), bits(fp(t))) == (bits(want[0]), bits(want[1]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    # signed zeros among the coefficients, and -0.0, infinities and NaN among
+    # the points: polyval's recurrence maps all of them the same way
+    c=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=5),
+    x=st.lists(st.floats(-10.0, 10.0) | st.sampled_from([-0.0, np.inf, -np.inf, np.nan]), min_size=1, max_size=8),
+)
+def test_horner_in_place_on_arrays_is_polyval_bit_for_bit(c, x):
+    polyval = np.polynomial.polynomial.polyval
+    for points in (np.array(x), np.array(x[0]), np.array(x).reshape(len(x), 1)):
+        before = points.copy()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got, want = cli._horner(tuple(c), points), polyval(points, c)
+        assert np.shape(got) == points.shape
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(points), bits(before))
+        finite = np.isfinite(points) & (bits(points) != bits(-0.0))
+        assert np.array_equal(bits(np.asarray(got)[finite]), bits(Polynomial(c)(points[finite])))
+
+
+# (catalog term, its space factor, its time factor) from numpy and math
+FORCING_TERMS = (
+    ("poly:1,-2,0.5;tpow:-2", lambda x: Polynomial([1.0, -2.0, 0.5])(x), lambda t: (1.0 + t) ** -2.0),
+    ("gaussx;texp:-1", lambda x: np.exp(-x**2), lambda t: math.exp(-t)),
+    ("poly:0;const:-1", lambda x: Polynomial([0.0])(x), lambda t: -1.0),  # every product -0.0
+    ("poly:0.3,-0.1;const:-0", lambda x: Polynomial([0.3, -0.1])(x), lambda t: -0.0),
+)
+
+
+@pytest.mark.parametrize("chosen", [(), (0,), (2,), (3, 2), (0, 1), (0, 1, 2, 3)])
+def test_catalog_forcing_is_the_plain_sum_bit_for_bit(chosen):
+    terms = [FORCING_TERMS[j] for j in chosen]
+    text = "ne=1 T=1\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n" + "".join(f"forcing1={s}\n" for s, _, _ in terms)
+    forcing = parse_problem(text).forcing[0]
+    x = np.linspace(-1.5, 1.5, 13)
+    for t in (0.0, 0.35, 1.0):
+        want = np.zeros_like(x)
+        for _, fx, ft in terms:
+            want = want + fx(x) * ft(t)  # 0.0 + the first product, as a fresh sum
+        got = forcing(x, t)
+        assert np.array_equal(bits(got), bits(want))
+    if chosen == (2,):
+        assert not np.signbit(forcing(x, 0.2)).any()  # 0.0 + -0.0 is +0.0
 
 
 CATALOG_RUN = (

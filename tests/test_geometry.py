@@ -51,6 +51,21 @@ def test_to_moving_endpoints_and_midpoint(motion):
     assert motion.to_moving(0.5, 1.0) == pytest.approx(0.75, rel=1e-14)
 
 
+def test_step_frame_has_the_bits_of_gamma_coeff_b2_and_to_moving(motion):
+    # one gamma evaluation, then gamma y + alpha into the buffer: the bits of
+    # the three methods, for signed-zero points and a zero alpha too
+    y = np.asfortranarray(np.random.default_rng(5).uniform(0.0, 1.0, (4, 3)))
+    y[0, 0], y[1, 0] = 0.0, -0.0
+    for m in (motion, fixed_interval(0.0, 1.0, T=3.0)):
+        for t in (0.0, 0.3, 1.7, 3.0):
+            out = np.full_like(y, np.nan)
+            g, b2 = m.step_frame(y, t, out)
+            assert (g, b2) == (m.gamma(t), m.coeff_b2(t))
+            assert np.array_equal(out.view(np.uint64), m.to_moving(y, t).view(np.uint64))
+    with pytest.raises(ValueError, match="outside the domain"):
+        motion.step_frame(y, 3.5, np.empty_like(y))
+
+
 def test_to_fixed_to_moving_roundtrip(motion):
     rng = np.random.default_rng(3)
     for t in (0.2, 1.7):

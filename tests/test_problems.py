@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,60 @@ def test_forcing_rejects_points_outside_domain():
                     fn(0.5, bad_t)
             with pytest.raises(ValueError):
                 fn(0.5, math.nan)
+
+
+def test_the_range_check_names_the_points_and_passes_empty_arrays():
+    # the range check reads the points' min and max: a NaN anywhere, or one
+    # point past either end, fails it and the error shows the points; an
+    # empty array has no min and passes as an empty result
+    p = example1()
+    t = 0.7
+    a, b = p.motion.alpha(t), p.motion.beta(t)
+    tol = 1e-9 * max(1.0, abs(a), abs(b))
+    inside = np.linspace(a, b, 6).reshape(2, 3, order="F")
+    for fn in (*p.forcing, *p.exact):
+        for bad in (math.nan, np.nextafter(a - tol, -np.inf), np.nextafter(b + tol, np.inf)):
+            x = inside.copy(order="F")
+            x[1, 2] = bad
+            with pytest.raises(ValueError, match=re.escape(f"position {x} outside the moving interval")):
+                fn(x, t)
+            with pytest.raises(ValueError, match=re.escape(f"position {bad} outside")):
+                fn(bad, t)
+        for empty in (np.empty(0), np.empty((0, 3)), np.empty((4, 0), order="F")):
+            out = fn(empty, t)
+            assert out.shape == empty.shape
+        assert fn(inside, t).flags.f_contiguous
+
+
+def test_the_forcings_share_one_evaluation_of_the_motion_per_t():
+    # a step calls its ne forcings with one t object; they evaluate the motion
+    # and the time factors once for it, and each gives the bits of the same
+    # forcing of a second problem called with an equal t of another object
+    counts = dict.fromkeys(("alpha", "beta", "alpha_prime", "beta_prime"), 0)
+    base = example1().motion
+
+    def counted(name):
+        def call(t, fn=getattr(base, name)):
+            counts[name] += 1
+            return fn(t)
+
+        return call
+
+    motion = replace(base, **{name: counted(name) for name in counts})
+    time_factors = ((lambda t: 1.0 / (1.0 + t), lambda t: -1.0 / (1.0 + t) ** 2), (math.exp, math.exp))
+    diffusion = (lambda r, s: 2.0 + r * s, lambda r, s: 3.0 - r * s)
+    make = lambda m: manufactured(m, (_Q1_COEFFS, _Q2_COEFFS), time_factors, diffusion, ((1, 4), (2, 5)), 3.0)
+    shared, alone = make(motion), make(base)
+    x = np.linspace(0.0, 1.0, 7)
+    for t in (0.25, 1.5, 0.25):
+        got, calls = [], []
+        for f in shared.forcing:
+            before = sum(counts.values())
+            got.append(f(x, t))
+            calls.append(sum(counts.values()) - before)
+        assert calls[0] > 0 and calls[1] == 0
+        for g, f in zip(got, alone.forcing):
+            assert np.array_equal(g.view(np.uint64), f(x, float(repr(t))).view(np.uint64))
 
 
 def test_diffusion_bounds_hold_on_declared_ranges():

@@ -890,6 +890,23 @@ def test_motion_calls_per_advance_do_not_grow_with_ne():
     assert all(per_advance[1].values())
 
 
+@pytest.mark.parametrize("make", [example1, example2, lambda: three_equation_problem((0, 1, 2))],
+                         ids=["example1", "example2", "rational catalog"])
+def test_begin_step_has_the_bits_of_the_motion_methods(make):
+    # begin_step takes gamma, b2 and the quadrature points from one
+    # `step_frame` call: the same bits as calling the three methods
+    p = make()
+    kernel = StepKernel(assemble_static(build_space(8, 3)))
+    dt = p.T / 16
+    for t in (0.5 * dt, 0.37 * p.T, p.T - 0.5 * dt):
+        kernel.begin_step(p, t, dt)
+        assert kernel.gamma == p.motion.gamma(t)
+        assert np.float64(kernel.b2).view(np.uint64) == np.float64(p.motion.coeff_b2(t)).view(np.uint64)
+        want = p.motion.to_moving(kernel.quad_points, t)
+        assert np.array_equal(kernel.x_q.view(np.uint64), want.view(np.uint64))
+        assert kernel.x_q.flags.f_contiguous
+
+
 def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
     # the pattern the traced benchmark checks: ne banded solves and ne load
     # assemblies per advance, 2 ne solves and ne loads in the bootstrap, on
