@@ -27,8 +27,6 @@ from mbfem import ProblemSpec, build_space, example2
 from mbfem.assembly import assemble_static
 from mbfem.stepper import CONDENSE_MIN_ELEMENTS, StepKernel
 
-rng = np.random.default_rng(0)
-
 
 def problem(ne):
     """ne copies of example2's first equation, equation i with a_i = 1 + i / ne."""
@@ -44,6 +42,8 @@ def problem(ne):
 
 
 def best_us(kernel, condense, p, v_prev, repeats=5):
+    """Best of `repeats` timings of `solve_all`, in µs per call, with the
+    kernel's path pinned by `condense`."""
     number = max(1, 40000 // v_prev.size)
     best = float("inf")
     for _ in range(repeats):
@@ -55,20 +55,32 @@ def best_us(kernel, condense, p, v_prev, repeats=5):
     return 1e6 * best
 
 
-sizes = (32, 64, 128, 256, 512, 1024, 2048, 4096)
-print(f"µs per step's ne solves, dgbsv / condensed; * marks the rule's choice (N = {CONDENSE_MIN_ELEMENTS})")
-for ne in (1, 2, 8):
+def cell(ne, nt, k, rng, repeats=5):
+    """µs per step's ne solves on the dgbsv path and on the condensed path,
+    for ne equations of nt degree-k elements and a random V^(n-1)."""
     p = problem(ne)
-    print(f"\nne = {ne}\nk  " + "".join(f"{nt:>16}" for nt in sizes))
-    for k in range(1, 7):
-        cells = []
-        for nt in sizes:
-            space = build_space(nt, k)
-            kernel = StepKernel(assemble_static(space))
-            kernel.begin_step(p, 0.1, 0.005)
-            v_prev = rng.standard_normal((ne, space.n_dofs))
-            v_prev[:, [0, -1]] = 0.0
-            banded, condensed = best_us(kernel, False, p, v_prev), best_us(kernel, True, p, v_prev)
-            pick = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
-            cells.append(f"{banded:.0f}{'' if pick else '*'} / {condensed:.0f}{'*' if pick else ''}")
-        print(f"{k}  " + "".join(f"{c:>16}" for c in cells))
+    space = build_space(nt, k)
+    kernel = StepKernel(assemble_static(space), ne)
+    kernel.begin_step(p, 0.1, 0.005)
+    v_prev = rng.standard_normal((ne, space.n_dofs))
+    v_prev[:, [0, -1]] = 0.0
+    return best_us(kernel, False, p, v_prev, repeats), best_us(kernel, True, p, v_prev, repeats)
+
+
+def main():
+    rng = np.random.default_rng(0)
+    sizes = (32, 64, 128, 256, 512, 1024, 2048, 4096)
+    print(f"µs per step's ne solves, dgbsv / condensed; * marks the rule's choice (N = {CONDENSE_MIN_ELEMENTS})")
+    for ne in (1, 2, 8):
+        print(f"\nne = {ne}\nk  " + "".join(f"{nt:>16}" for nt in sizes))
+        for k in range(1, 7):
+            cells = []
+            for nt in sizes:
+                banded, condensed = cell(ne, nt, k, rng)
+                pick = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
+                cells.append(f"{banded:.0f}{'' if pick else '*'} / {condensed:.0f}{'*' if pick else ''}")
+            print(f"{k}  " + "".join(f"{c:>16}" for c in cells))
+
+
+if __name__ == "__main__":
+    main()

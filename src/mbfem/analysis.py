@@ -159,12 +159,16 @@ class ErrorTracker:
 
 
 def fit_slope(points, axis: str = "", degree: int | None = None, equation: int | None = None) -> RateFit:
-    """Ordinary least squares on (log abscissa, log error)."""
+    """Ordinary least squares on (log abscissa, log error).  Fewer than
+    three points, a nonpositive value or one abscissa for all points is a
+    ValueError."""
     pts = [(float(a), float(e)) for a, e in points]
     if len(pts) < 3:
         raise ValueError(f"need at least three points to fit a slope, got {len(pts)}")
     if any(a <= 0.0 or e <= 0.0 for a, e in pts):
         raise ValueError("slope fitting needs positive abscissae and errors")
+    if len({a for a, _ in pts}) == 1:
+        raise ValueError("slope fitting needs at least two distinct abscissae")
     lx = np.log([a for a, _ in pts])
     ly = np.log([e for _, e in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -189,8 +193,9 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     stays subdominant (an unreliable-fit flag, r^2 < 0.99, marks plateau
     contamination).  Runs that fail are recorded with NaN errors and
     excluded from the fits without aborting the study.  A problem without
-    exact solutions, fewer than three levels, or a delta that does not
-    divide problem.T is a ValueError before the first run.
+    exact solutions, fewer than three levels, a level repeated on the
+    refined axis, or a delta that does not divide problem.T is a
+    ValueError before the first run.
     """
     mesh_sizes = list(mesh_sizes)
     deltas = list(deltas)
@@ -200,9 +205,9 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     if problem.exact is None:
         raise ValueError("the problem supplies no exact solutions to measure against")
     axis = "delta" if len(deltas) > 1 else "h"
-    levels = len(deltas) if axis == "delta" else len(mesh_sizes)
-    if levels < 3:
-        raise ValueError(f"need at least three points to fit a slope, got {levels}")
+    levels = deltas if axis == "delta" else mesh_sizes
+    if len(levels) < 3 or len(set(levels)) < len(levels):
+        raise ValueError(f"need at least three points to fit a slope, at distinct refinement levels; got {levels}")
     for d in deltas:
         level_grid(problem.T, d)
     rows = []

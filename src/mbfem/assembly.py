@@ -85,51 +85,38 @@ class BandedMatrix:
         return x
 
 
-def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray, systems: int) -> None:
-    """Solve the Dirichlet-interior systems of `a` by static condensation.
+def _element_entries(v: np.ndarray, k: int) -> np.ndarray:
+    """The (k + 1, (len(v) - 1) // k) view of `v` whose entry [r, e] is
+    v[e k + r]: row r holds local dof r of every degree-k element of a
+    vector of elements laid end to end."""
+    s = v.strides[0]
+    return as_strided(v, (k + 1, (len(v) - 1) // k), (s, k * s))
 
-    `a` is the band of `systems` systems of nt degree-k Lagrange elements
-    laid end to end (kb == k), each owning own = a.n / systems columns:
-    its n = nt k + 1 columns, then, in the step kernel's padded layout,
-    k - 1 padding columns (own = (nt + 1) k), or nothing for one unpadded
-    system (own = n).  The padding columns are the interior of a padding
-    element between the system's right boundary and the next system's
-    left boundary: it must meet its vertices in no entry and have nonzero
-    pivots, so that its multipliers are 0 and its elimination changes no
-    entry another element reads.  x receives the solutions, and its
-    boundary entries x[i own] and x[i own + nt k], which must be 0, are
-    read as the boundary values.
 
-    The k - 1 interior dofs of every element, padding elements included,
-    are eliminated first, without pivoting, one local pivot at a time over
+def _eliminate_interiors(a: BandedMatrix, rhs: np.ndarray, work: np.ndarray) -> None:
+    """First half of a static condensation of `a`, the band of the
+    (a.n - 1) // k degree-k Lagrange elements laid end to end from column 0
+    (kb == k; columns past the last whole element are left alone):
+    eliminate the k - 1 interior dofs of every element.
+
+    The elimination runs without pivoting, one local pivot at a time over
     all (a.n - 1) // k elements at once: entry (r, c) of every element
     block is the strided view a.data[k + r - c, c::k], read k entries apart
     when a.data is row-major (either order gives the same bits), and only
-    the vertex diagonals are shared between elements.  That leaves, per
-    system, the tridiagonal Schur complement on its nt - 1 interior
-    vertices (rows 0, k and 2k of the vertex columns), solved by one
-    `BandedMatrix.solve`; back-substitution gives the interior dofs.
-    Elimination without pivoting needs nonsingular element blocks and
-    Schur complements, which a positive-definite symmetric part of each
-    interior matrix guarantees.  A boundary column is read only in
-    products with its x = 0, by the elements on either side of it, and
-    what a padding element writes (into boundary and padding entries) no
-    other element reads; so each system's interior values get the bits of
-    its condensation alone, even when another system's band holds NaN.  A
-    singular vertex system is a LinAlgError whose `system` attribute is
-    its index.  Overwrites a.data and rhs, and x at padding dofs; work is
+    the vertex diagonals are shared between elements.  It needs nonsingular
+    element blocks, which a positive-definite symmetric part of the matrix
+    guarantees.  An element whose interior meets its vertices in no entry
+    has multipliers 0 and changes no entry another element reads.
+
+    Afterwards rows 0, k and 2k of a.data at the vertex columns hold the
+    tridiagonal Schur complement on the vertices, and rhs its right-hand
+    side there; the caller solves it for x at the vertices, then calls
+    `_back_substitute`.  Overwrites a.data and rhs; work is
     (2, k, (a.n - 1) // k) scratch.
     """
     d, k = a.data, a.kb
-    elements = (a.n - 1) // k
-    span = elements * k
-    own = a.n // systems
-
-    def local(v):  # v[r, e] = entry e k + r of a vector of length a.n
-        s = v.strides[0]
-        return as_strided(v, (k + 1, elements), (s, k * s))
-
-    b, u = local(rhs), local(x)
+    span = (a.n - 1) // k * k
+    b = _element_entries(rhs, k)
     # every operation runs along the elements: a view of one block entry is
     # a band row read k entries apart, since the band is row-major, and the
     # multipliers of pivot p (rows p+1..k, then row 0) and their products
@@ -149,14 +136,18 @@ def _solve_condensed(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.n
         np.multiply(mult[: m + 1], b[p], out=prod[: m + 1])
         np.subtract(b[p + 1 :], prod[:m], out=b[p + 1 :])
         np.subtract(b[0], prod[m], out=b[0])
-    for i in range(systems):
-        vertices = slice(i * own + k, (i + 1) * own - k, k)
-        try:
-            x[vertices] = BandedMatrix(d[::k, vertices], 1).solve(rhs[vertices])
-        except LinAlgError as exc:
-            exc.system = i
-            raise
-    term = prod[0]
+
+
+def _back_substitute(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray) -> None:
+    """Second half of the static condensation that `_eliminate_interiors`
+    began on `a` and `rhs`: write every element's interior dofs into x
+    from the vertex values x already holds, its first and last entries
+    included.  An element reads only its own block, its rhs and its two
+    vertex values.  work is the elimination's."""
+    d, k = a.data, a.kb
+    span = (a.n - 1) // k * k
+    b, u = _element_entries(rhs, k), _element_entries(x, k)
+    term = work[1, 0]
     for p in range(k - 1, 0, -1):
         np.multiply(d[k + p, 0:span:k], u[0], out=term)
         np.subtract(b[p], term, out=u[p])

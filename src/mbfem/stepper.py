@@ -37,7 +37,8 @@ from scipy.linalg import LinAlgError
 from .assembly import (
     BandedMatrix,
     OperatorSet,
-    _solve_condensed,
+    _back_substitute,
+    _eliminate_interiors,
     assemble_load,
     assemble_static,
     diffusion_scalar,
@@ -106,7 +107,8 @@ def _padded(band: np.ndarray, k: int, diagonal: float) -> np.ndarray:
 
 
 class StepKernel:
-    """The arithmetic of one run's steps, set up by `begin_step` for each.
+    """The arithmetic of the steps of one run of ne equations, set up by
+    `begin_step` for each.
 
     Every moving-domain quantity of a step is a function of t alone, so
     `begin_step` evaluates the motion once, at the step's midpoint: the
@@ -133,29 +135,35 @@ class StepKernel:
     "Performance", states the rule the last bits follow).  The quadrature
     points are kept in Fortran order, so that `assemble_load` contracts
     them along the elements, and the mapped points x_q that the forcings
-    receive are one kept buffer, rewritten by every `begin_step`.
+    receive are one kept buffer, rewritten by every `begin_step`.  Every
+    array is allocated here, and every system is a `BandedMatrix` view of
+    the stack made here, paired with its views of `stack_rhs` and of the
+    (ne, n') `solution`: per equation its interior window, columns 1 .. n-2
+    with kb = k, and its vertex system, rows 0, k and 2k at the interior
+    vertex columns with kb = 1; and the whole stack read flat.
 
-    Only the solve of the stack differs.  When k >= 2,
-    ne nt >= CONDENSE_MIN_ELEMENTS, 4 gamma + dt gamma' > 0 and every
-    a_i > 0, `assembly._solve_condensed` reads the stack flat, as one band
-    of ne (nt + 1) - 1 elements, the padding element between equations i
-    and i + 1 among them, eliminates their interior dofs without pivoting
-    and solves each equation's tridiagonal vertex system.  The last two
-    conditions make the symmetric part of each interior LHS,
+    A step solves either all windows or, after `_eliminate_interiors` of
+    the flat band, all vertex systems followed by `_back_substitute`; one
+    loop makes the step's ne `BandedMatrix.solve` calls, and a singular
+    system is an error that names its equation.  It condenses when k >= 2
+    and ne nt >= CONDENSE_MIN_ELEMENTS (fixed here), 4 gamma + dt gamma'
+    > 0 (fixed by `begin_step`) and every a_i > 0.  The flat band is
+    ne (nt + 1) - 1 elements, the padding element between equations i and
+    i + 1 among them, whose interior dofs are eliminated without pivoting.
+    The last two conditions make the symmetric part of each interior LHS,
     M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K, positive definite (the
     symmetric parts of conv_const and conv_linear there are 0 and -M/2),
     so no pivot can vanish.  A padding element is inert: its multipliers
     are 0 over its pivots 1/d, so it changes no entry another element
-    reads.  When s_i overflows, the products inf 0 make equation i's
-    padding element NaN, but what it writes lands only in boundary and
-    padding entries that no equation's solution reads, so the neighbours
-    keep their bits and the error names equation i.  Otherwise each
-    equation's interior window is solved by LAPACK `dgbsv`.  Either way a
-    step makes one `BandedMatrix.solve` call per equation, and the step's
-    (ne, n) result is U - V^(n-1) in one pass.
+    reads, and each equation's interior values get the bits of a
+    condensation of that equation alone.  When s_i overflows, the products
+    inf 0 make equation i's padding element NaN, but what it writes lands
+    only in boundary and padding entries that no equation's solution reads,
+    so the neighbours keep their bits and the error names equation i.
+    Either way the step's (ne, n) result is U - V^(n-1) in one pass.
     """
 
-    def __init__(self, ops: OperatorSet):
+    def __init__(self, ops: OperatorSet, ne: int):
         self.space = ops.space
         self.weights = ops.nonlocal_weights
         k = self.kb = ops.mass.kb
@@ -163,15 +171,24 @@ class StepKernel:
         self.stiffness, self.conv_const, self.conv_linear = (
             _padded(band.data, k, 0.0) for band in (ops.stiffness, ops.conv_const, ops.conv_linear)
         )
-        self.dt = self.gamma = self.b2 = None
-        self.condense = False
+        self.dt = self.gamma = self.b2 = self.condense = None
         self.quad_points = np.asfortranarray(self.space.element_quad_points)
         self.x_q = np.empty_like(self.quad_points)
         n, nt = self.space.n_dofs, self.space.n_elements
+        self.large = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
         self.m_over_dt, self.lhs_base = np.empty(self.mass.shape), np.empty(self.mass.shape)
         self.two_m_over_dt = BandedMatrix(np.empty((2 * k + 1, n), order="F"), k)
         self.load_work = (np.empty((len(self.space.quad.weights), nt)), np.empty((k + 1, nt)))
-        self.loads = self.stack = self.stack_rhs = self.solution = self.work = None
+        self.loads = np.empty((ne, n))
+        stack = self.stack = np.empty((2 * k + 1, ne, n + k - 1))
+        rhs, x = self.stack_rhs, self.solution = np.zeros((ne, n + k - 1)), np.zeros((ne, n + k - 1))
+        self.work = np.empty((2, k, ne * (nt + 1) - 1))
+        self.flat = BandedMatrix(stack.reshape(2 * k + 1, -1), k)
+        inner, vertices = slice(1, n - 1), slice(k, n - 1, k)
+        self.windows = [(BandedMatrix(stack[:, i, inner], k), rhs[i, inner], x[i, inner]) for i in range(ne)]
+        self.vertex_systems = [
+            (BandedMatrix(stack[::k, i, vertices], 1), rhs[i, vertices], x[i, vertices]) for i in range(ne)
+        ]
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
         """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma,
@@ -187,13 +204,10 @@ class StepKernel:
         g, self.b2 = motion.step_frame(self.quad_points, t_mid, self.x_q)
         self.gamma = g
         gp = motion.gamma_prime(t_mid)
-        large = self.kb >= 2 and problem.ne * self.space.n_elements >= CONDENSE_MIN_ELEMENTS
-        self.condense = large and 4.0 * g + dt * gp > 0.0
+        self.condense = self.large and 4.0 * g + dt * gp > 0.0
         c_half = np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=self.lhs_base)
         c_half += (gp / (2.0 * g)) * self.conv_linear
         np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
-        if self.loads is None or len(self.loads) != problem.ne:
-            self.loads = np.empty((problem.ne, n))
         with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
             for i, load in enumerate(self.loads):
                 assemble_load(self.space, problem, i, self.x_q, t_mid, load, self.load_work)
@@ -205,32 +219,25 @@ class StepKernel:
         solve, and every equation is solved before the solution is checked,
         so an overflow in the band arithmetic is reported by the
         non-finite-solution check alone."""
-        ne, kb, n = problem.ne, self.kb, self.space.n_dofs
-        if self.stack is None or self.stack.shape[1] != ne:
-            self.stack = np.empty((2 * kb + 1, ne, self.mass.shape[1]))
-            self.stack_rhs, self.solution = np.zeros(self.stack.shape[1:]), np.zeros(self.stack.shape[1:])
-            self.work = np.empty((2, kb, ne * (self.space.n_elements + 1) - 1))
+        n = self.space.n_dofs
         band, rhs, x = self.stack, self.stack_rhs, self.solution
         with np.errstate(over="ignore", invalid="ignore"):
-            a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(ne)]
+            a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
             s = 0.5 * np.array(a) * self.b2
             np.multiply(s[None, :, None], self.stiffness[:, None, :], out=band)
             np.add(self.lhs_base[:, None, :], band, out=band)
-            for i in range(ne):
-                np.add(self.two_m_over_dt.matvec(v_prev[i]), self.loads[i], out=rhs[i, :n])
+            for i, load in enumerate(self.loads):
+                np.add(self.two_m_over_dt.matvec(v_prev[i]), load, out=rhs[i, :n])
+            condense = self.condense and min(a) > 0.0
+            if condense:
+                _eliminate_interiors(self.flat, rhs.reshape(-1), self.work)
             try:
-                if self.condense and min(a) > 0.0:
-                    flat = BandedMatrix(band.reshape(2 * kb + 1, -1), kb)
-                    _solve_condensed(flat, rhs.reshape(-1), x.reshape(-1), self.work, ne)
-                else:
-                    for i in range(ne):
-                        try:
-                            x[i, 1 : n - 1] = BandedMatrix(band[:, i, 1 : n - 1], kb).solve(rhs[i, 1 : n - 1])
-                        except LinAlgError as exc:
-                            exc.system = i
-                            raise
+                for i, (system, b, u) in enumerate(self.vertex_systems if condense else self.windows):
+                    u[:] = system.solve(b)
             except LinAlgError as exc:
-                raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {exc.system} ({exc})") from exc
+                raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {i} ({exc})") from exc
+            if condense:
+                _back_substitute(self.flat, rhs.reshape(-1), x.reshape(-1), self.work)
             new = np.subtract(x[:, :n], v_prev)
         finite = np.isfinite(new)
         if not finite.all():
@@ -302,7 +309,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     started = _time.perf_counter()
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
-    kernel = StepKernel(ops)
+    kernel = StepKernel(ops, problem.ne)
     del ops  # the kernel keeps padded copies of the bands it needs
     while True:
         for obs in observers:

@@ -112,6 +112,12 @@ def test_fit_slope_needs_three_points():
         fit_slope([(0.1, 1.0), (0.05, 0.25)])
 
 
+def test_fit_slope_needs_distinct_abscissae():
+    # three errors at one abscissa have no slope; polyfit would return one
+    with pytest.raises(ValueError, match="distinct abscissae"):
+        fit_slope([(0.25, 1.0), (0.25, 0.5), (0.25, 0.3)])
+
+
 def test_fit_slope_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_slope([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
@@ -174,8 +180,9 @@ def test_convergence_study_rejects_a_delta_that_does_not_divide_T(monkeypatch):
     [
         (replace(example2(), T=0.5), [4, 8, 16], "no exact solutions"),
         (replace(example1(), T=0.5), [8], "three points"),
+        (replace(example1(), T=0.5), [4, 8, 4], "distinct"),
     ],
-    ids=["no-exact-solutions", "one-level"],
+    ids=["no-exact-solutions", "one-level", "repeated-level"],
 )
 def test_convergence_study_checks_its_preconditions_before_any_run(monkeypatch, problem, mesh_sizes, message):
     runs = []

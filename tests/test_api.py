@@ -5,20 +5,22 @@ layers, and the names bench/tracing.py patches.
 bench/tracing.py builds its spans from the layers' `__all__`: a stale name
 would crash a traced run, and a name re-exported from another module would
 drop out of the trace without a word.  Demos and README code are parsed,
-and the quick demos and the README python blocks also run in child
-processes.
+the quick demos and the README python blocks also run in child
+processes, and one cell of the condensation crossover demo is timed.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mbfem
@@ -146,6 +148,16 @@ def test_readme_python_block_runs(tmp_path, where):
     proc = run_in_child(tmp_path, ["-c", SOURCES[where]])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_condensation_crossover_times_a_cell_on_both_paths():
+    # the full table takes minutes, so only one small cell is timed here,
+    # through the demo's own helpers, to keep them in step with StepKernel
+    spec = importlib.util.spec_from_file_location("condensation_crossover", ROOT / "demos" / "condensation_crossover.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    banded, condensed = demo.cell(2, 32, 2, np.random.default_rng(0), repeats=1)
+    assert 0.0 < banded < math.inf and 0.0 < condensed < math.inf
 
 
 def load_bench_tracing():

@@ -903,6 +903,20 @@ def test_study_single_level_is_a_precondition_error(tmp_path, capsys):
     assert "three points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["nt=4,4,4 delta=0.01", "nt=8 delta=0.01,0.01,0.01"])
+def test_study_repeated_levels_are_a_precondition_error(tmp_path, monkeypatch, capsys, levels):
+    # one level three times is no refinement: no run starts and no rates.csv
+    # claims a reliable fit
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(analysis, "run", no_run)
+    config = write(tmp_path, "study.cfg", f"problem=example1 k=1 T=0.1 {levels}\n")
+    assert main(["study", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rates.csv").exists()
+
+
 # --- validate ----------------------------------------------------------------
 
 
