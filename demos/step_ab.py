@@ -14,7 +14,9 @@ bench/workloads.py (seed 1, (128, 2)) and example2 at (4096, 3), solve_large's
 mesh.  A run is timed by an observer from level 1 to its last level, so the
 figure is µs per `advance`, without set-up and bootstrap.  Each case prints
 each side's median µs per step, the median of the per-pair ratios
-new / base and the pairs the working tree won.
+new / base, the pairs the working tree won and whether the two trees wrote
+byte-identical levels: the `tobytes()` of every level of one further,
+untimed run of each side.
 
 Running both trees in one process, alternately, cancels most of the drift of
 a shared host's speed, so it separates effects of a few percent that
@@ -23,6 +25,7 @@ needs `bench/run.py` pairs (bench/README.md, "Bounds and steadiness").
 """
 
 import argparse
+import hashlib
 import importlib
 import io
 import pathlib
@@ -70,6 +73,13 @@ def us_per_step(pkg, problem, nt, k, delta) -> float:
     return 1e6 * (stamps[-1] - stamps[1]) / (len(stamps) - 2)
 
 
+def level_digest(pkg, problem, nt, k, delta) -> bytes:
+    """SHA-256 of the bytes of every level of one run, in order."""
+    digest = hashlib.sha256()
+    pkg.run(problem, pkg.build_space(nt, k), delta, observers=[lambda n, t, v: digest.update(v.tobytes())])
+    return digest.digest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev", nargs="?", default="HEAD")
@@ -78,7 +88,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as where:
         base = load_revision(args.rev, where)
         print(f"base: {args.rev} as mbfem_base; new: {pathlib.Path(mbfem.__file__).parent}")
-        print(f"{'case':<24}{'base µs':>10}{'new µs':>10}{'new/base':>10}{'wins':>8}")
+        print(f"{'case':<24}{'base µs':>10}{'new µs':>10}{'new/base':>10}{'wins':>8}{'bytes':>11}")
         for (label, *new_case), (_, *base_case) in zip(cases(mbfem), cases(base)):
             times = {"base": [], "new": []}
             sides = [("base", base, base_case), ("new", mbfem, new_case)]
@@ -87,9 +97,10 @@ def main() -> None:
                     times[side].append(us_per_step(pkg, *case))
             ratios = [n / b for n, b in zip(times["new"], times["base"])]
             wins = sum(r < 1.0 for r in ratios)
+            same = level_digest(base, *base_case) == level_digest(mbfem, *new_case)
             print(
                 f"{label:<24}{statistics.median(times['base']):>10.1f}{statistics.median(times['new']):>10.1f}"
-                f"{statistics.median(ratios):>10.3f}{wins:>5}/{args.pairs}"
+                f"{statistics.median(ratios):>10.3f}{wins:>5}/{args.pairs}{'identical' if same else 'DIFFERENT':>11}"
             )
 
 

@@ -93,30 +93,31 @@ def _element_entries(v: np.ndarray, k: int) -> np.ndarray:
     return as_strided(v, (k + 1, (len(v) - 1) // k), (s, k * s))
 
 
-def _eliminate_interiors(a: BandedMatrix, rhs: np.ndarray, work: np.ndarray) -> None:
+def _eliminate_interiors(a: BandedMatrix, b: np.ndarray, work: np.ndarray) -> None:
     """First half of a static condensation of `a`, the band of the
-    (a.n - 1) // k degree-k Lagrange elements laid end to end from column 0
-    (kb == k; columns past the last whole element are left alone):
-    eliminate the k - 1 interior dofs of every element.
+    E = (a.n - 1) // k degree-k Lagrange elements laid end to end from
+    column 0 (kb == k; columns past the last whole element are left alone):
+    eliminate the k - 1 interior dofs of every element.  b is the
+    (k + 1, E) `_element_entries` view of the right-hand side, which the
+    caller makes once for all the condensations of one vector.
 
     The elimination runs without pivoting, one local pivot at a time over
-    all (a.n - 1) // k elements at once: entry (r, c) of every element
-    block is the strided view a.data[k + r - c, c::k], read k entries apart
-    when a.data is row-major (either order gives the same bits), and only
-    the vertex diagonals are shared between elements.  It needs nonsingular
-    element blocks, which a positive-definite symmetric part of the matrix
+    all E elements at once: entry (r, c) of every element block is the
+    strided view a.data[k + r - c, c::k], read k entries apart when a.data
+    is row-major (either order gives the same bits), and only the vertex
+    diagonals are shared between elements.  It needs nonsingular element
+    blocks, which a positive-definite symmetric part of the matrix
     guarantees.  An element whose interior meets its vertices in no entry
     has multipliers 0 and changes no entry another element reads.
 
     Afterwards rows 0, k and 2k of a.data at the vertex columns hold the
-    tridiagonal Schur complement on the vertices, and rhs its right-hand
-    side there; the caller solves it for x at the vertices, then calls
-    `_back_substitute`.  Overwrites a.data and rhs; work is
-    (2, k, (a.n - 1) // k) scratch.
+    tridiagonal Schur complement on the vertices, and the right-hand side
+    its right-hand side there; the caller solves it for x at the vertices,
+    then calls `_back_substitute`.  Overwrites a.data and the right-hand
+    side through b; work is (2, k, E) scratch.
     """
     d, k = a.data, a.kb
-    span = (a.n - 1) // k * k
-    b = _element_entries(rhs, k)
+    span = b.shape[1] * k
     # every operation runs along the elements: a view of one block entry is
     # a band row read k entries apart, since the band is row-major, and the
     # multipliers of pivot p (rows p+1..k, then row 0) and their products
@@ -138,15 +139,15 @@ def _eliminate_interiors(a: BandedMatrix, rhs: np.ndarray, work: np.ndarray) -> 
         np.subtract(b[0], prod[m], out=b[0])
 
 
-def _back_substitute(a: BandedMatrix, rhs: np.ndarray, x: np.ndarray, work: np.ndarray) -> None:
+def _back_substitute(a: BandedMatrix, b: np.ndarray, u: np.ndarray, work: np.ndarray) -> None:
     """Second half of the static condensation that `_eliminate_interiors`
-    began on `a` and `rhs`: write every element's interior dofs into x
-    from the vertex values x already holds, its first and last entries
-    included.  An element reads only its own block, its rhs and its two
-    vertex values.  work is the elimination's."""
+    began on `a` and the right-hand side viewed by b: write every element's
+    interior dofs into the solution x, viewed by u as b views the
+    right-hand side, from the vertex values x already holds, its first and
+    last entries included.  An element reads only its own block, its
+    right-hand side and its two vertex values.  work is the elimination's."""
     d, k = a.data, a.kb
-    span = (a.n - 1) // k * k
-    b, u = _element_entries(rhs, k), _element_entries(x, k)
+    span = b.shape[1] * k
     term = work[1, 0]
     for p in range(k - 1, 0, -1):
         np.multiply(d[k + p, 0:span:k], u[0], out=term)
@@ -241,27 +242,31 @@ def assemble_static(space: FESpace) -> OperatorSet:
     )
 
 
-# Entries per `np.dot` in `nonlocal_value`: OpenBLAS splits a longer ddot
+# Entries per `np.vecdot` in `nonlocal_value`: OpenBLAS splits a longer ddot
 # across threads, and the split changes the order of its sum.
 _DOT_CHUNK = 8192
 
 
-def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> float:
+def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> float | list[float]:
     """Integral of the expansion over a moving interval of width gamma.
 
     Under the change of variables this is gamma times the fixed-domain
-    integral, so it equals gamma * weights . coeffs.  The dot product is
-    summed over chunks of _DOT_CHUNK entries in order, so the result has
-    the same bits at any BLAS thread count.
+    integral, so it equals gamma * weights . coeffs.  An (ne, n) stack of
+    coefficient vectors gives the list of its ne rows' values, a vector one
+    float.  `np.vecdot` makes one `ddot` per row, the call `np.dot` makes
+    for two vectors, so a row's value has the bits of that row alone
+    whatever ne is.  The dot products are summed over chunks of _DOT_CHUNK
+    entries in order, so the result has the same bits at any BLAS thread
+    count.
     """
-    if np.shape(weights) != np.shape(coeffs):
+    if np.shape(coeffs)[-1:] != np.shape(weights):
         raise ValueError(
             f"dimension mismatch: {np.shape(weights)} weights, {np.shape(coeffs)} coefficients"
         )
-    total = float(np.dot(weights[:_DOT_CHUNK], coeffs[:_DOT_CHUNK]))
+    total = np.vecdot(coeffs[..., :_DOT_CHUNK], weights[:_DOT_CHUNK])
     for j in range(_DOT_CHUNK, len(weights), _DOT_CHUNK):
-        total += float(np.dot(weights[j : j + _DOT_CHUNK], coeffs[j : j + _DOT_CHUNK]))
-    return gamma * total
+        total += np.vecdot(coeffs[..., j : j + _DOT_CHUNK], weights[j : j + _DOT_CHUNK])
+    return (gamma * total).tolist()
 
 
 def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float, out=None, work=None) -> np.ndarray:

@@ -7,7 +7,8 @@ Each step of the scheme takes, per equation,
 with all coefficients evaluated at the midpoint t_{n-1/2}, where
 C(t) = (alpha'/gamma) conv_const + (gamma'/gamma) conv_linear and a_i is
 the diffusion coefficient at extrapolated nonlocal values
-l(V_bar) = gamma(t_{n-1/2}) * weights . (3/2 V^(n-1) - 1/2 V^(n-2)).
+l(V_bar) = gamma(t_{n-1/2}) * weights . (3/2 V^(n-1) - 1/2 V^(n-2)),
+all ne of them from one `nonlocal_value` call on the (ne, n) stack V_bar.
 Since RHS_i = 2M/d - LHS_i, the step is solved in the midpoint form
 LHS_i U = (2M/d) V^(n-1) + G, V^(n) = U - V^(n-1).
 The first step has no V^(-1), so it is bootstrapped with one predictor
@@ -38,6 +39,7 @@ from .assembly import (
     BandedMatrix,
     OperatorSet,
     _back_substitute,
+    _element_entries,
     _eliminate_interiors,
     assemble_load,
     assemble_static,
@@ -140,7 +142,11 @@ class StepKernel:
     the stack made here, paired with its views of `stack_rhs` and of the
     (ne, n') `solution`: per equation its interior window, columns 1 .. n-2
     with kb = k, and its vertex system, rows 0, k and 2k at the interior
-    vertex columns with kb = 1; and the whole stack read flat.
+    vertex columns with kb = 1; and the whole stack read flat.  The views a
+    step writes through are made here too: the first n columns of each row
+    of `stack_rhs`, which the `dgbmv` products fill, and the (k + 1, E)
+    `_element_entries` views of `stack_rhs` and `solution` read flat, with
+    E = ne (nt + 1) - 1, which the condensation takes.
 
     A step solves either all windows or, after `_eliminate_interiors` of
     the flat band, all vertex systems followed by `_back_substitute`; one
@@ -184,6 +190,8 @@ class StepKernel:
         rhs, x = self.stack_rhs, self.solution = np.zeros((ne, n + k - 1)), np.zeros((ne, n + k - 1))
         self.work = np.empty((2, k, ne * (nt + 1) - 1))
         self.flat = BandedMatrix(stack.reshape(2 * k + 1, -1), k)
+        self.rhs_elements, self.x_elements = (_element_entries(v.reshape(-1), k) for v in (rhs, x))
+        self.rhs_rows = [rhs[i, :n] for i in range(ne)]
         inner, vertices = slice(1, n - 1), slice(k, n - 1, k)
         self.windows = [(BandedMatrix(stack[:, i, inner], k), rhs[i, inner], x[i, inner]) for i in range(ne)]
         self.vertex_systems = [
@@ -212,38 +220,51 @@ class StepKernel:
             for i, load in enumerate(self.loads):
                 assemble_load(self.space, problem, i, self.x_q, t_mid, load, self.load_work)
 
-    def solve_all(self, problem, nonlocal_values, v_prev: np.ndarray, label: str) -> np.ndarray:
+    def solve_all(self, problem, nonlocal_values, v_prev: np.ndarray, label) -> np.ndarray:
         """V^(n) of every equation as a read-only (ne, n) array, the diffusion
-        taken at `nonlocal_values` and V^(n-1) the rows of `v_prev`; `label`
-        names the step in errors.  Every a_i is computed before the first
-        solve, and every equation is solved before the solution is checked,
-        so an overflow in the band arithmetic is reported by the
-        non-finite-solution check alone."""
+        taken at `nonlocal_values` and V^(n-1) the rows of `v_prev`; `label`,
+        a string or a `_StepLabel`, names the step in errors.  Every a_i is
+        computed before the first solve, and every equation is solved before
+        the solution is checked, so an overflow in the band arithmetic is
+        reported by the non-finite-solution check alone."""
         n = self.space.n_dofs
-        band, rhs, x = self.stack, self.stack_rhs, self.solution
+        band, x = self.stack, self.solution
         with np.errstate(over="ignore", invalid="ignore"):
             a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
             s = 0.5 * np.array(a) * self.b2
             np.multiply(s[None, :, None], self.stiffness[:, None, :], out=band)
             np.add(self.lhs_base[:, None, :], band, out=band)
-            for i, load in enumerate(self.loads):
-                np.add(self.two_m_over_dt.matvec(v_prev[i]), load, out=rhs[i, :n])
+            for v, load, out in zip(v_prev, self.loads, self.rhs_rows):
+                np.add(self.two_m_over_dt.matvec(v), load, out=out)
             condense = self.condense and min(a) > 0.0
             if condense:
-                _eliminate_interiors(self.flat, rhs.reshape(-1), self.work)
+                _eliminate_interiors(self.flat, self.rhs_elements, self.work)
             try:
                 for i, (system, b, u) in enumerate(self.vertex_systems if condense else self.windows):
                     u[:] = system.solve(b)
             except LinAlgError as exc:
                 raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {i} ({exc})") from exc
             if condense:
-                _back_substitute(self.flat, rhs.reshape(-1), x.reshape(-1), self.work)
+                _back_substitute(self.flat, self.rhs_elements, self.x_elements, self.work)
             new = np.subtract(x[:, :n], v_prev)
         finite = np.isfinite(new)
         if not finite.all():
             raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // n}")
         new.flags.writeable = False
         return new
+
+
+class _StepLabel:
+    """`step n (t=...)`, the name of an advance in error messages: it is
+    formatted only when one is raised, not on every step."""
+
+    __slots__ = ("n", "t")
+
+    def __init__(self, n: int, t: float):
+        self.n, self.t = n, t
+
+    def __str__(self) -> str:
+        return f"step {self.n} (t={self.t})"
 
 
 def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
@@ -260,10 +281,9 @@ def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> Sch
     w, v0, dt = kernel.weights, state.current, state.delta
     kernel.begin_step(problem, 0.5 * dt, dt)
     label = f"step 1 (t={dt})"
-    g0 = problem.motion.gamma(0.0)
-    l_init = [nonlocal_value(w, v, g0) for v in v0]
+    l_init = nonlocal_value(w, v0, problem.motion.gamma(0.0))
     predicted = kernel.solve_all(problem, l_init, v0, f"the predictor of {label}")
-    l_mid = [nonlocal_value(w, v, kernel.gamma) for v in 0.5 * (predicted + v0)]
+    l_mid = nonlocal_value(w, 0.5 * (predicted + v0), kernel.gamma)
     corrected = kernel.solve_all(problem, l_mid, v0, f"the corrector of {label}")
     return SchemeState(t_index=1, delta=dt, current=corrected, previous=v0)
 
@@ -275,8 +295,8 @@ def advance(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
     t_new = (state.t_index + 1) * state.delta
     v_bar = 1.5 * state.current - 0.5 * state.previous
     kernel.begin_step(problem, 0.5 * (state.time + t_new), state.delta)
-    l_bar = [nonlocal_value(kernel.weights, v, kernel.gamma) for v in v_bar]
-    new = kernel.solve_all(problem, l_bar, state.current, f"step {state.t_index + 1} (t={t_new})")
+    l_bar = nonlocal_value(kernel.weights, v_bar, kernel.gamma)
+    new = kernel.solve_all(problem, l_bar, state.current, _StepLabel(state.t_index + 1, t_new))
     return SchemeState(t_index=state.t_index + 1, delta=state.delta, current=new, previous=state.current)
 
 

@@ -455,6 +455,62 @@ def test_nonlocal_value_quadratic():
     assert value == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
+def test_nonlocal_value_of_a_stack_is_a_list_of_python_floats_and_of_a_vector_one():
+    # the diffusion callables and the bounds message read the values, so
+    # they are Python floats whether one vector or a stack is integrated
+    space = build_space(4, 2)
+    w = assemble_static(space).nonlocal_weights
+    stack = np.random.default_rng(3).standard_normal((3, space.n_dofs))
+    one = nonlocal_value(w, stack[1], 0.7)
+    assert type(one) is float
+    values = nonlocal_value(w, stack, 0.7)
+    assert type(values) is list and [type(v) for v in values] == [float] * 3
+    assert values[1] == one
+    assert nonlocal_value(w, stack[:1], 0.7) == [nonlocal_value(w, stack[0], 0.7)]
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 8), (3, 10), (9, 8)])
+def test_nonlocal_value_of_the_wrong_length_is_a_value_error(shape):
+    w = assemble_static(build_space(4, 2)).nonlocal_weights
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(9,\) weights"):
+        nonlocal_value(w, np.ones(shape), 1.0)
+
+
+def test_a_stacked_nonlocal_value_has_each_rows_bits_at_any_blas_thread_count():
+    # each row of a stack gets the bits of the one-vector call on that row,
+    # at 1 and 2 BLAS threads, on both sides of the 8,192-entry chunk and of
+    # OpenBLAS's 10,000-entry threading threshold
+    sizes = (9, 8191, 8192, 8193, 12289)
+    code = (
+        "import numpy as np; from mbfem import nonlocal_value\n"
+        f"for n in {sizes!r}:\n"
+        "    w, *rows = np.random.default_rng(n).standard_normal((4, n))\n"
+        "    stacked = nonlocal_value(w, np.array(rows), 1.5)\n"
+        "    alone = [nonlocal_value(w, v, 1.5) for v in rows]\n"
+        "    print(' '.join(v.hex() for v in stacked + alone))"
+    )
+    src = os.path.dirname(os.path.dirname(mbfem.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [child.communicate(timeout=60)[0].splitlines() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs[0] == outputs[1] and len(outputs[0]) == len(sizes)
+    for n, line in zip(sizes, outputs[0]):
+        values = line.split()
+        assert values[:3] == values[3:]
+        w, *rows = np.random.default_rng(n).standard_normal((4, n))
+        for value, v in zip(values, rows):
+            assert float.fromhex(value) == pytest.approx(1.5 * math.fsum(w * v), rel=1e-12, abs=1e-12)
+
+
 def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
     # OpenBLAS splits a ddot of more than 10,000 entries across threads;
     # 12,289 is the dof count of nt=4096, k=3.  The same children apply a

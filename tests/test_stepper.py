@@ -10,8 +10,15 @@ from scipy.linalg import solve_banded
 
 from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
-from mbfem import stepper
-from mbfem.assembly import BandedMatrix, _back_substitute, _eliminate_interiors, assemble_static, nonlocal_value
+from mbfem import assembly, stepper
+from mbfem.assembly import (
+    BandedMatrix,
+    _back_substitute,
+    _element_entries,
+    _eliminate_interiors,
+    assemble_static,
+    nonlocal_value,
+)
 from mbfem.geometry import BoundaryMotion
 from mbfem.cli import parse_problem
 from mbfem.stepper import CONDENSE_MIN_ELEMENTS, StepKernel, advance, bootstrap_first_step, initialize, level_grid
@@ -588,15 +595,17 @@ def condensed_solution(data, rhs, k, own, systems):
     band `data` laid end to end, each `own` columns, of which its first
     and last vertex are its boundary (x = 0 there): `_eliminate_interiors`,
     one tridiagonal `BandedMatrix.solve` per system on its interior
-    vertices, then `_back_substitute`.  `data` and `rhs` are not changed."""
+    vertices, then `_back_substitute`, both on the `_element_entries` views
+    of rhs and x.  `data` and `rhs` are not changed."""
     band, rhs = BandedMatrix(data.copy(order="K"), k), rhs.copy()
     x = np.zeros(len(rhs))
-    work = np.empty((2, k, (len(rhs) - 1) // k))
-    _eliminate_interiors(band, rhs, work)
+    b, u = _element_entries(rhs, k), _element_entries(x, k)
+    work = np.empty((2, k, b.shape[1]))
+    _eliminate_interiors(band, b, work)
     for i in range(systems):
         vertices = slice(i * own + k, (i + 1) * own - k, k)
         x[vertices] = BandedMatrix(band.data[::k, vertices], 1).solve(rhs[vertices])
-    _back_substitute(band, rhs, x, work)
+    _back_substitute(band, b, u, work)
     return x
 
 
@@ -739,14 +748,15 @@ def random_step(kernel, p, t_mid, dt, rng):
 def condensations(monkeypatch):
     """The number of equations of each `_eliminate_interiors` call the
     stepper makes, each call checked to take the whole (2k+1, ne, n')
-    stack read flat."""
+    stack read flat and the element view of every element of it."""
     calls = []
 
-    def counted(a, rhs, work):
+    def counted(a, b, work):
         stack = a.data.base
         assert stack.ndim == 3 and a.data.shape == (stack.shape[0], stack.shape[1] * stack.shape[2])
+        assert b.shape == (a.kb + 1, (a.n - 1) // a.kb) and work.shape == (2, a.kb, b.shape[1])
         calls.append(stack.shape[1])
-        return _eliminate_interiors(a, rhs, work)
+        return _eliminate_interiors(a, b, work)
 
     monkeypatch.setattr(stepper, "_eliminate_interiors", counted)
     return calls
@@ -791,9 +801,9 @@ def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch)
     # the (nt + 1) k columns from i (nt + 1) k, its interior from 1 past that
     stacks = []
 
-    def keep(a, rhs, work):
-        stacks.append((a.data.copy(order="K"), rhs.copy()))
-        return _eliminate_interiors(a, rhs, work)
+    def keep(a, b, work):
+        stacks.append((a.data.copy(order="K"), kernel.stack_rhs.reshape(-1).copy()))
+        return _eliminate_interiors(a, b, work)
 
     monkeypatch.setattr(stepper, "_eliminate_interiors", keep)
     kernel = StepKernel(assemble_static(build_space(nt, k)), 2)
@@ -996,6 +1006,41 @@ def test_a_step_builds_no_banded_matrix(nt, monkeypatch, condensations):
     assert condensations == ([p.ne] if nt == CONDENSE_MIN_ELEMENTS else [])
 
 
+@pytest.mark.parametrize("nt", [4, CONDENSE_MIN_ELEMENTS])
+def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, condensations):
+    # the nonlocal values of all ne equations of a level are one call, so
+    # the bootstrap makes two and an advance one; a condensed step works on
+    # the element views the kernel made when it was built; and a step that
+    # succeeds never formats the label its errors would name it by
+    p = example1()
+    space = build_space(nt, 2)
+    kernel = StepKernel(assemble_static(space), p.ne)
+    counts = {"nonlocal": 0, "views": 0, "labels": 0}
+
+    def counting(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(stepper, "nonlocal_value", counting("nonlocal", stepper.nonlocal_value))
+    for module in (assembly, stepper):
+        monkeypatch.setattr(module, "_element_entries", counting("views", module._element_entries))
+    monkeypatch.setattr(stepper._StepLabel, "__str__", counting("labels", stepper._StepLabel.__str__))
+    s1 = bootstrap_first_step(initialize(space, p, 0.01), kernel, p)
+    assert counts == {"nonlocal": 2, "views": 0, "labels": 0}
+    advance(s1, kernel, p)
+    assert counts == {"nonlocal": 3, "views": 0, "labels": 0}
+    assert condensations == ([p.ne] * 3 if nt == CONDENSE_MIN_ELEMENTS else [])
+
+
+def test_a_step_label_reads_as_the_eager_text_did():
+    t = 3 * 0.1  # 0.30000000000000004: the float's repr, as an f-string gives it
+    assert str(stepper._StepLabel(7, t)) == f"step 7 (t={t})"
+    assert f"at {stepper._StepLabel(2, 0.02)}, equation 1" == "at step 2 (t=0.02), equation 1"
+
+
 def implicit_final_level(p, space, delta):
     """Final vectors of the fully implicit Crank-Nicolson scheme: each step
     takes the nonlocal values at the level average (V^n + V^(n+1))/2, found
@@ -1171,19 +1216,21 @@ def test_an_overflowing_middle_equation_leaves_the_bits_of_both_neighbours(k, mo
     # condensed U of equations 0 and 2 must keep the bits they have beside a
     # finite middle equation, and the error must name equation 1 alone
     space = build_space(CONDENSE_MIN_ELEMENTS // 2, k)
-    solutions = []
+    solutions, kernels = [], []
 
-    def keep(a, rhs, x, work):
-        _back_substitute(a, rhs, x, work)
-        solutions.append(x.reshape(3, -1)[:, : space.n_dofs].copy())
+    def keep(a, b, u, work):
+        _back_substitute(a, b, u, work)
+        solutions.append(kernels[-1].solution[:, : space.n_dofs].copy())
 
     monkeypatch.setattr(stepper, "_back_substitute", keep)
     motion = fixed_interval(0.0, 0.5, T=3.0)
     finite = constant_problem(motion, (0.9, 1.0, 2.2))
-    random_step(StepKernel(assemble_static(space), 3), finite, 0.2, 0.01, np.random.default_rng(7))
+    kernels.append(StepKernel(assemble_static(space), 3))
+    random_step(kernels[-1], finite, 0.2, 0.01, np.random.default_rng(7))
     overflowing = constant_problem(motion, (0.9, 1.7e308, 2.2))
+    kernels.append(StepKernel(assemble_static(space), 3))
     with pytest.raises(RuntimeError, match=r"non-finite solution at a test step, equation 1$"):
-        random_step(StepKernel(assemble_static(space), 3), overflowing, 0.2, 0.01, np.random.default_rng(7))
+        random_step(kernels[-1], overflowing, 0.2, 0.01, np.random.default_rng(7))
     before, after = solutions
     assert np.isfinite(before).all() and not np.isfinite(after[1, 1:-1]).any()
     assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
