@@ -8,10 +8,11 @@ name `mbfem_base`; this works because mbfem imports its own modules only
 relatively.  The other side is the `mbfem` on the import path, normally the
 working tree.  The script then alternates whole `stepper.run` calls of both
 trees, N pairs per case (default 9), with the tree that runs first
-alternating from pair to pair, on four cases: example1 at
+alternating from pair to pair, on five cases: example1 at
 (nt, k) = (4, 2) and (32, 3), the 8-equation solve_coupled problem of
-bench/workloads.py (seed 1, (128, 2)) and example2 at (4096, 3), solve_large's
-mesh.  A run is timed by an observer from level 1 to its last level, so the
+bench/workloads.py (seed 1, (128, 2)), example2 at (4096, 3), solve_large's
+mesh, and example2 at (256, 6), which condenses at the top degree the tests
+use.  A run is timed by an observer from level 1 to its last level, so the
 figure is µs per `advance`, without set-up and bootstrap.  Each case prints
 each side's median µs per step, the median of the per-pair ratios
 new / base, the pairs the working tree won and whether the two trees wrote
@@ -64,6 +65,7 @@ def cases(pkg):
         ("example1 (32, 3)", ex1, 32, 3, 1 / 2000),
         ("solve_coupled (128, 2)", coupled, 128, 2, 0.001),
         ("example2 (4096, 3)", replace(pkg.example2(), T=0.2), 4096, 3, 0.005),
+        ("example2 (256, 6)", replace(pkg.example2(), T=0.2), 256, 6, 0.005),
     ]
 
 

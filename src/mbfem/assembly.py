@@ -93,45 +93,93 @@ def _element_entries(v: np.ndarray, k: int) -> np.ndarray:
     return as_strided(v, (k + 1, (len(v) - 1) // k), (s, k * s))
 
 
-def _eliminate_interiors(a: BandedMatrix, b: np.ndarray, work: np.ndarray) -> None:
-    """First half of a static condensation of `a`, the band of the
-    E = (a.n - 1) // k degree-k Lagrange elements laid end to end from
-    column 0 (kb == k; columns past the last whole element are left alone):
-    eliminate the k - 1 interior dofs of every element.  b is the
-    (k + 1, E) `_element_entries` view of the right-hand side, which the
-    caller makes once for all the condensations of one vector.
+def _entry_planes(k: int) -> list[tuple[int, int]]:
+    """(R, c) of every plane of the degree-k element-entry store, in order:
+    band row R at the columns j with j mod k = c.  The vertex columns
+    (c = 0) come first with all 2k + 1 rows, then each interior residue
+    c = 1 .. k - 1 with rows k - c .. 2k - c, the only rows an element
+    block reaches there: k (k + 2) planes in all."""
+    return [(r, 0) for r in range(2 * k + 1)] + [(r, c) for c in range(1, k) for r in range(k - c, 2 * k - c + 1)]
+
+
+def _gather_entries(band: np.ndarray) -> np.ndarray:
+    """The element-entry store of `band`, a (2k + 1, ..., m k) band of
+    degree-k elements laid end to end from column 0 (any leading axes
+    between the band rows and the columns are kept): a new
+    (k (k + 2), ..., m) array whose plane p = (R, c) of `_entry_planes`
+    holds band entry (R, f k + c) in slot f.  Entry (r, c) of the element
+    block starting at column e k is then slot e of plane (k + r - c, c) for
+    c < k, and slot e + 1 of plane (r, 0) for c = k, so every block entry is
+    one contiguous row over the elements and the vertex diagonals two
+    elements share are one slot of plane (k, 0).  Band entries outside
+    every element block are not kept."""
+    k = (band.shape[0] - 1) // 2
+    planes = _entry_planes(k)
+    store = np.empty((len(planes), *band.shape[1:-1], band.shape[-1] // k))
+    for p, (r, c) in enumerate(planes):
+        store[p] = band[r, ..., c::k]
+    return store
+
+
+def _scatter_entries(store: np.ndarray, band: np.ndarray) -> None:
+    """Write the element-entry store back into `band`, the inverse of
+    `_gather_entries`: every kept entry takes its place, and every entry
+    the store does not keep is +0.0."""
+    k = (band.shape[0] - 1) // 2
+    band.fill(0.0)
+    for p, (r, c) in enumerate(_entry_planes(k)):
+        band[r, ..., c::k] = store[p]
+
+
+def _element_blocks(store: np.ndarray, k: int) -> list[np.ndarray]:
+    """Views of the element blocks of a flat (k (k + 2), S) element-entry
+    store, whose S slots hold E = S - 1 degree-k elements: blocks[c] is the
+    (k + 1, E) view whose row r is entry (r, c) of every element block,
+    contiguous along the elements.  For c < k the rows are the k + 1
+    planes of residue c from row k - c, consecutive in the store; for
+    c = k they are planes (0, 0) .. (k, 0), one slot on."""
+    firsts = [k] + [2 * k + 1 + (c - 1) * (k + 1) for c in range(1, k)]
+    return [store[f : f + k + 1, :-1] for f in firsts] + [store[: k + 1, 1:]]
+
+
+def _eliminate_interiors(blocks: list[np.ndarray], b: np.ndarray, work: np.ndarray) -> None:
+    """First half of a static condensation of a band of E degree-k
+    Lagrange elements laid end to end, held as the `_element_blocks`
+    views `blocks` of its element-entry store: eliminate the k - 1
+    interior dofs of every element.  b is the (k + 1, E) `_element_entries`
+    view of the right-hand side, which the caller makes once for all the
+    condensations of one vector, as it makes `blocks`.
 
     The elimination runs without pivoting, one local pivot at a time over
     all E elements at once: entry (r, c) of every element block is the
-    strided view a.data[k + r - c, c::k], read k entries apart when a.data
-    is row-major (either order gives the same bits), and only the vertex
-    diagonals are shared between elements.  It needs nonsingular element
-    blocks, which a positive-definite symmetric part of the matrix
-    guarantees.  An element whose interior meets its vertices in no entry
-    has multipliers 0 and changes no entry another element reads.
+    contiguous row blocks[c][r], and only the vertex diagonals are shared
+    between elements, one slot of one plane, so they receive their
+    subtractions in the order the band layout gives them.  It needs
+    nonsingular element blocks, which a positive-definite symmetric part
+    of the matrix guarantees.  An element whose interior meets its
+    vertices in no entry has multipliers 0 and changes no entry another
+    element reads.
 
-    Afterwards rows 0, k and 2k of a.data at the vertex columns hold the
-    tridiagonal Schur complement on the vertices, and the right-hand side
-    its right-hand side there; the caller solves it for x at the vertices,
-    then calls `_back_substitute`.  Overwrites a.data and the right-hand
-    side through b; work is (2, k, E) scratch.
+    Afterwards planes (0, 0), (k, 0) and (2k, 0) at the vertex slots hold
+    the tridiagonal Schur complement on the vertices, and the right-hand
+    side its right-hand side there; the caller solves it for x at the
+    vertices, then calls `_back_substitute`.  Overwrites the store through
+    `blocks` and the right-hand side through b; work is (2, k, E) scratch.
     """
-    d, k = a.data, a.kb
-    span = b.shape[1] * k
-    # every operation runs along the elements: a view of one block entry is
-    # a band row read k entries apart, since the band is row-major, and the
-    # multipliers of pivot p (rows p+1..k, then row 0) and their products
-    # go to the caller's contiguous work rows, not to new arrays per pivot
+    k = len(blocks) - 1
+    # the multipliers of pivot p (rows p+1..k, then row 0) and their
+    # products go to the caller's contiguous work rows, not to new arrays
+    # per pivot
     mult, prod = work
     for p in range(1, k):
         m = k - p
-        pivot = d[k, p : p + span : k]
-        np.divide(d[k + 1 : k + 1 + m, p : p + span : k], pivot, out=mult[:m])
-        np.divide(d[k - p, p : p + span : k], pivot, out=mult[m])
+        col = blocks[p]
+        np.divide(col[p + 1 :], col[p], out=mult[:m])
+        np.divide(col[0], col[p], out=mult[m])
         for c in (0, *range(p + 1, k + 1)):
-            cols = slice(c, c + span, k)
-            np.multiply(mult[: m + 1], d[k + p - c, cols], out=prod[: m + 1])
-            below, top = d[k + p + 1 - c : 2 * k + 1 - c, cols], d[k - c, cols]
+            col = blocks[c]
+            np.multiply(mult[: m + 1], col[p], out=prod[: m + 1])
+            below, top = col[p + 1 :], col[0]
             np.subtract(below, prod[:m], out=below)
             np.subtract(top, prod[m], out=top)
         np.multiply(mult[: m + 1], b[p], out=prod[: m + 1])
@@ -139,23 +187,23 @@ def _eliminate_interiors(a: BandedMatrix, b: np.ndarray, work: np.ndarray) -> No
         np.subtract(b[0], prod[m], out=b[0])
 
 
-def _back_substitute(a: BandedMatrix, b: np.ndarray, u: np.ndarray, work: np.ndarray) -> None:
+def _back_substitute(blocks: list[np.ndarray], b: np.ndarray, u: np.ndarray, work: np.ndarray) -> None:
     """Second half of the static condensation that `_eliminate_interiors`
-    began on `a` and the right-hand side viewed by b: write every element's
-    interior dofs into the solution x, viewed by u as b views the
-    right-hand side, from the vertex values x already holds, its first and
-    last entries included.  An element reads only its own block, its
-    right-hand side and its two vertex values.  work is the elimination's."""
-    d, k = a.data, a.kb
-    span = b.shape[1] * k
+    began on the store viewed by `blocks` and the right-hand side viewed by
+    b: write every element's interior dofs into the solution x, viewed by u
+    as b views the right-hand side, from the vertex values x already holds,
+    its first and last entries included.  An element reads only its own
+    block, its right-hand side and its two vertex values.  work is the
+    elimination's."""
+    k = len(blocks) - 1
     term = work[1, 0]
     for p in range(k - 1, 0, -1):
-        np.multiply(d[k + p, 0:span:k], u[0], out=term)
+        np.multiply(blocks[0][p], u[0], out=term)
         np.subtract(b[p], term, out=u[p])
         for c in range(p + 1, k + 1):
-            np.multiply(d[k + p - c, c : c + span : k], u[c], out=term)
+            np.multiply(blocks[c][p], u[c], out=term)
             np.subtract(u[p], term, out=u[p])
-        np.divide(u[p], d[k, p : p + span : k], out=u[p])
+        np.divide(u[p], blocks[p][p], out=u[p])
 
 
 @dataclass(frozen=True)
@@ -208,8 +256,8 @@ def assemble_static(space: FESpace) -> OperatorSet:
     are formed as S'S with S the shape table scaled by sqrt(weight), which
     makes them symmetric to the last bit.  The bands are stored row-major,
     so that a band row, one diagonal, is contiguous: the step kernel's band
-    arithmetic and its elimination, which reads one entry of every element
-    block at a time, then walk a row, k entries apart at most.
+    arithmetic then walks a row, and `_gather_entries` reads a row k
+    entries apart once per run.
     """
     k = space.degree
     n = space.n_dofs

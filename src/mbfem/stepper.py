@@ -23,7 +23,9 @@ the left-hand bands, U - V^(n-1)) is one array pass over all equations.
 The step kernel keeps the ne left-hand bands in one (2k+1, ne, n + k - 1)
 band: each equation's n columns are followed by k - 1 padding columns, the
 interior of an inert padding element (`StepKernel`), so no two equations
-share a column and every band row of all equations is contiguous.
+share a column and every band row of all equations is contiguous.  A
+kernel that may condense keeps them instead as one (k (k + 2), ne, nt + 1)
+element-entry store, one contiguous row per entry of an element block.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ from .assembly import (
     BandedMatrix,
     OperatorSet,
     _back_substitute,
+    _element_blocks,
     _element_entries,
     _eliminate_interiors,
+    _gather_entries,
+    _scatter_entries,
     assemble_load,
     assemble_static,
     diffusion_scalar,
@@ -122,38 +127,51 @@ class StepKernel:
     loads G by `assemble_load` into the rows of one (ne, n) array.
 
     The kernel keeps M, K, C0 and C1 padded to n' = n + k - 1 = (nt + 1) k
-    columns (and so M/d and the base; the operator set's unpadded bands are
-    not kept).  The k - 1 padding columns hold one padding element: its
-    interior has diagonal 1 in M and 0 everywhere else in M, K and C, and
-    it meets its two vertices in no entry.  `solve_all` writes the ne
-    left-hand bands into one C-ordered `stack` of shape (2k+1, ne, n') with
-    two broadcast passes, s_i K, then base + s_i K, in that operand order;
-    row r of the stack, read flat, is row r of all ne padded bands end to
-    end, one contiguous run of ne n' entries.  The right-hand sides go into
-    the first n columns of the rows of an (ne, n') `stack_rhs`, whose
-    padding is made 0: 2M/d, the one band in Fortran order (the layout
-    `dgbmv` reads without a copy), is applied by one `dgbmv` per equation
-    and formed once per d from the first n columns of M/d (README,
+    columns (and so M/d and the base).  The k - 1 padding columns hold one
+    padding element: its interior has diagonal 1 in M and 0 everywhere
+    else in M, K and C, and it meets its two vertices in no entry.  A
+    kernel that may condense (`large`: k >= 2 and ne nt >=
+    CONDENSE_MIN_ELEMENTS, fixed here) keeps these five operators, and
+    the left-hand sides, in the element-entry store of
+    `assembly._gather_entries` instead of as bands: P = k (k + 2) planes of
+    nt + 1 slots, one plane per band row R and column residue c = j mod k
+    that an element block reaches, so entry (r, c) of every element block
+    is one contiguous row and no structural zero is kept or swept.  Any
+    other kernel keeps the (2k + 1, n') bands.  `solve_all` writes the ne
+    left-hand sides into one C-ordered `stack` of shape (P, ne, nt + 1) or
+    (2k + 1, ne, n') with two broadcast passes, s_i K, then base + s_i K,
+    in that operand order, so every kept entry gets the bits it gets in
+    the band.  The right-hand sides go into the first n columns of the rows
+    of an (ne, n') `stack_rhs`, whose padding is made 0: 2M/d, the one band
+    in Fortran order (the layout `dgbmv` reads without a copy), is applied
+    by one `dgbmv` per equation and formed once per d as M/d + M/d from the
+    operator set's unpadded M, the one band of it the kernel keeps (README,
     "Performance", states the rule the last bits follow).  The quadrature
     points are kept in Fortran order, so that `assemble_load` contracts
     them along the elements, and the mapped points x_q that the forcings
     receive are one kept buffer, rewritten by every `begin_step`.  Every
-    array is allocated here, and every system is a `BandedMatrix` view of
-    the stack made here, paired with its views of `stack_rhs` and of the
-    (ne, n') `solution`: per equation its interior window, columns 1 .. n-2
-    with kb = k, and its vertex system, rows 0, k and 2k at the interior
-    vertex columns with kb = 1; and the whole stack read flat.  The views a
-    step writes through are made here too: the first n columns of each row
-    of `stack_rhs`, which the `dgbmv` products fill, and the (k + 1, E)
-    `_element_entries` views of `stack_rhs` and `solution` read flat, with
-    E = ne (nt + 1) - 1, which the condensation takes.
+    array is allocated here, and every system is a `BandedMatrix` view made
+    here, paired with its views of `stack_rhs` and of the (ne, n')
+    `solution`: per equation its interior window of the (2k + 1, ne, n')
+    `band` (the stack itself, or for a `large` kernel an `np.empty` band
+    that only a step it does not condense writes), columns 1 .. n-2 with
+    kb = k; and for a `large` kernel the vertex system of the store, planes
+    (0, 0), (k, 0) and (2k, 0) at slots 1 .. nt-1 with kb = 1, contiguous
+    rows with no gather.  The views a step writes through are made here
+    too: the first n columns of each row of `stack_rhs`, which the `dgbmv`
+    products fill, and for a `large` kernel the `_element_blocks` views of
+    the store read flat and the (k + 1, E) `_element_entries` views of
+    `stack_rhs` and `solution` read flat, with E = ne (nt + 1) - 1, which
+    the condensation takes.
 
     A step solves either all windows or, after `_eliminate_interiors` of
-    the flat band, all vertex systems followed by `_back_substitute`; one
+    the flat store, all vertex systems followed by `_back_substitute`; one
     loop makes the step's ne `BandedMatrix.solve` calls, and a singular
-    system is an error that names its equation.  It condenses when k >= 2
-    and ne nt >= CONDENSE_MIN_ELEMENTS (fixed here), 4 gamma + dt gamma'
-    > 0 (fixed by `begin_step`) and every a_i > 0.  The flat band is
+    system is an error that names its equation.  It condenses when the
+    kernel is `large`, 4 gamma + dt gamma' > 0 (fixed by `begin_step`) and
+    every a_i > 0; a `large` kernel's step that does not condense first
+    scatters the store into its band, +0.0 at every entry the store does
+    not keep, which is the bits the band would hold.  The flat store is
     ne (nt + 1) - 1 elements, the padding element between equations i and
     i + 1 among them, whose interior dofs are eliminated without pivoting.
     The last two conditions make the symmetric part of each interior LHS,
@@ -173,40 +191,46 @@ class StepKernel:
         self.space = ops.space
         self.weights = ops.nonlocal_weights
         k = self.kb = ops.mass.kb
-        self.mass = _padded(ops.mass.data, k, 1.0)
+        n, nt = self.space.n_dofs, self.space.n_elements
+        self.large = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
+        layout = _gather_entries if self.large else np.asarray
+        self.mass = layout(_padded(ops.mass.data, k, 1.0))
         self.stiffness, self.conv_const, self.conv_linear = (
-            _padded(band.data, k, 0.0) for band in (ops.stiffness, ops.conv_const, ops.conv_linear)
+            layout(_padded(band.data, k, 0.0)) for band in (ops.stiffness, ops.conv_const, ops.conv_linear)
         )
+        self.unpadded_mass = ops.mass.data
         self.dt = self.gamma = self.b2 = self.condense = None
         self.quad_points = np.asfortranarray(self.space.element_quad_points)
         self.x_q = np.empty_like(self.quad_points)
-        n, nt = self.space.n_dofs, self.space.n_elements
-        self.large = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
-        self.m_over_dt, self.lhs_base = np.empty(self.mass.shape), np.empty(self.mass.shape)
+        self.m_over_dt, self.lhs_base = np.empty_like(self.mass), np.empty_like(self.mass)
         self.two_m_over_dt = BandedMatrix(np.empty((2 * k + 1, n), order="F"), k)
         self.load_work = (np.empty((len(self.space.quad.weights), nt)), np.empty((k + 1, nt)))
         self.loads = np.empty((ne, n))
-        stack = self.stack = np.empty((2 * k + 1, ne, n + k - 1))
+        stack = self.stack = np.empty((len(self.mass), ne, self.mass.shape[1]))
+        # a condensing kernel's band is touched only by a step it does not condense
+        band = self.band = np.empty((2 * k + 1, ne, n + k - 1)) if self.large else stack
         rhs, x = self.stack_rhs, self.solution = np.zeros((ne, n + k - 1)), np.zeros((ne, n + k - 1))
-        self.work = np.empty((2, k, ne * (nt + 1) - 1))
-        self.flat = BandedMatrix(stack.reshape(2 * k + 1, -1), k)
-        self.rhs_elements, self.x_elements = (_element_entries(v.reshape(-1), k) for v in (rhs, x))
         self.rhs_rows = [rhs[i, :n] for i in range(ne)]
         inner, vertices = slice(1, n - 1), slice(k, n - 1, k)
-        self.windows = [(BandedMatrix(stack[:, i, inner], k), rhs[i, inner], x[i, inner]) for i in range(ne)]
-        self.vertex_systems = [
-            (BandedMatrix(stack[::k, i, vertices], 1), rhs[i, vertices], x[i, vertices]) for i in range(ne)
-        ]
+        self.windows = [(BandedMatrix(band[:, i, inner], k), rhs[i, inner], x[i, inner]) for i in range(ne)]
+        if self.large:
+            self.blocks = _element_blocks(stack.reshape(len(stack), -1), k)
+            self.rhs_elements, self.x_elements = (_element_entries(v.reshape(-1), k) for v in (rhs, x))
+            self.work = np.empty((2, k, ne * (nt + 1) - 1))
+            self.vertex_systems = [
+                (BandedMatrix(stack[0 : 2 * k + 1 : k, i, 1:nt], 1), rhs[i, vertices], x[i, vertices])
+                for i in range(ne)
+            ]
 
     def begin_step(self, problem, t_mid: float, dt: float) -> None:
         """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma,
         the quadrature points x_q and the ne loads for a step of length dt
         about t_mid.  gamma, b2 and x_q come from one `step_frame` call,
         with the bits of the motion's gamma, coeff_b2 and to_moving."""
-        n = self.space.n_dofs
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
-            np.add(self.m_over_dt[:, :n], self.m_over_dt[:, :n], out=self.two_m_over_dt.data)
+            two = self.two_m_over_dt.data
+            np.add(np.divide(self.unpadded_mass, dt, out=two), two, out=two)
             self.dt = dt
         motion = problem.motion
         g, self.b2 = motion.step_frame(self.quad_points, t_mid, self.x_q)
@@ -228,24 +252,26 @@ class StepKernel:
         the solution is checked, so an overflow in the band arithmetic is
         reported by the non-finite-solution check alone."""
         n = self.space.n_dofs
-        band, x = self.stack, self.solution
+        stack, x = self.stack, self.solution
         with np.errstate(over="ignore", invalid="ignore"):
             a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
             s = 0.5 * np.array(a) * self.b2
-            np.multiply(s[None, :, None], self.stiffness[:, None, :], out=band)
-            np.add(self.lhs_base[:, None, :], band, out=band)
+            np.multiply(s[None, :, None], self.stiffness[:, None, :], out=stack)
+            np.add(self.lhs_base[:, None, :], stack, out=stack)
             for v, load, out in zip(v_prev, self.loads, self.rhs_rows):
                 np.add(self.two_m_over_dt.matvec(v), load, out=out)
             condense = self.condense and min(a) > 0.0
             if condense:
-                _eliminate_interiors(self.flat, self.rhs_elements, self.work)
+                _eliminate_interiors(self.blocks, self.rhs_elements, self.work)
+            elif self.large:
+                _scatter_entries(stack, self.band)
             try:
                 for i, (system, b, u) in enumerate(self.vertex_systems if condense else self.windows):
                     u[:] = system.solve(b)
             except LinAlgError as exc:
                 raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {i} ({exc})") from exc
             if condense:
-                _back_substitute(self.flat, self.rhs_elements, self.x_elements, self.work)
+                _back_substitute(self.blocks, self.rhs_elements, self.x_elements, self.work)
             new = np.subtract(x[:, :n], v_prev)
         finite = np.isfinite(new)
         if not finite.all():
@@ -330,7 +356,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
     kernel = StepKernel(ops, problem.ne)
-    del ops  # the kernel keeps padded copies of the bands it needs
+    del ops  # the kernel keeps its own copies of the operators it needs
     while True:
         for obs in observers:
             obs(state.t_index, state.time, state.current)

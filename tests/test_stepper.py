@@ -14,8 +14,11 @@ from mbfem import assembly, stepper
 from mbfem.assembly import (
     BandedMatrix,
     _back_substitute,
+    _element_blocks,
     _element_entries,
     _eliminate_interiors,
+    _gather_entries,
+    _scatter_entries,
     assemble_static,
     nonlocal_value,
 )
@@ -590,22 +593,95 @@ def plain_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
     return u - v_prev
 
 
+# The static condensation on the band layout, kept as the stepper ran it
+# before the step kernel held condensing steps in an element-entry store:
+# the reference the store's elimination and back-substitution must match
+# bit for bit.
+
+
+def band_eliminate_interiors(a: BandedMatrix, b: np.ndarray, work: np.ndarray) -> None:
+    """First half of a static condensation of `a`, the band of the
+    E = (a.n - 1) // k degree-k Lagrange elements laid end to end from
+    column 0 (kb == k; columns past the last whole element are left alone):
+    eliminate the k - 1 interior dofs of every element.  b is the
+    (k + 1, E) `_element_entries` view of the right-hand side, which the
+    caller makes once for all the condensations of one vector.
+
+    The elimination runs without pivoting, one local pivot at a time over
+    all E elements at once: entry (r, c) of every element block is the
+    strided view a.data[k + r - c, c::k], read k entries apart when a.data
+    is row-major (either order gives the same bits), and only the vertex
+    diagonals are shared between elements.  It needs nonsingular element
+    blocks, which a positive-definite symmetric part of the matrix
+    guarantees.  An element whose interior meets its vertices in no entry
+    has multipliers 0 and changes no entry another element reads.
+
+    Afterwards rows 0, k and 2k of a.data at the vertex columns hold the
+    tridiagonal Schur complement on the vertices, and the right-hand side
+    its right-hand side there; the caller solves it for x at the vertices,
+    then calls `band_back_substitute`.  Overwrites a.data and the right-hand
+    side through b; work is (2, k, E) scratch.
+    """
+    d, k = a.data, a.kb
+    span = b.shape[1] * k
+    # every operation runs along the elements: a view of one block entry is
+    # a band row read k entries apart, since the band is row-major, and the
+    # multipliers of pivot p (rows p+1..k, then row 0) and their products
+    # go to the caller's contiguous work rows, not to new arrays per pivot
+    mult, prod = work
+    for p in range(1, k):
+        m = k - p
+        pivot = d[k, p : p + span : k]
+        np.divide(d[k + 1 : k + 1 + m, p : p + span : k], pivot, out=mult[:m])
+        np.divide(d[k - p, p : p + span : k], pivot, out=mult[m])
+        for c in (0, *range(p + 1, k + 1)):
+            cols = slice(c, c + span, k)
+            np.multiply(mult[: m + 1], d[k + p - c, cols], out=prod[: m + 1])
+            below, top = d[k + p + 1 - c : 2 * k + 1 - c, cols], d[k - c, cols]
+            np.subtract(below, prod[:m], out=below)
+            np.subtract(top, prod[m], out=top)
+        np.multiply(mult[: m + 1], b[p], out=prod[: m + 1])
+        np.subtract(b[p + 1 :], prod[:m], out=b[p + 1 :])
+        np.subtract(b[0], prod[m], out=b[0])
+
+
+def band_back_substitute(a: BandedMatrix, b: np.ndarray, u: np.ndarray, work: np.ndarray) -> None:
+    """Second half of the static condensation that `band_eliminate_interiors`
+    began on `a` and the right-hand side viewed by b: write every element's
+    interior dofs into the solution x, viewed by u as b views the
+    right-hand side, from the vertex values x already holds, its first and
+    last entries included.  An element reads only its own block, its
+    right-hand side and its two vertex values.  work is the elimination's."""
+    d, k = a.data, a.kb
+    span = b.shape[1] * k
+    term = work[1, 0]
+    for p in range(k - 1, 0, -1):
+        np.multiply(d[k + p, 0:span:k], u[0], out=term)
+        np.subtract(b[p], term, out=u[p])
+        for c in range(p + 1, k + 1):
+            np.multiply(d[k + p - c, c : c + span : k], u[c], out=term)
+            np.subtract(u[p], term, out=u[p])
+        np.divide(u[p], d[k, p : p + span : k], out=u[p])
+
+
+
 def condensed_solution(data, rhs, k, own, systems):
     """The solutions x of the `systems` Dirichlet-interior systems of the
     band `data` laid end to end, each `own` columns, of which its first
-    and last vertex are its boundary (x = 0 there): `_eliminate_interiors`,
-    one tridiagonal `BandedMatrix.solve` per system on its interior
-    vertices, then `_back_substitute`, both on the `_element_entries` views
-    of rhs and x.  `data` and `rhs` are not changed."""
+    and last vertex are its boundary (x = 0 there), by the band-layout
+    reference: `band_eliminate_interiors`, one tridiagonal
+    `BandedMatrix.solve` per system on its interior vertices, then
+    `band_back_substitute`, both on the `_element_entries` views of rhs
+    and x.  `data` and `rhs` are not changed."""
     band, rhs = BandedMatrix(data.copy(order="K"), k), rhs.copy()
     x = np.zeros(len(rhs))
     b, u = _element_entries(rhs, k), _element_entries(x, k)
     work = np.empty((2, k, b.shape[1]))
-    _eliminate_interiors(band, b, work)
+    band_eliminate_interiors(band, b, work)
     for i in range(systems):
         vertices = slice(i * own + k, (i + 1) * own - k, k)
         x[vertices] = BandedMatrix(band.data[::k, vertices], 1).solve(rhs[vertices])
-    _back_substitute(band, b, u, work)
+    band_back_substitute(band, b, u, work)
     return x
 
 
@@ -747,19 +823,33 @@ def random_step(kernel, p, t_mid, dt, rng):
 @pytest.fixture
 def condensations(monkeypatch):
     """The number of equations of each `_eliminate_interiors` call the
-    stepper makes, each call checked to take the whole (2k+1, ne, n')
-    stack read flat and the element view of every element of it."""
+    stepper makes, each call checked to take the `_element_blocks` views of
+    the whole (k (k + 2), ne, nt + 1) element-entry store read flat and the
+    element view of every element of it."""
     calls = []
 
-    def counted(a, b, work):
-        stack = a.data.base
-        assert stack.ndim == 3 and a.data.shape == (stack.shape[0], stack.shape[1] * stack.shape[2])
-        assert b.shape == (a.kb + 1, (a.n - 1) // a.kb) and work.shape == (2, a.kb, b.shape[1])
-        calls.append(stack.shape[1])
-        return _eliminate_interiors(a, b, work)
+    def counted(blocks, b, work):
+        k, store = len(blocks) - 1, blocks[0].base
+        elements = store.shape[1] * store.shape[2] - 1
+        assert store.ndim == 3 and store.shape[0] == k * (k + 2)
+        assert all(block.base is store and block.shape == (k + 1, elements) for block in blocks)
+        assert b.shape == (k + 1, elements) and work.shape == (2, k, elements)
+        calls.append(store.shape[1])
+        return _eliminate_interiors(blocks, b, work)
 
     monkeypatch.setattr(stepper, "_eliminate_interiors", counted)
     return calls
+
+
+def kernel_band(kernel, array):
+    """One of the kernel's padded operators (M/d, the base, ...) as a
+    (2k+1, n') band: a condensing kernel keeps it as an element-entry
+    store, which is scattered into a new band."""
+    if not kernel.large:
+        return array
+    band = np.empty((2 * kernel.kb + 1, kernel.space.n_dofs + kernel.kb - 1))
+    _scatter_entries(array, band)
+    return band
 
 
 @pytest.mark.parametrize("shrinking", [False, True])
@@ -781,10 +871,11 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
         a = rng.uniform(0.05, 5.0, size=2).tolist()
         got, v_prev, loads = random_step(kernel, constant_problem(motion, a), t_mid, dt, rng)
         n = space.n_dofs  # the kernel's M/d and base are padded past column n
+        base, m_over_dt = kernel_band(kernel, kernel.lhs_base)[:, :n], kernel_band(kernel, kernel.m_over_dt)[:, :n]
         for a_i, v, load, u in zip(a, v_prev, loads, got):
             diff_half = (0.5 * a_i * kernel.b2) * ops.stiffness.data
-            lhs = BandedMatrix((kernel.lhs_base[:, :n] + diff_half)[:, 1:-1], k)
-            rhs_band = kernel.m_over_dt[:, :n] + half_convection(ops, motion, t_mid) - diff_half
+            lhs = BandedMatrix((base + diff_half)[:, 1:-1], k)
+            rhs_band = m_over_dt + half_convection(ops, motion, t_mid) - diff_half
             rhs = BandedMatrix(rhs_band, k).matvec(v) + load
             expected = solve_banded((k, k), lhs.data, rhs[1:-1])
             bound = LAST_BIT_C * eps * condition_1norm(lhs) * np.abs(expected).max()
@@ -795,43 +886,189 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
 
 @pytest.mark.parametrize("nt,k", [(CONDENSE_MIN_ELEMENTS, k) for k in range(2, 7)] + [(4096, 3)])
 def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch):
-    # the kernel's stacked band is row-major, LAPACK's layout is column-major:
-    # the condensation of the band and the banded solve of each equation's
-    # window must not depend on which one holds the band; equation i owns
-    # the (nt + 1) k columns from i (nt + 1) k, its interior from 1 past that
+    # the kernel condenses its element-entry store; scattered into the
+    # (2k+1, ne n') band it stands for, the band-layout reference
+    # condensation must give the kernel's bits, and it and the banded solve
+    # of each equation's window must not depend on whether the band is
+    # row-major or column-major (LAPACK's layout); equation i owns the
+    # (nt + 1) k columns from i (nt + 1) k, its interior from 1 past that
     stacks = []
 
-    def keep(a, b, work):
-        stacks.append((a.data.copy(order="K"), kernel.stack_rhs.reshape(-1).copy()))
-        return _eliminate_interiors(a, b, work)
+    def keep(blocks, b, work):
+        stacks.append((kernel.stack.copy(), kernel.stack_rhs.reshape(-1).copy()))
+        return _eliminate_interiors(blocks, b, work)
 
     monkeypatch.setattr(stepper, "_eliminate_interiors", keep)
     kernel = StepKernel(assemble_static(build_space(nt, k)), 2)
-    random_step(kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 0.2, 0.01, np.random.default_rng(nt + k))
-    ((band, rhs),) = stacks
-    assert band.flags.c_contiguous
+    got, v_prev, _ = random_step(
+        kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 0.2, 0.01, np.random.default_rng(nt + k)
+    )
+    ((store, rhs),) = stacks
     own, inner = (nt + 1) * k, slice(1, nt * k)
+    band = np.empty((2 * k + 1, 2, own))
+    _scatter_entries(store, band)
     condensed, banded = [], []
     for order in "CF":
-        data = np.array(band, order=order)
+        data = np.array(band.reshape(2 * k + 1, -1), order=order)
         windows = [BandedMatrix(data[:, i * own :][:, inner], k).solve(rhs[i * own :][inner]) for i in range(2)]
         condensed.append(condensed_solution(data, rhs, k, own, 2))
         banded.append(np.concatenate(windows))
     assert np.array_equal(*condensed)
     assert np.array_equal(*banded)
+    n = nt * k + 1
+    assert (condensed[0].reshape(2, own)[:, :n] - v_prev).tobytes() == got.tobytes()
 
 
-def test_a_pinching_step_takes_the_banded_solve(condensations):
-    # gamma = 1e-6 + (1 - t)^2 is a valid motion, but at t = 0.9985 with
-    # dt = 0.005, 4 gamma + dt gamma' = -2e-6: the interior LHS may lose
-    # its positive-definite symmetric part, so the kernel keeps dgbsv
-    motion = BoundaryMotion(
+def block_positions(k, columns):
+    """Mask of the positions of a (2k+1, columns) band that hold an entry of
+    an element block, for degree-k elements laid end to end from column 0:
+    row i = j + R - k and column j of position (R, j) lie in one element."""
+    rows, cols = np.indices((2 * k + 1, columns))
+    i = cols + rows - k
+    lo, hi = np.minimum(i, cols), np.maximum(i, cols)
+    return (0 <= i) & (i < columns) & (hi <= (lo // k + 1) * k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_the_element_entry_store_keeps_each_block_entry_once(k):
+    # two equations of three elements and a padding element each, laid end
+    # to end as in the kernel's flat stack: the store holds every entry of
+    # every element block exactly once, and nothing else but positions whose
+    # row lies outside the band; scattered back, the kept entries keep
+    # their bits and every other entry is +0.0
+    ne, nt = 2, 3
+    own = (nt + 1) * k
+    band = np.random.default_rng(k).standard_normal((2 * k + 1, ne, own))
+    store = _gather_entries(band)
+    assert store.shape == (k * (k + 2), ne, nt + 1)
+    ids = _gather_entries(np.arange(band.size, dtype=float).reshape(band.shape)).astype(int).ravel()
+    assert len(np.unique(ids)) == ids.size
+    flat = band.reshape(2 * k + 1, -1)
+    kept = np.zeros(flat.shape, bool)
+    kept.flat[ids] = True
+    rows, cols = np.indices(flat.shape)
+    outside = (cols + rows - k < 0) | (cols + rows - k >= ne * own)
+    blocks = block_positions(k, ne * own)
+    assert not (blocks & ~kept).any() and not (kept & ~blocks & ~outside).any()
+    back = np.full_like(band, np.nan)
+    _scatter_entries(store, back)
+    back = back.reshape(flat.shape)
+    assert back[kept].tobytes() == flat[kept].tobytes()
+    assert (back[~kept] == 0.0).all() and not np.signbit(back[~kept]).any()
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_the_condensation_of_the_store_has_the_bits_of_the_band_reference(k):
+    # random, diagonally dominant element blocks of two padded equations:
+    # eliminating on the store, solving each equation's vertex system on
+    # the store's planes (0, 0), (k, 0) and (2k, 0), and back-substituting
+    # give the band-layout reference's bits, in the eliminated matrix and in
+    # the solution
+    ne, nt = 2, 5
+    own = (nt + 1) * k
+    rng = np.random.default_rng(10 + k)
+    flat = np.where(block_positions(k, ne * own), rng.uniform(-1.0, 1.0, (2 * k + 1, ne * own)), 0.0)
+    flat[k] += 4.0 * k
+    rhs = rng.standard_normal(ne * own)
+    expected = condensed_solution(flat, rhs, k, own, ne)
+    reference, b_ref = BandedMatrix(flat.copy(), k), _element_entries(rhs.copy(), k)
+    band_eliminate_interiors(reference, b_ref, np.empty((2, k, b_ref.shape[1])))
+
+    store = _gather_entries(flat.reshape(2 * k + 1, ne, own))
+    blocks = _element_blocks(store.reshape(len(store), -1), k)
+    b_flat, x = rhs.copy(), np.zeros((ne, own))
+    b, u = _element_entries(b_flat, k), _element_entries(x.reshape(-1), k)
+    work = np.empty((2, k, b.shape[1]))
+    _eliminate_interiors(blocks, b, work)
+    assert store.tobytes() == _gather_entries(reference.data.reshape(2 * k + 1, ne, own)).tobytes()
+    assert b.tobytes() == b_ref.tobytes()
+    vertices = slice(k, nt * k, k)
+    for i in range(ne):
+        x[i, vertices] = BandedMatrix(store[0 : 2 * k + 1 : k, i, 1:nt], 1).solve(b_flat.reshape(ne, own)[i, vertices])
+    _back_substitute(blocks, b, u, work)
+    assert x.tobytes() == expected.tobytes()
+
+
+def pinching_motion():
+    """gamma = 1e-6 + (1 - t)^2 on (0, 1): a valid motion, but at t = 0.9985
+    with dt = 0.005, 4 gamma + dt gamma' = -2e-6."""
+    return BoundaryMotion(
         alpha=lambda t: 0.0,
         beta=lambda t: 1e-6 + (1.0 - t) ** 2,
         alpha_prime=lambda t: 0.0,
         beta_prime=lambda t: -2.0 * (1.0 - t),
         T=1.0,
     )
+
+
+@pytest.mark.parametrize("case", ["pinching", "a zero diffusion coefficient"])
+def test_a_condensing_kernels_banded_step_has_the_bits_of_a_band_kernel(case, monkeypatch, condensations):
+    # a condensing kernel keeps its operators in the element-entry store, so
+    # a step it does not condense scatters the store into its band and
+    # solves the windows; that must give the bytes of the same step on a
+    # kernel that keeps the band, made by raising the size threshold
+    if case == "pinching":
+        motion, a, t_mid, dt = pinching_motion(), (1.3,), 0.9985, 0.005
+    else:
+        motion, a, t_mid, dt = linear_motion(0.3, 0.6), (1.3, 0.0, 0.7), 0.2, 0.01
+    p = constant_problem(motion, a)
+    ops = assemble_static(build_space(CONDENSE_MIN_ELEMENTS, 2))
+    steps = []
+    for threshold in (CONDENSE_MIN_ELEMENTS, 10**9):
+        monkeypatch.setattr(stepper, "CONDENSE_MIN_ELEMENTS", threshold)
+        kernel = StepKernel(ops, p.ne)
+        got, _, _ = random_step(kernel, p, t_mid, dt, np.random.default_rng(5))
+        steps.append((kernel.large, kernel.stack.shape[0], got.tobytes()))
+    (store_large, store_planes, got), (band_large, band_rows, want) = steps
+    assert (store_large, store_planes, band_large, band_rows) == (True, 8, False, 5)
+    assert got == want and condensations == []
+
+
+def exact_step(kernel, a_i, v_prev, load):
+    """V^(n) of a one-equation kernel's step from the float64 interior system
+    the kernel builds, base + s K with s = (a_i / 2) b2 and the RHS
+    (2M/d) V^(n-1) + G, solved in mpmath at dps = 40 and rounded to float64;
+    with that system's interior band."""
+    import mpmath as mp
+
+    n, k = kernel.space.n_dofs, kernel.kb
+    s = 0.5 * np.array([a_i]) * kernel.b2
+    lhs = kernel_band(kernel, kernel.lhs_base)[:, :n] + s[0] * kernel_band(kernel, kernel.stiffness)[:, :n]
+    rhs = kernel.two_m_over_dt.matvec(v_prev) + load
+    interior = BandedMatrix(lhs[:, 1:-1], k)
+    with mp.workdps(40):
+        u = mp.lu_solve(mp.matrix(toarray(interior).tolist()), mp.matrix(rhs[1:-1].tolist()))
+        exact = np.zeros(n)
+        exact[1:-1] = [float(u[j] - mp.mpf(float(v_prev[j + 1]))) for j in range(n - 2)]
+    return exact, interior
+
+
+@pytest.mark.parametrize("dt", [0.005, 0.5])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_both_solve_paths_are_within_the_last_bit_rule_of_an_exact_solve(k, dt, monkeypatch, condensations):
+    # the float64 system one step builds, solved exactly, against dgbsv on a
+    # band kernel and (k >= 2) condensation on a store kernel, the size
+    # threshold raised or lowered for each: on the shrinking gamma =
+    # 1 - 1.1 t with alpha' = 0.7, so C != 0, and at the midpoint t = 0.3
+    # 4 gamma + dt gamma' > 0 also at dt = 0.5
+    eps = np.finfo(float).eps
+    p = constant_problem(linear_motion(0.7, -0.4), (1.3,))
+    ops = assemble_static(build_space(8, k))
+    for threshold in (10**9, 1) if k >= 2 else (10**9,):
+        monkeypatch.setattr(stepper, "CONDENSE_MIN_ELEMENTS", threshold)
+        kernel = StepKernel(ops, 1)
+        (got,), (v_prev,), (load,) = random_step(kernel, p, 0.3, dt, np.random.default_rng(k))
+        expected, interior = exact_step(kernel, 1.3, v_prev, load)
+        bound = LAST_BIT_C * eps * condition_1norm(interior) * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= bound
+    assert condensations == ([1] if k >= 2 else [])
+
+
+def test_a_pinching_step_takes_the_banded_solve(condensations):
+    # at t = 0.9985 with dt = 0.005 the pinching motion fails the guard: the
+    # interior LHS may lose its positive-definite symmetric part, so the
+    # kernel keeps dgbsv
+    motion = pinching_motion()
     p = constant_problem(motion, (1.3,))
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     ops = assemble_static(space)
@@ -1010,7 +1247,8 @@ def test_a_step_builds_no_banded_matrix(nt, monkeypatch, condensations):
 def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, condensations):
     # the nonlocal values of all ne equations of a level are one call, so
     # the bootstrap makes two and an advance one; a condensed step works on
-    # the element views the kernel made when it was built; and a step that
+    # the element views (of the right-hand side, the solution and the
+    # store) the kernel made when it was built; and a step that
     # succeeds never formats the label its errors would name it by
     p = example1()
     space = build_space(nt, 2)
@@ -1026,7 +1264,8 @@ def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, con
 
     monkeypatch.setattr(stepper, "nonlocal_value", counting("nonlocal", stepper.nonlocal_value))
     for module in (assembly, stepper):
-        monkeypatch.setattr(module, "_element_entries", counting("views", module._element_entries))
+        for name in ("_element_entries", "_element_blocks"):
+            monkeypatch.setattr(module, name, counting("views", getattr(module, name)))
     monkeypatch.setattr(stepper._StepLabel, "__str__", counting("labels", stepper._StepLabel.__str__))
     s1 = bootstrap_first_step(initialize(space, p, 0.01), kernel, p)
     assert counts == {"nonlocal": 2, "views": 0, "labels": 0}
