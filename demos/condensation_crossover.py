@@ -12,10 +12,11 @@ path is timed on the layout a kernel would use for it: dgbsv on a band
 kernel and condensation on a store kernel, built with
 `stepper.CONDENSE_MIN_ELEMENTS` raised past every mesh or lowered to 1 for
 the cell.  Linear elements have no interior dofs and are never condensed.
-V^(n-1) is an (ne, n) array, one row per equation, as a level's state holds
-it.  This script times `solve_all` on both paths for ne = 1, 2 and 8
-equations, degrees k = 1..6 and meshes of 32..4096 elements, on example2's
-motion at t = 0.1 with dt = 0.005 and a distinct constant a_i per equation,
+`begin_step` sets each kernel up for the step that leaves a level, here
+level 20 at dt = 0.005 (t = 0.1) with a random V^(n-1), an (ne, n) array
+as a level's state holds it.  This script times `solve_all` on both paths
+for ne = 1, 2 and 8 equations, degrees k = 1..6 and meshes of 32..4096
+elements, on example2's motion with a distinct constant a_i per equation,
 and marks the path the kernel's rule picks: condensation for k >= 2 and
 ne nt >= CONDENSE_MIN_ELEMENTS.  Each figure is the best of 5 repeats, in
 µs per step's ne solves (RHS products, bands and solves).  Rerun it to
@@ -59,14 +60,14 @@ def path_kernel(ops, ne, condense):
         stepper.CONDENSE_MIN_ELEMENTS = rule
 
 
-def best_us(kernel, p, v_prev, repeats=5):
+def best_us(kernel, p, repeats=5):
     """Best of `repeats` timings of `solve_all`, in µs per call."""
-    number = max(1, 40000 // v_prev.size)
+    number = max(1, 40000 // kernel.loads.size)
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
         for _ in range(number):
-            kernel.solve_all(p, (0.0,) * p.ne, v_prev, "the crossover demo")
+            kernel.solve_all(p, (0.0,) * p.ne)
         best = min(best, (time.perf_counter() - started) / number)
     return 1e6 * best
 
@@ -80,12 +81,13 @@ def cell(ne, nt, k, rng, repeats=5):
     ops = assemble_static(space)
     v_prev = rng.standard_normal((ne, space.n_dofs))
     v_prev[:, [0, -1]] = 0.0
+    state = stepper.SchemeState(t_index=20, delta=0.005, current=v_prev, previous=None)
     times = []
     for condense in (False, True)[: 2 if k >= 2 else 1]:
         kernel = path_kernel(ops, ne, condense)
-        kernel.begin_step(p, 0.1, 0.005)
+        kernel.begin_step(p, state)
         assert kernel.condense == condense
-        times.append(best_us(kernel, p, v_prev, repeats))
+        times.append(best_us(kernel, p, repeats))
     return times[0], times[1] if k >= 2 else None
 
 

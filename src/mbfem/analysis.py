@@ -192,9 +192,10 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     other parameter is held fixed and must be fine enough that its error
     stays subdominant (an unreliable-fit flag, r^2 < 0.99, marks plateau
     contamination).  Runs that fail are recorded with NaN errors and
-    excluded from the fits without aborting the study.  A problem without
-    exact solutions, fewer than three levels, a level repeated on the
-    refined axis, or a delta that does not divide problem.T is a
+    excluded from the fits without aborting the study; the row of a run
+    on no elements (nt = 0) has h = inf.  A problem without exact
+    solutions, fewer than three levels, a level repeated on the refined
+    axis, a repeated degree, or a delta that does not divide problem.T is a
     ValueError before the first run.
     """
     mesh_sizes = list(mesh_sizes)
@@ -208,6 +209,8 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
     levels = deltas if axis == "delta" else mesh_sizes
     if len(levels) < 3 or len(set(levels)) < len(levels):
         raise ValueError(f"need at least three points to fit a slope, at distinct refinement levels; got {levels}")
+    if len(set(degrees)) < len(degrees):
+        raise ValueError(f"need distinct degrees, got {degrees}")
     for d in deltas:
         level_grid(problem.T, d)
     rows = []
@@ -226,7 +229,7 @@ def convergence_study(problem, degrees, mesh_sizes, deltas) -> StudyResult:
                     axis=axis,
                     k=k,
                     nt=nt,
-                    h=1.0 / nt,
+                    h=1.0 / nt if nt else math.inf,
                     delta=d,
                     equation=i,
                     l2_error=errs[i],

@@ -26,6 +26,14 @@ interior of an inert padding element (`StepKernel`), so no two equations
 share a column and every band row of all equations is contiguous.  A
 kernel that may condense keeps them instead as one (k (k + 2), ne, nt + 1)
 element-entry store, one contiguous row per entry of an element block.
+
+A step is a function of the level it leaves.  `StepKernel.begin_step(problem,
+state)` takes from the state at level n - 1 all that the step to level n
+needs: its length d = state.delta, its midpoint t_{n-1/2}, computed as
+((n - 1) d + n d)/2, and V^(n-1) = state.current.  `solve_all(problem,
+nonlocal_values, stage)` then solves that step at the given nonlocal
+values, once per advance and twice, as predictor and corrector, in the
+bootstrap, and names a failure `{stage}step n (t=n d)`.
 """
 
 from __future__ import annotations
@@ -114,77 +122,40 @@ def _padded(band: np.ndarray, k: int, diagonal: float) -> np.ndarray:
 
 
 class StepKernel:
-    """The arithmetic of the steps of one run of ne equations, set up by
-    `begin_step` for each.
+    """The arithmetic of the steps of one run of ne equations.
 
-    Every moving-domain quantity of a step is a function of t alone, so
-    `begin_step` evaluates the motion once, at the step's midpoint: the
-    width gamma of the nonlocal values, b2, C and the quadrature points of
-    the ne loads.  Per equation a step solves the midpoint form
+    Per equation a step solves the midpoint form
     [(M/d - C/2) + (a_i b2/2) K] U = (2M/d) V^(n-1) + G, in which only
-    s_i = a_i b2/2 differs between equations.  M/d and 2M/d are formed once
-    per d, the base M/d - C/2 once per step by `begin_step`, and the ne
-    loads G by `assemble_load` into the rows of one (ne, n) array.
+    s_i = a_i b2/2 differs between equations, so `solve_all` builds the ne
+    left-hand sides in one stack by two broadcast passes, s_i K, then
+    base + s_i K.  A kernel that may condense (`large`: k >= 2 and
+    ne nt >= CONDENSE_MIN_ELEMENTS) keeps its operators and the stack in
+    the element-entry store of `assembly._gather_entries`, because the
+    condensation then sweeps entry (r, c) of every element block as one
+    contiguous row and no structural zero; any other kernel keeps
+    (2k + 1, n') bands, the layout `dgbsv` reads.  The passes run in one
+    operand order on both layouts, so every kept entry has the bits it has
+    in the band.
 
-    The kernel keeps M, K, C0 and C1 padded to n' = n + k - 1 = (nt + 1) k
-    columns (and so M/d and the base).  The k - 1 padding columns hold one
-    padding element: its interior has diagonal 1 in M and 0 everywhere
-    else in M, K and C, and it meets its two vertices in no entry.  A
-    kernel that may condense (`large`: k >= 2 and ne nt >=
-    CONDENSE_MIN_ELEMENTS, fixed here) keeps these five operators, and
-    the left-hand sides, in the element-entry store of
-    `assembly._gather_entries` instead of as bands: P = k (k + 2) planes of
-    nt + 1 slots, one plane per band row R and column residue c = j mod k
-    that an element block reaches, so entry (r, c) of every element block
-    is one contiguous row and no structural zero is kept or swept.  Any
-    other kernel keeps the (2k + 1, n') bands.  `solve_all` writes the ne
-    left-hand sides into one C-ordered `stack` of shape (P, ne, nt + 1) or
-    (2k + 1, ne, n') with two broadcast passes, s_i K, then base + s_i K,
-    in that operand order, so every kept entry gets the bits it gets in
-    the band.  The right-hand sides go into the first n columns of the rows
-    of an (ne, n') `stack_rhs`, whose padding is made 0: 2M/d, the one band
-    in Fortran order (the layout `dgbmv` reads without a copy), is applied
-    by one `dgbmv` per equation and formed once per d as M/d + M/d from the
-    operator set's unpadded M, the one band of it the kernel keeps (README,
-    "Performance", states the rule the last bits follow).  The quadrature
-    points are kept in Fortran order, so that `assemble_load` contracts
-    them along the elements, and the mapped points x_q that the forcings
-    receive are one kept buffer, rewritten by every `begin_step`.  Every
-    array is allocated here, and every system is a `BandedMatrix` view made
-    here, paired with its views of `stack_rhs` and of the (ne, n')
-    `solution`: per equation its interior window of the (2k + 1, ne, n')
-    `band` (the stack itself, or for a `large` kernel an `np.empty` band
-    that only a step it does not condense writes), columns 1 .. n-2 with
-    kb = k; and for a `large` kernel the vertex system of the store, planes
-    (0, 0), (k, 0) and (2k, 0) at slots 1 .. nt-1 with kb = 1, contiguous
-    rows with no gather.  The views a step writes through are made here
-    too: the first n columns of each row of `stack_rhs`, which the `dgbmv`
-    products fill, and for a `large` kernel the `_element_blocks` views of
-    the store read flat and the (k + 1, E) `_element_entries` views of
-    `stack_rhs` and `solution` read flat, with E = ne (nt + 1) - 1, which
-    the condensation takes.
+    A step condenses when the kernel is `large`, 4 gamma + dt gamma' > 0 at
+    its midpoint and every a_i > 0.  These make the symmetric part of each
+    interior LHS, M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K, positive
+    definite (the symmetric parts of conv_const and conv_linear there are 0
+    and -M/2), so elimination without pivoting meets no zero pivot.  Any
+    other step scatters the store into the band, +0.0 at every entry the
+    store does not keep, and solves each equation's window by `dgbsv`.
 
-    A step solves either all windows or, after `_eliminate_interiors` of
-    the flat store, all vertex systems followed by `_back_substitute`; one
-    loop makes the step's ne `BandedMatrix.solve` calls, and a singular
-    system is an error that names its equation.  It condenses when the
-    kernel is `large`, 4 gamma + dt gamma' > 0 (fixed by `begin_step`) and
-    every a_i > 0; a `large` kernel's step that does not condense first
-    scatters the store into its band, +0.0 at every entry the store does
-    not keep, which is the bits the band would hold.  The flat store is
-    ne (nt + 1) - 1 elements, the padding element between equations i and
-    i + 1 among them, whose interior dofs are eliminated without pivoting.
-    The last two conditions make the symmetric part of each interior LHS,
-    M (1/dt + gamma'/(4 gamma)) + (a_i b2/2) K, positive definite (the
-    symmetric parts of conv_const and conv_linear there are 0 and -M/2),
-    so no pivot can vanish.  A padding element is inert: its multipliers
-    are 0 over its pivots 1/d, so it changes no entry another element
-    reads, and each equation's interior values get the bits of a
+    Each equation's n columns are followed by k - 1 padding columns, the
+    interior of a padding element: diagonal 1 in M, 0 everywhere else in
+    M, K and C, meeting its two vertices in no entry.  The condensation
+    eliminates the ne (nt + 1) - 1 elements of the store read flat, the
+    padding elements among them.  A padding element is inert: its
+    multipliers are 0 over its pivots 1/d, so it changes no entry another
+    element reads, and each equation's interior values get the bits of a
     condensation of that equation alone.  When s_i overflows, the products
     inf 0 make equation i's padding element NaN, but what it writes lands
     only in boundary and padding entries that no equation's solution reads,
     so the neighbours keep their bits and the error names equation i.
-    Either way the step's (ne, n) result is U - V^(n-1) in one pass.
     """
 
     def __init__(self, ops: OperatorSet, ne: int):
@@ -199,7 +170,7 @@ class StepKernel:
             layout(_padded(band.data, k, 0.0)) for band in (ops.stiffness, ops.conv_const, ops.conv_linear)
         )
         self.unpadded_mass = ops.mass.data
-        self.dt = self.gamma = self.b2 = self.condense = None
+        self.dt = self.state = self.t_mid = self.gamma = self.b2 = self.condense = None
         self.quad_points = np.asfortranarray(self.space.element_quad_points)
         self.x_q = np.empty_like(self.quad_points)
         self.m_over_dt, self.lhs_base = np.empty_like(self.mass), np.empty_like(self.mass)
@@ -222,16 +193,20 @@ class StepKernel:
                 for i in range(ne)
             ]
 
-    def begin_step(self, problem, t_mid: float, dt: float) -> None:
-        """Set M/dt and 2M/dt (if dt changed), the base M/dt - C/2, b2, gamma,
-        the quadrature points x_q and the ne loads for a step of length dt
-        about t_mid.  gamma, b2 and x_q come from one `step_frame` call,
-        with the bits of the motion's gamma, coeff_b2 and to_moving."""
+    def begin_step(self, problem, state: SchemeState) -> None:
+        """Set up the step that leaves `state`'s level for the next: M/dt and
+        2M/dt (if dt = state.delta changed), the midpoint t_mid, the base
+        M/dt - C/2, b2, gamma, the quadrature points x_q and the ne loads.
+        gamma, b2 and x_q come from one `step_frame` call, with the bits of
+        the motion's gamma, coeff_b2 and to_moving."""
+        dt = state.delta
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)
             two = self.two_m_over_dt.data
             np.add(np.divide(self.unpadded_mass, dt, out=two), two, out=two)
             self.dt = dt
+        self.state = state
+        t_mid = self.t_mid = 0.5 * (state.time + (state.t_index + 1) * dt)
         motion = problem.motion
         g, self.b2 = motion.step_frame(self.quad_points, t_mid, self.x_q)
         self.gamma = g
@@ -244,15 +219,22 @@ class StepKernel:
             for i, load in enumerate(self.loads):
                 assemble_load(self.space, problem, i, self.x_q, t_mid, load, self.load_work)
 
-    def solve_all(self, problem, nonlocal_values, v_prev: np.ndarray, label) -> np.ndarray:
+    def _step_name(self, stage: str) -> str:
+        """`{stage}step n (t=n d)`, the name in errors of the step to level
+        n; formatted only when one is raised."""
+        n = self.state.t_index + 1
+        return f"{stage}step {n} (t={n * self.state.delta})"
+
+    def solve_all(self, problem, nonlocal_values, stage: str = "") -> np.ndarray:
         """V^(n) of every equation as a read-only (ne, n) array, the diffusion
-        taken at `nonlocal_values` and V^(n-1) the rows of `v_prev`; `label`,
-        a string or a `_StepLabel`, names the step in errors.  Every a_i is
-        computed before the first solve, and every equation is solved before
-        the solution is checked, so an overflow in the band arithmetic is
-        reported by the non-finite-solution check alone."""
+        taken at `nonlocal_values` and V^(n-1) the current level of the
+        state `begin_step` took; `stage` prefixes the step's name in
+        errors.  Every a_i is computed before the first solve, and every
+        equation is solved before the solution is checked, so an overflow
+        in the band arithmetic is reported by the non-finite-solution check
+        alone."""
         n = self.space.n_dofs
-        stack, x = self.stack, self.solution
+        stack, x, v_prev = self.stack, self.solution, self.state.current
         with np.errstate(over="ignore", invalid="ignore"):
             a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
             s = 0.5 * np.array(a) * self.b2
@@ -269,28 +251,16 @@ class StepKernel:
                 for i, (system, b, u) in enumerate(self.vertex_systems if condense else self.windows):
                     u[:] = system.solve(b)
             except LinAlgError as exc:
-                raise RuntimeError(f"singular Crank-Nicolson system at {label}, equation {i} ({exc})") from exc
+                name = self._step_name(stage)
+                raise RuntimeError(f"singular Crank-Nicolson system at {name}, equation {i} ({exc})") from exc
             if condense:
                 _back_substitute(self.blocks, self.rhs_elements, self.x_elements, self.work)
             new = np.subtract(x[:, :n], v_prev)
         finite = np.isfinite(new)
         if not finite.all():
-            raise RuntimeError(f"non-finite solution at {label}, equation {np.argmin(finite) // n}")
+            raise RuntimeError(f"non-finite solution at {self._step_name(stage)}, equation {np.argmin(finite) // n}")
         new.flags.writeable = False
         return new
-
-
-class _StepLabel:
-    """`step n (t=...)`, the name of an advance in error messages: it is
-    formatted only when one is raised, not on every step."""
-
-    __slots__ = ("n", "t")
-
-    def __init__(self, n: int, t: float):
-        self.n, self.t = n, t
-
-    def __str__(self) -> str:
-        return f"step {self.n} (t={self.t})"
 
 
 def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
@@ -304,25 +274,23 @@ def bootstrap_first_step(state: SchemeState, kernel: StepKernel, problem) -> Sch
     """
     if state.t_index != 0:
         raise ValueError(f"bootstrap expects the initial state, got step {state.t_index}")
-    w, v0, dt = kernel.weights, state.current, state.delta
-    kernel.begin_step(problem, 0.5 * dt, dt)
-    label = f"step 1 (t={dt})"
+    w, v0 = kernel.weights, state.current
+    kernel.begin_step(problem, state)
     l_init = nonlocal_value(w, v0, problem.motion.gamma(0.0))
-    predicted = kernel.solve_all(problem, l_init, v0, f"the predictor of {label}")
+    predicted = kernel.solve_all(problem, l_init, "the predictor of ")
     l_mid = nonlocal_value(w, 0.5 * (predicted + v0), kernel.gamma)
-    corrected = kernel.solve_all(problem, l_mid, v0, f"the corrector of {label}")
-    return SchemeState(t_index=1, delta=dt, current=corrected, previous=v0)
+    corrected = kernel.solve_all(problem, l_mid, "the corrector of ")
+    return SchemeState(t_index=1, delta=state.delta, current=corrected, previous=v0)
 
 
 def advance(state: SchemeState, kernel: StepKernel, problem) -> SchemeState:
     """One linearized Crank-Nicolson step from level n >= 1 to n + 1."""
     if state.previous is None:
         raise ValueError("advance needs two time levels; bootstrap the first step")
-    t_new = (state.t_index + 1) * state.delta
     v_bar = 1.5 * state.current - 0.5 * state.previous
-    kernel.begin_step(problem, 0.5 * (state.time + t_new), state.delta)
+    kernel.begin_step(problem, state)
     l_bar = nonlocal_value(kernel.weights, v_bar, kernel.gamma)
-    new = kernel.solve_all(problem, l_bar, state.current, _StepLabel(state.t_index + 1, t_new))
+    new = kernel.solve_all(problem, l_bar)
     return SchemeState(t_index=state.t_index + 1, delta=state.delta, current=new, previous=state.current)
 
 

@@ -176,19 +176,20 @@ def test_convergence_study_rejects_a_delta_that_does_not_divide_T(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "problem,mesh_sizes,message",
+    "problem,degrees,mesh_sizes,message",
     [
-        (replace(example2(), T=0.5), [4, 8, 16], "no exact solutions"),
-        (replace(example1(), T=0.5), [8], "three points"),
-        (replace(example1(), T=0.5), [4, 8, 4], "distinct"),
+        (replace(example2(), T=0.5), [2], [4, 8, 16], "no exact solutions"),
+        (replace(example1(), T=0.5), [2], [8], "three points"),
+        (replace(example1(), T=0.5), [2], [4, 8, 4], "distinct"),
+        (replace(example1(), T=0.5), [2, 3, 2], [4, 8, 16], r"distinct degrees, got \[2, 3, 2\]"),
     ],
-    ids=["no-exact-solutions", "one-level", "repeated-level"],
+    ids=["no-exact-solutions", "one-level", "repeated-level", "repeated-degree"],
 )
-def test_convergence_study_checks_its_preconditions_before_any_run(monkeypatch, problem, mesh_sizes, message):
+def test_convergence_study_checks_its_preconditions_before_any_run(monkeypatch, problem, degrees, mesh_sizes, message):
     runs = []
     monkeypatch.setattr(analysis, "run", lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=message):
-        convergence_study(problem, degrees=[2], mesh_sizes=mesh_sizes, deltas=[0.01])
+        convergence_study(problem, degrees=degrees, mesh_sizes=mesh_sizes, deltas=[0.01])
     assert runs == []
 
 
@@ -196,10 +197,10 @@ def test_convergence_study_survives_failed_runs():
     p = heat_problem(T=0.1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = convergence_study(p, degrees=[1], mesh_sizes=[4, 8, -1, 16], deltas=[0.002])
-    assert any("failed" in str(w.message) for w in caught)
+        result = convergence_study(p, degrees=[1], mesh_sizes=[4, 0, 8, -1, 16], deltas=[0.002])
+    assert sum("failed" in str(w.message) for w in caught) == 2
     nan_rows = [r for r in result.rows if math.isnan(r.l2_error)]
-    assert len(nan_rows) == 1 and nan_rows[0].nt == -1
+    assert [r.nt for r in nan_rows] == [0, -1] and all(math.isnan(r.max_nodal_error) for r in nan_rows)
     assert len(result.fits) == 1  # fitted from the three surviving levels
     assert result.fits[0].slope == pytest.approx(2.0, abs=0.15)
 

@@ -903,9 +903,10 @@ def test_study_single_level_is_a_precondition_error(tmp_path, capsys):
     assert "three points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("levels", ["nt=4,4,4 delta=0.01", "nt=8 delta=0.01,0.01,0.01"])
+@pytest.mark.parametrize("levels", ["nt=4,4,4 delta=0.01", "nt=8 delta=0.01,0.01,0.01", "k=2,1 nt=4,8,16 delta=0.01"])
 def test_study_repeated_levels_are_a_precondition_error(tmp_path, monkeypatch, capsys, levels):
-    # one level three times is no refinement: no run starts and no rates.csv
+    # one level three times is no refinement, and a degree twice (k=1 here
+    # and in k=2,1) would fit it twice: no run starts and no rates.csv
     # claims a reliable fit
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")

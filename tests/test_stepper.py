@@ -24,7 +24,15 @@ from mbfem.assembly import (
 )
 from mbfem.geometry import BoundaryMotion
 from mbfem.cli import parse_problem
-from mbfem.stepper import CONDENSE_MIN_ELEMENTS, StepKernel, advance, bootstrap_first_step, initialize, level_grid
+from mbfem.stepper import (
+    CONDENSE_MIN_ELEMENTS,
+    SchemeState,
+    StepKernel,
+    advance,
+    bootstrap_first_step,
+    initialize,
+    level_grid,
+)
 from conftest import heat_problem
 from test_assembly import cardinal_polys, condition_1norm, loop_matvec, simpson_weights, toarray
 
@@ -715,28 +723,34 @@ def loop_equation(ops, motion, t_mid, a_i, dt, v_prev, load):
     return v_new, lhs
 
 
+def level(n, delta, current):
+    """The state at level n of the time grid of step delta, with the (ne,
+    n_dofs) vectors `current` and no previous level."""
+    return SchemeState(t_index=n, delta=delta, current=current, previous=None)
+
+
 def kernel_steps(nt, k):
     """The kernel's result and the arguments of `plain_equation` for six
     one-equation steps on example1's motion with random data, each by
-    `solve_all` on the banded path, V^(n-1) a (1, n) state and the load the
-    kernel's one row of loads; a repeated dt keeps M/dt, a new one
-    recomputes it."""
+    `solve_all` on the banded path from a level whose V^(n-1) is a random
+    (1, n) array, the load the kernel's one row of loads; a repeated delta
+    keeps M/dt, a new one recomputes it."""
     motion = example1().motion
     space = build_space(nt, k)
     ops = assemble_static(space)
     kernel = StepKernel(ops, 1)
     rng = np.random.default_rng(nt + k)
-    for t_mid, dt, a_i in ((0.105, 0.01, 1.7), (0.115, 0.01, 2.3), (0.1235, 0.007, 0.9)):
+    for n, delta, a_i in ((10, 0.01, 1.7), (11, 0.01, 2.3), (17, 0.007, 0.9)):
         one = constant_problem(motion, (a_i,))
-        kernel.begin_step(one, t_mid, dt)
-        kernel.condense = False
         for _ in range(2):
             v_prev = rng.standard_normal(space.n_dofs)
             v_prev[[0, -1]] = 0.0
+            kernel.begin_step(one, level(n, delta, v_prev[None, :]))
+            kernel.condense = False
             load = rng.standard_normal(space.n_dofs)
             kernel.loads[0] = load
-            (got,) = kernel.solve_all(one, (0.0,), v_prev[None, :], "a test step")
-            yield got, (ops, motion, t_mid, a_i, dt, v_prev, load)
+            (got,) = kernel.solve_all(one, (0.0,))
+            yield got, (ops, motion, kernel.t_mid, a_i, delta, v_prev, load)
 
 
 @pytest.mark.parametrize("nt,k", [(8, 1), (1, 2), (8, 3), (64, 2)])
@@ -808,16 +822,17 @@ def constant_problem(motion, a):
     )
 
 
-def random_step(kernel, p, t_mid, dt, rng):
-    """`solve_all` of the kernel's step of p about t_mid from a random (ne, n)
-    V^(n-1) (zero at the boundary dofs) and random loads, written into the
-    kernel's (ne, n) loads, with those V^(n-1) and loads."""
-    kernel.begin_step(p, t_mid, dt)
+def random_step(kernel, p, n, delta, rng):
+    """`solve_all` of the kernel's step of p from level n of the time grid
+    of step delta, V^(n-1) a random (ne, n_dofs) array (zero at the
+    boundary dofs) and the loads random, written into the kernel's (ne,
+    n_dofs) loads; with that V^(n-1) and those loads."""
     v_prev = rng.standard_normal((p.ne, kernel.space.n_dofs))
     v_prev[:, [0, -1]] = 0.0
+    kernel.begin_step(p, level(n, delta, v_prev))
     loads = rng.standard_normal(kernel.loads.shape)
     kernel.loads[:] = loads
-    return kernel.solve_all(p, (0.0,) * p.ne, v_prev, "a test step"), v_prev, loads
+    return kernel.solve_all(p, (0.0,) * p.ne), v_prev, loads
 
 
 @pytest.fixture
@@ -867,9 +882,11 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
     for _ in range(2):
         rate = rng.uniform(0.2, 1.0)
         motion = linear_motion(rng.uniform(-1.0, 1.0), -rate if shrinking else rate)
-        t_mid, dt = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05)
+        t, dt = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05)
         a = rng.uniform(0.05, 5.0, size=2).tolist()
-        got, v_prev, loads = random_step(kernel, constant_problem(motion, a), t_mid, dt, rng)
+        # the last level whose step's midpoint is at most t
+        got, v_prev, loads = random_step(kernel, constant_problem(motion, a), int(t / dt - 0.5), dt, rng)
+        t_mid = kernel.t_mid
         n = space.n_dofs  # the kernel's M/d and base are padded past column n
         base, m_over_dt = kernel_band(kernel, kernel.lhs_base)[:, :n], kernel_band(kernel, kernel.m_over_dt)[:, :n]
         for a_i, v, load, u in zip(a, v_prev, loads, got):
@@ -901,7 +918,7 @@ def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch)
     monkeypatch.setattr(stepper, "_eliminate_interiors", keep)
     kernel = StepKernel(assemble_static(build_space(nt, k)), 2)
     got, v_prev, _ = random_step(
-        kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 0.2, 0.01, np.random.default_rng(nt + k)
+        kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 19, 0.01, np.random.default_rng(nt + k)
     )
     ((store, rhs),) = stacks
     own, inner = (nt + 1) * k, slice(1, nt * k)
@@ -990,13 +1007,14 @@ def test_the_condensation_of_the_store_has_the_bits_of_the_band_reference(k):
 
 
 def pinching_motion():
-    """gamma = 1e-6 + (1 - t)^2 on (0, 1): a valid motion, but at t = 0.9985
-    with dt = 0.005, 4 gamma + dt gamma' = -2e-6."""
+    """gamma = 1e-6 + (0.999 - t)^2 on (0, 1): a valid motion, but at
+    t = 0.9975, the midpoint of the step from level 199 at dt = 0.005,
+    4 gamma + dt gamma' = -2e-6."""
     return BoundaryMotion(
         alpha=lambda t: 0.0,
-        beta=lambda t: 1e-6 + (1.0 - t) ** 2,
+        beta=lambda t: 1e-6 + (0.999 - t) ** 2,
         alpha_prime=lambda t: 0.0,
-        beta_prime=lambda t: -2.0 * (1.0 - t),
+        beta_prime=lambda t: -2.0 * (0.999 - t),
         T=1.0,
     )
 
@@ -1008,16 +1026,16 @@ def test_a_condensing_kernels_banded_step_has_the_bits_of_a_band_kernel(case, mo
     # solves the windows; that must give the bytes of the same step on a
     # kernel that keeps the band, made by raising the size threshold
     if case == "pinching":
-        motion, a, t_mid, dt = pinching_motion(), (1.3,), 0.9985, 0.005
+        motion, a, n, dt = pinching_motion(), (1.3,), 199, 0.005
     else:
-        motion, a, t_mid, dt = linear_motion(0.3, 0.6), (1.3, 0.0, 0.7), 0.2, 0.01
+        motion, a, n, dt = linear_motion(0.3, 0.6), (1.3, 0.0, 0.7), 19, 0.01
     p = constant_problem(motion, a)
     ops = assemble_static(build_space(CONDENSE_MIN_ELEMENTS, 2))
     steps = []
     for threshold in (CONDENSE_MIN_ELEMENTS, 10**9):
         monkeypatch.setattr(stepper, "CONDENSE_MIN_ELEMENTS", threshold)
         kernel = StepKernel(ops, p.ne)
-        got, _, _ = random_step(kernel, p, t_mid, dt, np.random.default_rng(5))
+        got, _, _ = random_step(kernel, p, n, dt, np.random.default_rng(5))
         steps.append((kernel.large, kernel.stack.shape[0], got.tobytes()))
     (store_large, store_planes, got), (band_large, band_rows, want) = steps
     assert (store_large, store_planes, band_large, band_rows) == (True, 8, False, 5)
@@ -1049,15 +1067,16 @@ def test_both_solve_paths_are_within_the_last_bit_rule_of_an_exact_solve(k, dt, 
     # the float64 system one step builds, solved exactly, against dgbsv on a
     # band kernel and (k >= 2) condensation on a store kernel, the size
     # threshold raised or lowered for each: on the shrinking gamma =
-    # 1 - 1.1 t with alpha' = 0.7, so C != 0, and at the midpoint t = 0.3
-    # 4 gamma + dt gamma' > 0 also at dt = 0.5
+    # 1 - 1.1 t with alpha' = 0.7, so C != 0, and at the midpoints 0.2975
+    # (level 59 at dt = 0.005) and 0.25 (level 0 at dt = 0.5)
+    # 4 gamma + dt gamma' > 0
     eps = np.finfo(float).eps
     p = constant_problem(linear_motion(0.7, -0.4), (1.3,))
     ops = assemble_static(build_space(8, k))
     for threshold in (10**9, 1) if k >= 2 else (10**9,):
         monkeypatch.setattr(stepper, "CONDENSE_MIN_ELEMENTS", threshold)
         kernel = StepKernel(ops, 1)
-        (got,), (v_prev,), (load,) = random_step(kernel, p, 0.3, dt, np.random.default_rng(k))
+        (got,), (v_prev,), (load,) = random_step(kernel, p, {0.005: 59, 0.5: 0}[dt], dt, np.random.default_rng(k))
         expected, interior = exact_step(kernel, 1.3, v_prev, load)
         bound = LAST_BIT_C * eps * condition_1norm(interior) * np.abs(expected).max()
         assert np.abs(got - expected).max() <= bound
@@ -1065,20 +1084,20 @@ def test_both_solve_paths_are_within_the_last_bit_rule_of_an_exact_solve(k, dt, 
 
 
 def test_a_pinching_step_takes_the_banded_solve(condensations):
-    # at t = 0.9985 with dt = 0.005 the pinching motion fails the guard: the
-    # interior LHS may lose its positive-definite symmetric part, so the
-    # kernel keeps dgbsv
+    # the step from level 199 at dt = 0.005, about t = 0.9975, fails the
+    # guard on the pinching motion: the interior LHS may lose its
+    # positive-definite symmetric part, so the kernel keeps dgbsv
     motion = pinching_motion()
     p = constant_problem(motion, (1.3,))
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     ops = assemble_static(space)
     kernel = StepKernel(ops, p.ne)
     rng = np.random.default_rng(3)
-    for t_mid, condensed, reference in ((0.5, [1], plain_condensed), (0.9985, [], plain_equation)):
+    for n, condensed, reference in ((99, [1], plain_condensed), (199, [], plain_equation)):
         condensations.clear()
-        (got,), (v_prev,), (load,) = random_step(kernel, p, t_mid, 0.005, rng)
+        (got,), (v_prev,), (load,) = random_step(kernel, p, n, 0.005, rng)
         assert condensations == condensed
-        assert np.array_equal(got, reference(ops, motion, t_mid, 1.3, 0.005, v_prev, load))
+        assert np.array_equal(got, reference(ops, motion, kernel.t_mid, 1.3, 0.005, v_prev, load))
 
 
 @pytest.mark.parametrize("nt,k,a", [(CONDENSE_MIN_ELEMENTS, 2, (0.4, 1.7, 3.1)), (4096, 3, (0.9, 2.2))])
@@ -1090,10 +1109,11 @@ def test_condensing_equations_end_to_end_equals_condensing_each_alone(nt, k, a, 
     motion = linear_motion(0.3, 0.6)
     space = build_space(nt, k)
     ops = assemble_static(space)
-    got, v_prev, loads = random_step(StepKernel(ops, len(a)), constant_problem(motion, a), 0.2, 0.01, np.random.default_rng(nt))
+    kernel = StepKernel(ops, len(a))
+    got, v_prev, loads = random_step(kernel, constant_problem(motion, a), 19, 0.01, np.random.default_rng(nt))
     assert condensations == [len(a)]
     for a_i, v, load, u in zip(a, v_prev, loads, got):
-        assert np.array_equal(u, plain_condensed(ops, motion, 0.2, a_i, 0.01, v, load))
+        assert np.array_equal(u, plain_condensed(ops, motion, kernel.t_mid, a_i, 0.01, v, load))
         assert u[0] == u[-1] == 0.0
         with pytest.raises(ValueError, match="read-only"):
             u[1] = 1.0
@@ -1108,10 +1128,10 @@ def test_a_zero_diffusion_coefficient_takes_the_banded_solve_for_every_equation(
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     ops = assemble_static(space)
     kernel = StepKernel(ops, len(a))
-    got, v_prev, loads = random_step(kernel, constant_problem(motion, a), 0.2, 0.01, np.random.default_rng(5))
+    got, v_prev, loads = random_step(kernel, constant_problem(motion, a), 19, 0.01, np.random.default_rng(5))
     assert kernel.condense and condensations == []
     for a_i, v, load, u in zip(a, v_prev, loads, got):
-        assert np.array_equal(u, plain_equation(ops, motion, 0.2, a_i, 0.01, v, load))
+        assert np.array_equal(u, plain_equation(ops, motion, kernel.t_mid, a_i, 0.01, v, load))
 
 
 def counted_motion(motion, counts):
@@ -1156,13 +1176,19 @@ def test_motion_calls_per_advance_do_not_grow_with_ne():
 @pytest.mark.parametrize("make", [example1, example2, lambda: three_equation_problem((0, 1, 2))],
                          ids=["example1", "example2", "rational catalog"])
 def test_begin_step_has_the_bits_of_the_motion_methods(make):
-    # begin_step takes gamma, b2 and the quadrature points from one
+    # begin_step takes the midpoint of the step from a level n of the grid
+    # with the bits of 0.5 delta at level 0 and 0.5 (n delta + (n+1) delta)
+    # at level n, and gamma, b2 and the quadrature points there from one
     # `step_frame` call: the same bits as calling the three methods
     p = make()
-    kernel = StepKernel(assemble_static(build_space(8, 3)), p.ne)
-    dt = p.T / 16
-    for t in (0.5 * dt, 0.37 * p.T, p.T - 0.5 * dt):
-        kernel.begin_step(p, t, dt)
+    space = build_space(8, 3)
+    kernel = StepKernel(assemble_static(space), p.ne)
+    delta = p.T / 16
+    state = initialize(space, p, delta)
+    for n in (0, 6, 15):
+        kernel.begin_step(p, replace(state, t_index=n))
+        t = 0.5 * delta if n == 0 else 0.5 * (n * delta + (n + 1) * delta)
+        assert np.float64(kernel.t_mid).view(np.uint64) == np.float64(t).view(np.uint64)
         assert kernel.gamma == p.motion.gamma(t)
         assert np.float64(kernel.b2).view(np.uint64) == np.float64(p.motion.coeff_b2(t)).view(np.uint64)
         want = p.motion.to_moving(kernel.quad_points, t)
@@ -1249,7 +1275,7 @@ def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, con
     # the bootstrap makes two and an advance one; a condensed step works on
     # the element views (of the right-hand side, the solution and the
     # store) the kernel made when it was built; and a step that
-    # succeeds never formats the label its errors would name it by
+    # succeeds never formats the name its errors would give it
     p = example1()
     space = build_space(nt, 2)
     kernel = StepKernel(assemble_static(space), p.ne)
@@ -1266,7 +1292,7 @@ def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, con
     for module in (assembly, stepper):
         for name in ("_element_entries", "_element_blocks"):
             monkeypatch.setattr(module, name, counting("views", getattr(module, name)))
-    monkeypatch.setattr(stepper._StepLabel, "__str__", counting("labels", stepper._StepLabel.__str__))
+    monkeypatch.setattr(StepKernel, "_step_name", counting("labels", StepKernel._step_name))
     s1 = bootstrap_first_step(initialize(space, p, 0.01), kernel, p)
     assert counts == {"nonlocal": 2, "views": 0, "labels": 0}
     advance(s1, kernel, p)
@@ -1275,9 +1301,23 @@ def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, con
 
 
 def test_a_step_label_reads_as_the_eager_text_did():
-    t = 3 * 0.1  # 0.30000000000000004: the float's repr, as an f-string gives it
-    assert str(stepper._StepLabel(7, t)) == f"step 7 (t={t})"
-    assert f"at {stepper._StepLabel(2, 0.02)}, equation 1" == "at step 2 (t=0.02), equation 1"
+    # a failing step is named when it raises, by the level it reaches and
+    # that level's time n delta as an f-string gives it: the step from level
+    # 2 at delta = 0.1 is step 3 at 0.30000000000000004; singular as in
+    # test_singular_system_names_step_time_and_equation
+    p = second_equation_diffusion(0.0)
+    space = build_space(4, 2)
+    ops = assemble_static(space)
+    zero = BandedMatrix(np.zeros_like(ops.mass.data), 2)
+    kernel = StepKernel(replace(ops, mass=zero, conv_const=zero, conv_linear=zero), p.ne)
+    state = initialize(space, p, 0.1)
+    kernel.begin_step(p, replace(state, t_index=2))
+    l_init = nonlocal_value(kernel.weights, state.current, p.motion.gamma(0.0))
+    t = 3 * 0.1
+    for stage in ("", "the corrector of "):
+        with pytest.raises(RuntimeError) as failure:
+            kernel.solve_all(p, l_init, stage)
+        assert str(failure.value).startswith(f"singular Crank-Nicolson system at {stage}step 3 (t={t}), equation 1 (")
 
 
 def implicit_final_level(p, space, delta):
@@ -1285,20 +1325,20 @@ def implicit_final_level(p, space, delta):
     takes the nonlocal values at the level average (V^n + V^(n+1))/2, found
     by fixed-point iteration from V^n until no entry moves by 1e-14."""
     kernel = StepKernel(assemble_static(space), p.ne)
-    v = initialize(space, p, delta).current
+    state = initialize(space, p, delta)
     n_steps = len(level_grid(p.T, delta)) - 1
     for n in range(n_steps):
-        kernel.begin_step(p, 0.5 * (n * delta + (n + 1) * delta), delta)
-        new = v
+        kernel.begin_step(p, state)
+        new = v = state.current
         for _ in range(50):
             l_mid = [nonlocal_value(kernel.weights, 0.5 * (a + b), kernel.gamma) for a, b in zip(new, v)]
-            new, last = kernel.solve_all(p, l_mid, v, f"step {n + 1}"), new
+            new, last = kernel.solve_all(p, l_mid), new
             if max(np.abs(a - b).max() for a, b in zip(new, last)) < 1e-14:
                 break
         else:
             raise AssertionError(f"the fixed point of step {n + 1} did not converge")
-        v = new
-    return v
+        state = SchemeState(t_index=n + 1, delta=delta, current=new, previous=v)
+    return state.current
 
 
 def test_extrapolated_coefficients_differ_from_the_implicit_scheme_by_delta_squared():
@@ -1348,11 +1388,14 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
     motion = p.motion
     space = build_space(3, k)
     kernel = StepKernel(assemble_static(space), p.ne)
+    state = initialize(space, p, 0.01)
     for t in times:
-        kernel.begin_step(p, t, 0.01)
+        # the step from the level nearest t, about t + 0.005
+        kernel.begin_step(p, replace(state, t_index=round(t / 0.01)))
+        t_mid = kernel.t_mid
 
         def b1(y):
-            return (motion.alpha_prime(t) + motion.gamma_prime(t) * y) / motion.gamma(t)
+            return (motion.alpha_prime(t_mid) + motion.gamma_prime(t_mid) * y) / motion.gamma(t_mid)
 
         # the LHS base is M/d - C/2, both padded past column n
         dense = dense_convection(space, b1)
@@ -1423,17 +1466,34 @@ def test_non_finite_solution_names_step_time_and_equation():
         run(p, space, 0.01)
 
 
+def test_the_corrector_names_its_step():
+    # the second diffusion is 1 at l(V^0), where the predictor takes it, and
+    # 1e308 anywhere else, so at the corrector's averaged level it
+    # overflows the second equation's bands
+    p = example1()
+    space = build_space(4, 2)
+    weights = assemble_static(space).nonlocal_weights
+    l_init = tuple(nonlocal_value(weights, initialize(space, p, 0.01).current, p.motion.gamma(0.0)))
+    p = replace(
+        p,
+        diffusion=(p.diffusion[0], lambda r, s: 1.0 if (r, s) == l_init else 1e308),
+        diffusion_bounds=(p.diffusion_bounds[0], (1.0, 1e308)),
+    )
+    with pytest.raises(RuntimeError, match=r"^non-finite solution at the corrector of step 1 \(t=0\.01\), equation 1$"):
+        run(p, space, 0.01)
+
+
 def test_an_overflow_on_the_condensed_path_is_a_non_finite_solution(condensations):
     # the same overflow on a mesh the kernel condenses: the elimination's
     # inf and NaN reach the solution, not a numpy warning
     p = second_equation_diffusion(1e308)
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     kernel = StepKernel(assemble_static(space), p.ne)
-    kernel.begin_step(p, 0.005, 0.01)
-    v0 = initialize(space, p, 0.01).current
-    l_init = [nonlocal_value(kernel.weights, v, p.motion.gamma(0.0)) for v in v0]
+    state = initialize(space, p, 0.01)
+    kernel.begin_step(p, state)
+    l_init = [nonlocal_value(kernel.weights, v, p.motion.gamma(0.0)) for v in state.current]
     with pytest.raises(RuntimeError, match=r"non-finite solution at the predictor of step 1 \(t=0\.01\), equation 1$"):
-        kernel.solve_all(p, l_init, v0, "the predictor of step 1 (t=0.01)")
+        kernel.solve_all(p, l_init, "the predictor of ")
     assert condensations == [2]
 
 
@@ -1465,11 +1525,11 @@ def test_an_overflowing_middle_equation_leaves_the_bits_of_both_neighbours(k, mo
     motion = fixed_interval(0.0, 0.5, T=3.0)
     finite = constant_problem(motion, (0.9, 1.0, 2.2))
     kernels.append(StepKernel(assemble_static(space), 3))
-    random_step(kernels[-1], finite, 0.2, 0.01, np.random.default_rng(7))
+    random_step(kernels[-1], finite, 19, 0.01, np.random.default_rng(7))
     overflowing = constant_problem(motion, (0.9, 1.7e308, 2.2))
     kernels.append(StepKernel(assemble_static(space), 3))
-    with pytest.raises(RuntimeError, match=r"non-finite solution at a test step, equation 1$"):
-        random_step(kernels[-1], overflowing, 0.2, 0.01, np.random.default_rng(7))
+    with pytest.raises(RuntimeError, match=r"non-finite solution at step 20 \(t=0\.2\), equation 1$"):
+        random_step(kernels[-1], overflowing, 19, 0.01, np.random.default_rng(7))
     before, after = solutions
     assert np.isfinite(before).all() and not np.isfinite(after[1, 1:-1]).any()
     assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
