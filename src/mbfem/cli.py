@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import FLOAT_FORMAT, convergence_study, due_steps, format_float, measure, write_rows
 from .discretization import build_space, natural_cubic_spline
 from .geometry import BoundaryMotion, fixed_interval, time_tolerance
-from .problems import ProblemSpec, _horner, example1, example2, validate
+from .problems import ProblemSpec, _horner, _shared_rows, example1, example2, validate
 from .stepper import level_grid, run
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "main"]
@@ -184,8 +184,6 @@ _MOTION_KEYS = {"fixed": {"a", "b"}, "rational": {"alpha_num", "alpha_den", "bet
 
 def _polynomial(coeffs):
     """The catalog's `poly:` callable: `_horner` on whole arrays."""
-    if not coeffs:
-        raise ValueError("Coefficient array is empty")  # numpy's words
     return lambda x: _horner(coeffs, x)
 
 
@@ -276,6 +274,14 @@ def _floats(text: str):
         raise ConfigError(f"cannot read numbers from {text!r}") from None
 
 
+def _coefficients(text: str):
+    """The coefficients of a `poly:` value, at least one."""
+    coeffs = _floats(text)
+    if not coeffs:
+        raise ValueError("Coefficient array is empty")  # numpy's words
+    return coeffs
+
+
 def _diffusion_from_spec(spec: str, ne: int):
     """Diffusion families, each with bounds derivable from coefficients.
 
@@ -320,13 +326,14 @@ def _diffusion_from_spec(spec: str, ne: int):
 
 
 def _xpart(spec: str):
+    """A space factor as (family, coefficients): poly's, or gaussx's ()."""
     family, _, rest = spec.partition(":")
     if family == "poly":
-        return _polynomial(_floats(rest))
+        return family, _coefficients(rest)
     if family == "gaussx":
         if rest:
             raise ConfigError(f"gaussx takes no arguments, got {rest!r}")
-        return lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+        return family, ()
     raise ConfigError(f"unknown space factor {family!r}")
 
 
@@ -350,33 +357,79 @@ def _tpart(spec: str):
     raise ConfigError(f"unknown time factor {family!r}")
 
 
-def _forcing_from_specs(specs):
-    """Sum of separable terms, each written xfactor;tfactor."""
+def _forcing_terms(specs):
+    """An equation's forcing terms, each written xfactor;tfactor, as
+    (space family, poly coefficients, time factor) triples."""
     terms = []
     for spec in specs:
         xs, sep, ts = spec.partition(";")
         if not sep:
             raise ConfigError(f"term {spec!r} needs the form xfactor;tfactor")
-        terms.append((_xpart(xs), _tpart(ts)))
+        terms.append((*_xpart(xs), _tpart(ts)))
+    return terms
 
-    def f(x, t):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for fx, ft in terms:
-            try:
-                ftv = ft(t)
-            except OverflowError:  # math.exp and float ** raise where numpy gives inf
-                ftv = math.inf
-            total = total + fx(x) * ftv
-        return total
 
-    return f
+def _time_value(ft, t):
+    try:
+        return ft(t)
+    except OverflowError:  # math.exp and float ** raise where numpy gives inf
+        return math.inf
+
+
+def _catalog_forcing(equations):
+    """The ne forcings of a problem file from each equation's terms: forcing
+    i is the sum, in term order from 0.0, of its terms' space factor times
+    time factor.  The ne forcings are the rows of one evaluation per
+    (t, points) (`_shared_rows`).  Equations with the same sequence of
+    space-factor families are one group, evaluated as an (n_g, *x.shape)
+    batch: each poly position is one pass of `_horner`'s recurrence over
+    the group's coefficients, padded with zero high-degree coefficients
+    (which keeps every bit), and each time factor is an (n_g,) array.  One
+    exp(-x^2) serves every gaussx term, and an equation without terms is a
+    row of +0.0."""
+    groups = {}
+    for i, terms in enumerate(equations):
+        groups.setdefault(tuple(family for family, _, _ in terms), []).append(i)
+    plan = []
+    for families, members in groups.items():
+        positions = []
+        for j, family in enumerate(families):
+            coeffs = [equations[i][j][1] for i in members]
+            width = max(map(len, coeffs))
+            stack = np.array([c + (0.0,) * (width - len(c)) for c in coeffs]).T  # (L, n_g)
+            positions.append((family, stack, [equations[i][j][2] for i in members]))
+        plan.append((members, positions))
+    gaussian = any("gaussx" in families for families in groups)
+
+    def evaluate(x, t):
+        column = (-1,) + (1,) * x.ndim  # an (n_g,) array against the batch
+        gauss = np.exp(-x**2) if gaussian else None
+        rows = [None] * len(equations)
+        for members, positions in plan:
+            total = np.zeros((len(members), *x.shape))
+            for family, stack, time_factors in positions:
+                scale = np.array([_time_value(ft, t) for ft in time_factors]).reshape(column)
+                if family == "gaussx":
+                    total += gauss * scale
+                    continue
+                cols = stack.reshape(stack.shape[:1] + column)
+                r = x * 0.0 + cols[-1]
+                for c in cols[-2::-1]:
+                    r *= x
+                    r += c
+                r *= scale
+                total += r
+            for k, i in enumerate(members):
+                rows[i] = total[k, ...]
+        return rows
+
+    return _shared_rows(evaluate, len(equations))
 
 
 def _initial_from_spec(spec: str):
     family, _, rest = spec.partition(":")
     if family == "poly":
-        return _polynomial(_floats(rest))
+        return _polynomial(_coefficients(rest))
     if family == "spline":
         knots = []
         for pair in rest.split(";"):
@@ -415,7 +468,7 @@ def parse_problem(text: str) -> ProblemSpec:
     diffusion = []
     bounds = []
     initial = []
-    forcing = []
+    terms = []
 
     def build(key, builder, *args):
         """builder(*args), its errors named by the key of the value it builds."""
@@ -429,12 +482,12 @@ def parse_problem(text: str) -> ProblemSpec:
         diffusion.append(a)
         bounds.append(b)
         initial.append(build(f"initial{i}", _initial_from_spec, _one(table, f"initial{i}", str)))
-        forcing.append(build(f"forcing{i}", _forcing_from_specs, _many(table, f"forcing{i}", str)))
+        terms.append(build(f"forcing{i}", _forcing_terms, _many(table, f"forcing{i}", str)))
 
     return ProblemSpec(
         ne=ne,
         diffusion=tuple(diffusion),
-        forcing=tuple(forcing),
+        forcing=_catalog_forcing(terms),
         initial=tuple(initial),
         motion=motion,
         T=t_final,

@@ -88,6 +88,38 @@ def _horner(coeffs, t):
     return r
 
 
+def _shared_rows(evaluate, ne: int) -> tuple[Callable, ...]:
+    """ne forcings f_i(x, t) that are the rows of one evaluation:
+    evaluate(x, t) gives all ne rows, arrays of x's shape, at points x in C
+    order.  The first call at a (t, points) pair evaluates every row and the
+    other ne - 1 calls return theirs.  The evaluation is kept for the last t
+    object (`manufactured`'s forcing_scalars rule: a step calls its ne
+    forcings with one t object) and the last points' shape and bytes, so
+    points mutated in place or another t give fresh values.
+    Fortran-ordered points are evaluated as their transpose, so each row has
+    the points' shape and memory order.  Rows are read-only views."""
+    kept = [(None, None, ())]  # t, the points' key, the rows; replaced whole
+
+    def row(i):
+        def f(x, t):
+            x = np.asarray(x, dtype=float)
+            flip = x.flags.f_contiguous and not x.flags.c_contiguous
+            if flip:
+                x = x.T
+            key = (flip, x.shape, x.tobytes())
+            last, last_key, rows = kept[0]
+            if last is not t or last_key != key:
+                rows = tuple(v.T if flip else v for v in evaluate(x, t))
+                for v in rows:
+                    v.flags.writeable = False
+                kept[0] = (t, key, rows)
+            return rows[i]
+
+        return f
+
+    return tuple(row(i) for i in range(ne))
+
+
 def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T: float, name: str = "") -> ProblemSpec:
     """The problem whose exact solutions are u_i = F_i(t) q_i(z), with
     z = (x - alpha(t)) / gamma(t), q_i the polynomial of the ascending

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import mbfem
-from mbfem import ErrorTracker, analysis, build_space, cli, example1, run
+from mbfem import ErrorTracker, analysis, build_space, cli, example1, run, stepper
 from mbfem.analysis import write_rows
 from mbfem.cli import ConfigError, SnapshotRecorder, SnapshotRows, main, parse_config, parse_problem
 from mbfem.problems import _Q1_COEFFS, _ex1_motion
@@ -404,29 +404,118 @@ def test_horner_in_place_on_arrays_is_polyval_bit_for_bit(c, x):
         assert np.array_equal(bits(np.asarray(got)[finite]), bits(Polynomial(c)(points[finite])))
 
 
+def overflowing_power(t):
+    """(1 + t)**1e308 in numpy, inf for every t > 0 where the float power overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(1.0 + t) ** 1e308)
+
+
 # (catalog term, its space factor, its time factor) from numpy and math
 FORCING_TERMS = (
     ("poly:1,-2,0.5;tpow:-2", lambda x: Polynomial([1.0, -2.0, 0.5])(x), lambda t: (1.0 + t) ** -2.0),
     ("gaussx;texp:-1", lambda x: np.exp(-x**2), lambda t: math.exp(-t)),
     ("poly:0;const:-1", lambda x: Polynomial([0.0])(x), lambda t: -1.0),  # every product -0.0
     ("poly:0.3,-0.1;const:-0", lambda x: Polynomial([0.3, -0.1])(x), lambda t: -0.0),
+    ("poly:0.5,-1;tpow:1e308", lambda x: Polynomial([0.5, -1.0])(x), overflowing_power),  # inf * 0 at x = 0.5
+    ("poly:0.25,-1,0.5,2;texp:0.7", lambda x: Polynomial([0.25, -1.0, 0.5, 2.0])(x), lambda t: math.exp(0.7 * t)),
+    ("poly:-3;const:0.5", lambda x: Polynomial([-3.0])(x), lambda t: 0.5),
+    ("gaussx;const:2", lambda x: np.exp(-x**2), lambda t: 2.0),
 )
 
 
-@pytest.mark.parametrize("chosen", [(), (0,), (2,), (3, 2), (0, 1), (0, 1, 2, 3)])
+@pytest.mark.parametrize(
+    "chosen",
+    [
+        # one equation, each term's own factors
+        ((),), ((0,),), ((2,),), ((3, 2),), ((0, 1),), ((0, 1, 2, 3),),
+        # 0, 1, 2 and 4 terms; gaussx and poly at one term position
+        ((), (0,), (1, 5), (0, 1, 2, 3)),
+        # one family sequence, poly factors of 1-4 coefficients padded alike
+        ((6, 1), (5, 7), (0, 1), (4, 1)),
+        # the signed-zero terms, and a time factor overflowing to inf in a group
+        ((3, 2), (2, 3), (4, 5), (2,)),
+        ((1, 7, 0), (7, 1, 6), (4,)),
+    ],
+)
 def test_catalog_forcing_is_the_plain_sum_bit_for_bit(chosen):
-    terms = [FORCING_TERMS[j] for j in chosen]
-    text = "ne=1 T=1\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n" + "".join(f"forcing1={s}\n" for s, _, _ in terms)
-    forcing = parse_problem(text).forcing[0]
-    x = np.linspace(-1.5, 1.5, 13)
-    for t in (0.0, 0.35, 1.0):
-        want = np.zeros_like(x)
-        for _, fx, ft in terms:
-            want = want + fx(x) * ft(t)  # 0.0 + the first product, as a fresh sum
-        got = forcing(x, t)
+    # the ne forcings are rows of one batched evaluation; each row must be its
+    # equation's plain per-term sum with numpy's Polynomial factors, in
+    # whatever order the rows are called and in either memory order of the points
+    lines = [f"ne={len(chosen)} T=1"] + [f"diffusion{i}=const:1 initial{i}=poly:0,1,-1" for i in range(1, len(chosen) + 1)]
+    lines += [f"forcing{i}={FORCING_TERMS[j][0]}" for i, equation in enumerate(chosen, 1) for j in equation]
+    forcing = parse_problem("\n".join(lines) + "\n").forcing
+    rng = np.random.default_rng(len(chosen))
+    x = np.linspace(-1.5, 1.5, 13 * 4).reshape(13, 4)
+    for points in (np.ascontiguousarray(x), np.asfortranarray(x)):
+        for t in (0.0, 0.35, 1.0):
+            for i in rng.permutation(len(chosen)).tolist():
+                want = np.zeros_like(x)
+                with np.errstate(invalid="ignore"):
+                    for j in chosen[i]:
+                        _, fx, ft = FORCING_TERMS[j]
+                        want = want + fx(x) * ft(t)  # 0.0 + the first product, as a fresh sum
+                    got = forcing[i](points, t)
+                assert got.shape == x.shape and got.flags.f_contiguous == points.flags.f_contiguous
+                assert np.array_equal(bits(got), bits(want))
+                if chosen[i] == (2,):
+                    assert not np.signbit(got).any()  # 0.0 + -0.0 is +0.0
+
+
+SHARED = (
+    "ne=3 T=1\n"
+    + "".join(f"diffusion{i}=const:1 initial{i}=poly:0,1,-1\n" for i in (1, 2, 3))
+    + "forcing1=poly:1,-2,0.5;tpow:-2 forcing1=gaussx;texp:-1\n"
+    + "forcing2=poly:0.3,0.1;const:2 forcing2=gaussx;const:-1 forcing3=gaussx;texp:0.5\n"
+)
+
+
+def test_a_kept_catalog_evaluation_follows_its_points_and_time():
+    forcing = parse_problem(SHARED).forcing
+    x = np.asfortranarray(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+    t = 0.35
+    first = [f(x, t).copy() for f in forcing]
+    x *= 0.5  # the same t object at points mutated in place
+    moved = [f(x, t) for f in forcing]
+    fresh = [parse_problem(SHARED).forcing[i](x, t) for i in range(3)]
+    for before, got, want in zip(first, moved, fresh):
+        assert not np.array_equal(got, before)
         assert np.array_equal(bits(got), bits(want))
-    if chosen == (2,):
-        assert not np.signbit(forcing(x, 0.2)).any()  # 0.0 + -0.0 is +0.0
+    other = float("0.35")  # an equal value in another float object
+    assert other is not t
+    assert all(np.array_equal(bits(f(x, other)), bits(m)) for f, m in zip(forcing, moved))
+
+
+def test_catalog_forcing_rows_are_read_only():
+    row = parse_problem(SHARED).forcing[1](np.linspace(0.0, 1.0, 5), 0.2)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 1.0
+
+
+def test_a_run_evaluates_the_catalog_forcings_once_per_step(monkeypatch):
+    evaluations, steps = [], []
+    shared_rows, begin_step = cli._shared_rows, stepper.StepKernel.begin_step
+
+    def counted_rows(evaluate, ne):
+        def counted(x, t):
+            evaluations.append(t)
+            return evaluate(x, t)
+
+        return shared_rows(counted, ne)
+
+    def counted_step(kernel, problem, state):
+        begin_step(kernel, problem, state)
+        steps.append(kernel.t_mid)
+
+    monkeypatch.setattr(cli, "_shared_rows", counted_rows)
+    monkeypatch.setattr(stepper.StepKernel, "begin_step", counted_step)
+    text = "ne=8 T=0.1 motion=rational alpha_num=0,-0.5 alpha_den=1,1 beta_num=1,1.5 beta_den=1,1\n" + "".join(
+        f"diffusion{i}=const:{i} initial{i}=poly:0,1,-1 forcing{i}=poly:{i},-1;tpow:-2 forcing{i}=gaussx;texp:-{i}\n"
+        for i in range(1, 9)
+    )
+    run(parse_problem(text), build_space(4, 2), 0.01)
+    assert len(steps) == 10
+    assert evaluations == steps
 
 
 CATALOG_RUN = (
@@ -444,6 +533,8 @@ def test_a_catalog_run_equals_the_one_built_from_numpy_polynomials(monkeypatch):
         return out
 
     catalog = levels(parse_problem(CATALOG_RUN))
+    # the patch reaches the initial data; the forcing's poly factors are
+    # checked against Polynomial by test_catalog_forcing_is_the_plain_sum_bit_for_bit
     monkeypatch.setattr(cli, "_polynomial", Polynomial)
     monkeypatch.setattr(cli, "_rational_fn", polynomial_quotient)
     reference = levels(parse_problem(CATALOG_RUN))

@@ -5,8 +5,10 @@ Inputs are key=value token soups.  Keys come from the real key sets plus a
 few unknown ones; values mix edge-case numbers (0, -1, inf, nan, 1e400),
 catalog specs with random arguments, and short random strings.  Most soups
 are laid over a valid skeleton, so parsing gets past the first checks and
-reaches the motion, diffusion, forcing and initial-data builders.  Runs are
-derandomized and bounded, so the test is repeatable.
+reaches the motion, diffusion, forcing and initial-data builders.  The
+forcings of a parsed problem are then evaluated, which may only give values
+of the points' shape or a ValueError.  Runs are derandomized and bounded, so
+the test is repeatable.
 """
 
 import warnings
@@ -70,19 +72,32 @@ def soups(keys, skeleton, values):
 
 
 def parse_quietly(parse, text, **kwargs):
-    """parse(text); the contract's two exception types are the only allowed failures."""
+    """parse(text), or None; the contract's two exception types are the only
+    allowed failures."""
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         try:
-            parse(text, **kwargs)
+            return parse(text, **kwargs)
         except (ConfigError, ValueError):
-            pass
+            return None
 
 
 @FUZZ
 @given(text=soups(PROBLEM_KEYS, PROBLEM_SKELETON, value))
 def test_parse_problem_raises_only_config_or_value_errors(text):
-    parse_quietly(parse_problem, text)
+    problem = parse_quietly(parse_problem, text)
+    if problem is None:
+        return
+    points = np.asfortranarray(np.linspace(0.0, 1.0, 12).reshape(3, 4))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for forcing in problem.forcing:
+            for t in (0.0, problem.T):
+                try:
+                    values = forcing(points, t)
+                except ValueError:
+                    continue
+                assert isinstance(values, np.ndarray) and values.shape == points.shape
 
 
 @pytest.fixture(scope="module")
