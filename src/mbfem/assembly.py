@@ -319,26 +319,27 @@ def nonlocal_value(weights: np.ndarray, coeffs: np.ndarray, gamma: float) -> flo
 
 def assemble_load(space: FESpace, problem, i: int, x_q: np.ndarray, t: float, out=None, work=None) -> np.ndarray:
     """Load vector of equation i at time t: entry j is
-    int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the space's (nt, q)
-    element quadrature points mapped to the interval at time t.
+    int f_i(alpha + gamma y, t) phi_j(y) dy, with x_q the (q, nt) transpose
+    of the space's element quadrature points, mapped to the interval at
+    time t (the step kernel keeps them C-ordered).
 
     The element vectors are formed as one (k + 1, q) by (q, nt) product, so
-    every elementwise pass runs along the elements; points in Fortran order
-    (as the step kernel keeps them) make fv.T contiguous for it.  Either
-    order gives the same bits.  The vector is written into `out`, a
-    contiguous array of n_dofs entries, when one is given, and the product
-    into `work`, a pair of C-ordered (q, nt) and (k + 1, nt) arrays; both
-    save allocations and neither changes a bit.
+    every elementwise pass runs along the elements.  The vector is written
+    into `out`, a contiguous array of n_dofs entries, when one is given, and
+    the product into `work`, a pair of C-ordered (q, nt) and (k + 1, nt)
+    arrays; both save allocations and neither changes a bit.  A non-finite
+    forcing value is a ValueError naming the first such point in element
+    order.
     """
     fv = sample(problem.forcing[i], x_q, t)
     if not np.isfinite(fv).all():
-        e_bad, q_bad = np.argwhere(~np.isfinite(fv))[0]
+        e_bad, q_bad = np.argwhere(~np.isfinite(fv.T))[0]
         raise ValueError(
-            f"forcing {i} returned a non-finite value at x={x_q[e_bad, q_bad]}, t={t}"
+            f"forcing {i} returned a non-finite value at x={x_q[q_bad, e_bad]}, t={t}"
         )
 
     weighted, contrib = work or (None, None)
-    weighted = np.multiply(fv.T, space.quad.weights[:, None], out=weighted)
+    weighted = np.multiply(fv, space.quad.weights[:, None], out=weighted)
     contrib = np.matmul(space.shape_values.T, weighted, out=contrib)
     contrib *= space.jacobians
     if out is None:

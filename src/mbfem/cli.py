@@ -412,11 +412,7 @@ def _catalog_forcing(equations):
                 if family == "gaussx":
                     total += gauss * scale
                     continue
-                cols = stack.reshape(stack.shape[:1] + column)
-                r = x * 0.0 + cols[-1]
-                for c in cols[-2::-1]:
-                    r *= x
-                    r += c
+                r = _horner(stack.reshape(stack.shape[:1] + column), np.broadcast_to(x, total.shape))
                 r *= scale
                 total += r
             for k, i in enumerate(members):

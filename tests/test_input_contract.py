@@ -46,6 +46,15 @@ RUN_KEYS = (
 )
 UNKNOWN_KEYS = ("diffusion0", "forcing17", "jobs", "seed")
 PROBLEM_SKELETON = {"ne": "1", "T": "1", "diffusion1": "const:1", "initial1": "poly:0,1,-1"}
+# three equations, so a parsed problem evaluates a batch: equations 1 and 2
+# are one poly group, padded from 1 to 3 coefficients, and 3 has no terms
+THREE_EQUATION_SKELETON = {
+    "ne": "3",
+    "T": "1",
+    **{f"{name}{i}": v for i in (1, 2, 3) for name, v in (("diffusion", "const:1"), ("initial", "poly:0,1,-1"))},
+    "forcing1": "poly:1,0.5,0.1;tpow:-2",
+    "forcing2": "poly:2;texp:-1",
+}
 RUN_SKELETON = {"problem": "example1", "nt": "4", "k": "2", "delta": "0.01"}
 
 FUZZ = settings(
@@ -82,22 +91,34 @@ def parse_quietly(parse, text, **kwargs):
             return None
 
 
-@FUZZ
-@given(text=soups(PROBLEM_KEYS, PROBLEM_SKELETON, value))
-def test_parse_problem_raises_only_config_or_value_errors(text):
+def check_parsed_forcings(text):
+    """Parse a problem soup; if it parses, every forcing of it gives values
+    of the points' shape or a ValueError at t = 0 and T."""
     problem = parse_quietly(parse_problem, text)
     if problem is None:
         return
-    points = np.asfortranarray(np.linspace(0.0, 1.0, 12).reshape(3, 4))
+    points = np.linspace(0.0, 1.0, 12).reshape(3, 4)  # (q, nt), C-ordered as the step kernel keeps them
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        for forcing in problem.forcing:
-            for t in (0.0, problem.T):
+        for t in (0.0, problem.T):
+            for forcing in problem.forcing:  # rows after the first come from the kept evaluation
                 try:
                     values = forcing(points, t)
                 except ValueError:
                     continue
                 assert isinstance(values, np.ndarray) and values.shape == points.shape
+
+
+@FUZZ
+@given(text=soups(PROBLEM_KEYS, PROBLEM_SKELETON, value))
+def test_parse_problem_raises_only_config_or_value_errors(text):
+    check_parsed_forcings(text)
+
+
+@FUZZ
+@given(text=soups(PROBLEM_KEYS, THREE_EQUATION_SKELETON, value))
+def test_a_three_equation_problem_raises_only_config_or_value_errors(text):
+    check_parsed_forcings(text)
 
 
 @pytest.fixture(scope="module")

@@ -513,7 +513,7 @@ def test_state_vectors_are_read_only_and_observers_get_them():
 @pytest.mark.parametrize(
     "field,fn,shapes",
     [
-        ("forcing", lambda x, t: 1.0, r"shape \(\) for points of shape \(2, 4\)"),
+        ("forcing", lambda x, t: 1.0, r"shape \(\) for points of shape \(4, 2\)"),
         ("initial", lambda x: math.sin(math.pi * x), r"points of shape \(5,\)"),
     ],
     ids=["scalar-forcing", "math-sin-initial"],
@@ -535,7 +535,7 @@ def test_a_forcing_that_raises_is_called_once():
     p = replace(zero_problem(), forcing=(forcing,))
     with pytest.raises(ValueError, match="outside the forcing's domain"):
         run(p, build_space(2, 1), 0.1)
-    assert calls == [(2, 3)]
+    assert calls == [(3, 2)]  # (q, nt)
 
 
 def test_runs_are_deterministic():
@@ -1193,7 +1193,30 @@ def test_begin_step_has_the_bits_of_the_motion_methods(make):
         assert np.float64(kernel.b2).view(np.uint64) == np.float64(p.motion.coeff_b2(t)).view(np.uint64)
         want = p.motion.to_moving(kernel.quad_points, t)
         assert np.array_equal(kernel.x_q.view(np.uint64), want.view(np.uint64))
-        assert kernel.x_q.flags.f_contiguous
+        assert kernel.x_q.flags.c_contiguous
+
+
+def test_a_forcing_that_fills_a_new_array_has_the_load_bits_of_its_elementwise_form():
+    # the kernel's points are one C-ordered (q, nt) array, numpy's default
+    # layout, so a forcing that writes into np.empty(x.shape) returns the
+    # layout the load contracts without a rule on memory order
+    def filling(x, t):
+        out = np.empty(x.shape)
+        out.reshape(-1)[:] = 0.1 * x.reshape(-1)
+        out /= (1.0 + t) ** 4
+        return out
+
+    p = example2()  # forcing 0 is 0.1 x / (1 + t)^4
+    filled = replace(p, forcing=(filling, p.forcing[1]))
+    space = build_space(16, 3)
+    loads = []
+    for problem in (p, filled):
+        kernel = StepKernel(assemble_static(space), p.ne)
+        kernel.begin_step(problem, replace(initialize(space, problem, 0.01), t_index=5))
+        assert kernel.x_q.shape == (len(space.quad.weights), space.n_elements)
+        assert kernel.x_q.flags.c_contiguous
+        loads.append(kernel.loads[0].tobytes())
+    assert loads[0] == loads[1]
 
 
 def test_each_step_makes_ne_solves_and_ne_loads(monkeypatch):
