@@ -160,13 +160,13 @@ class ErrorTracker:
 
 def fit_slope(points, axis: str = "", degree: int | None = None, equation: int | None = None) -> RateFit:
     """Ordinary least squares on (log abscissa, log error).  Fewer than
-    three points, a nonpositive value or one abscissa for all points is a
-    ValueError."""
+    three points, a value that is not positive and finite, or one abscissa
+    for all points is a ValueError."""
     pts = [(float(a), float(e)) for a, e in points]
     if len(pts) < 3:
         raise ValueError(f"need at least three points to fit a slope, got {len(pts)}")
-    if any(a <= 0.0 or e <= 0.0 for a, e in pts):
-        raise ValueError("slope fitting needs positive abscissae and errors")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):  # a NaN fails too
+        raise ValueError("slope fitting needs positive finite abscissae and errors")
     if len({a for a, _ in pts}) == 1:
         raise ValueError("slope fitting needs at least two distinct abscissae")
     lx = np.log([a for a, _ in pts])

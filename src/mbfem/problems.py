@@ -91,13 +91,13 @@ def _horner(coeffs, t):
 
 def _shared_rows(evaluate, ne: int) -> tuple[Callable, ...]:
     """ne forcings f_i(x, t) that are the rows of one evaluation:
-    evaluate(x, t) gives all ne rows, arrays of x's shape.  The first call
-    at a (t, points) pair evaluates every row and the other ne - 1 calls
-    return theirs.  The evaluation is kept for the last t object
-    (`manufactured`'s forcing_scalars rule: a step calls its ne forcings
-    with one t object) and the last points' shape and bytes, so points
-    mutated in place or another t give fresh values.  Rows are read-only
-    views."""
+    evaluate(x, t) gives all ne rows, of x's shape.  The first call at a
+    (t, points) pair evaluates every row and the other ne - 1 calls return
+    theirs.  The evaluation is kept for the last t object, since a step
+    calls its ne forcings with one t object (`StepKernel.begin_step`), and
+    for the last points' shape and bytes, so points mutated in place or
+    another t give fresh values.  Rows are read-only arrays; scalar points
+    give 0-d rows."""
     kept = [(None, None, ())]  # t, the points' key, the rows; replaced whole
 
     def row(i):
@@ -106,7 +106,7 @@ def _shared_rows(evaluate, ne: int) -> tuple[Callable, ...]:
             key = (x.shape, x.tobytes())
             last, last_key, rows = kept[0]
             if last is not t or last_key != key:
-                rows = tuple(evaluate(x, t))
+                rows = tuple(np.asarray(v) for v in evaluate(x, t))
                 for v in rows:
                     v.flags.writeable = False
                 kept[0] = (t, key, rows)
@@ -115,6 +115,19 @@ def _shared_rows(evaluate, ne: int) -> tuple[Callable, ...]:
         return f
 
     return tuple(row(i) for i in range(ne))
+
+
+def _frame(x, t, g, a, b):
+    """z = (x - alpha) / gamma of the points x at t, whose gamma, alpha and
+    beta are g, a and b; x outside [a, b] widened by 1e-9 max(1, |a|, |b|)
+    is a ValueError."""
+    tol = 1e-9 * max(1.0, abs(a), abs(b))
+    x = np.asarray(x)
+    if x.size and not (a - tol <= x.min() and x.max() <= b + tol):  # a NaN min or max fails too
+        raise ValueError(f"position {x} outside the moving interval [{a}, {b}] at t={t}")
+    z = x - a
+    z /= g
+    return z
 
 
 def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T: float, name: str = "") -> ProblemSpec:
@@ -126,7 +139,9 @@ def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T:
         f_i = F_i' q_i - F_i q_i' b1 - a_i(I) F_i q_i'' / gamma^2,
 
     with b1 = (alpha' + gamma' z) / gamma and I_j = gamma F_j int_0^1 q_j;
-    b1 is affine in z, so f_i is a polynomial in z.  Forcing, exact
+    b1 is affine in z, so f_i is a polynomial in z.  The ne forcings are
+    the rows of one evaluation per (t, points) (`_shared_rows`), which
+    computes the motion, every F_j, the a_i and z once.  Forcing, exact
     solutions and initial data raise ValueError for t outside the motion's
     domain and for x outside [alpha, beta] widened by 1e-9 max(1, |alpha|,
     |beta|), which covers the rounding of mapped end points.
@@ -134,59 +149,36 @@ def manufactured(motion, profiles, time_factors, diffusion, diffusion_bounds, T:
     if len(time_factors) != len(profiles):
         raise ValueError("need one (F, F') time-factor pair per profile")
     P = np.polynomial.polynomial
-    # (F_j, int_0^1 q_j) of every equation, the factors of I_j
-    integrals = [(F, _horner(P.polyint(q).tolist(), 1.0)) for (F, _), q in zip(time_factors, profiles)]
+    integrals = [_horner(P.polyint(q).tolist(), 1.0) for q in profiles]  # int_0^1 q_j
+    # coefficient m of q, q', z q' and q'' of every equation, padded to q's length
+    terms = [list(zip(q, P.polyder(q).tolist() + [0.0], [m * c for m, c in enumerate(q)],
+                      P.polyder(q, 2).tolist() + [0.0, 0.0])) for q in profiles]
 
-    def frame(x, t, g, a, b):
-        """z = (x - alpha) / gamma of the points x at t, whose gamma, alpha and
-        beta are g, a and b."""
-        tol = 1e-9 * max(1.0, abs(a), abs(b))
-        x = np.asarray(x)
-        if x.size and not (a - tol <= x.min() and x.max() <= b + tol):  # a NaN min or max fails too
-            raise ValueError(f"position {x} outside the moving interval [{a}, {b}] at t={t}")
-        z = x - a
-        z /= g
-        return z
-
-    shared = [(None, None)]  # the last t a forcing was called at, and its scalars
-
-    def forcing_scalars(t):
-        """gamma, alpha, beta, alpha', gamma' and the a_i arguments at t.  A
-        step calls the ne forcings with one t object, so they are evaluated
-        once per t object, the same values every forcing would compute."""
-        last, values = shared[0]
-        if last is not t:
-            g = motion.gamma(t)  # checks t
-            values = (g, motion.alpha(t), motion.beta(t), motion.alpha_prime(t), motion.gamma_prime(t),
-                      [g * Fj(t) * Q for Fj, Q in integrals])
-            shared[0] = (t, values)
-        return values
-
-    def equation(i):
-        (F, dF), a_i, q = time_factors[i], diffusion[i], profiles[i]
-        # coefficient m of q, q', z q' and q'', padded to q's length
-        terms = list(zip(q, P.polyder(q).tolist() + [0.0], [m * c for m, c in enumerate(q)],
-                         P.polyder(q, 2).tolist() + [0.0, 0.0]))
-
-        def u(x, t):
-            g = motion.gamma(t)  # checks t
-            return F(t) * _horner(q, frame(x, t, g, motion.alpha(t), motion.beta(t)))
-
-        def f(x, t):
-            g, a, b, alpha_p, gamma_p, args = forcing_scalars(t)
-            z = frame(x, t, g, a, b)
-            Ft = F(t)
+    def evaluate(x, t):
+        g = motion.gamma(t)  # checks t
+        a, b, alpha_p, gamma_p = motion.alpha(t), motion.beta(t), motion.alpha_prime(t), motion.gamma_prime(t)
+        F = [Fj(t) for Fj, _ in time_factors]
+        args = [g * Fj * Q for Fj, Q in zip(F, integrals)]
+        z = _frame(x, t, g, a, b)
+        rows = []
+        for Ft, (_, dF), a_i, c in zip(F, time_factors, diffusion, terms):
             s0, s1, s2 = dF(t), -Ft * alpha_p / g, -Ft * gamma_p / g
             s3 = -a_i(*args) * Ft / (g * g)
-            return _horner([s0 * c + s1 * c1 + s2 * zc1 + s3 * c2 for c, c1, zc1, c2 in terms], z)
+            rows.append(_horner([s0 * c0 + s1 * c1 + s2 * zc1 + s3 * c2 for c0, c1, zc1, c2 in c], z))
+        return rows
 
-        return u, f
+    def solution(F, q):
+        def u(x, t):
+            g = motion.gamma(t)  # checks t
+            return F(t) * _horner(q, _frame(x, t, g, motion.alpha(t), motion.beta(t)))
 
-    exact, forcing = zip(*(equation(i) for i in range(len(profiles))))
+        return u
+
+    exact = tuple(solution(F, q) for (F, _), q in zip(time_factors, profiles))
     return ProblemSpec(
         ne=len(profiles),
         diffusion=tuple(diffusion),
-        forcing=forcing,
+        forcing=_shared_rows(evaluate, len(profiles)),
         initial=tuple((lambda x, u=u: u(x, 0.0)) for u in exact),
         motion=motion,
         T=T,

@@ -199,7 +199,8 @@ class StepKernel:
         M/dt - C/2, b2, gamma, the quadrature points x_q, one C-ordered
         (q, nt) array, and the ne loads.  gamma, b2 and x_q come from one
         `step_frame` call, with the bits of the motion's gamma, coeff_b2 and
-        to_moving."""
+        to_moving.  The ne forcings are called with one t object, t_mid, at
+        the same points x_q, the rule `problems._shared_rows` relies on."""
         dt = state.delta
         if dt != self.dt:
             np.divide(self.mass, dt, out=self.m_over_dt)

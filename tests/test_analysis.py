@@ -121,6 +121,13 @@ def test_fit_slope_needs_distinct_abscissae():
 def test_fit_slope_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_slope([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
+    # and a non-finite value in either coordinate: a NaN error once gave an
+    # all-NaN fit, an infinite one a RuntimeWarning, and a non-finite
+    # abscissa LAPACK's "SVD did not converge"
+    for value in (math.nan, math.inf, -math.inf):
+        for point in ((value, 0.25), (0.05, value)):
+            with pytest.raises(ValueError, match="positive finite abscissae and errors"):
+                fit_slope([(0.1, 1.0), point, (0.025, 0.1)])
 
 
 def test_error_tracker_records_requested_times():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import mbfem
-from mbfem import ErrorTracker, analysis, build_space, cli, example1, run, stepper
+from mbfem import ErrorTracker, analysis, build_space, cli, example1, problems, run, stepper
 from mbfem.analysis import write_rows
 from mbfem.cli import ConfigError, SnapshotRecorder, SnapshotRows, main, parse_config, parse_problem
 from mbfem.problems import _Q1_COEFFS, _ex1_motion
@@ -453,14 +453,35 @@ SHARED = (
 )
 
 
-def test_a_kept_catalog_evaluation_follows_its_points_and_time():
-    forcing = parse_problem(SHARED).forcing
-    x = np.asfortranarray(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+# the two built-in families of shared forcings, each as (the module whose
+# `_shared_rows` builds them, a problem, a problem of ten steps of 0.01);
+# points in [0, 1] lie inside example1's interval at every t
+SHARED_FORCINGS = {
+    "catalog": (
+        cli,
+        lambda: parse_problem(SHARED),
+        lambda: parse_problem(
+            "ne=8 T=0.1 motion=rational alpha_num=0,-0.5 alpha_den=1,1 beta_num=1,1.5 beta_den=1,1\n"
+            + "".join(
+                f"diffusion{i}=const:{i} initial{i}=poly:0,1,-1 forcing{i}=poly:{i},-1;tpow:-2 forcing{i}=gaussx;texp:-{i}\n"
+                for i in range(1, 9)
+            )
+        ),
+    ),
+    "manufactured": (problems, example1, lambda: replace(example1(), T=0.1)),
+}
+
+
+@pytest.mark.parametrize("family", SHARED_FORCINGS)
+def test_a_kept_catalog_evaluation_follows_its_points_and_time(family):
+    make = SHARED_FORCINGS[family][1]
+    forcing = make().forcing
+    x = np.asfortranarray(np.linspace(0.0, 1.0, 12).reshape(4, 3))
     t = 0.35
     first = [f(x, t).copy() for f in forcing]
     x *= 0.5  # the same t object at points mutated in place
     moved = [f(x, t) for f in forcing]
-    fresh = [parse_problem(SHARED).forcing[i](x, t) for i in range(3)]
+    fresh = [g(x, t) for g in make().forcing]
     for before, got, want in zip(first, moved, fresh):
         assert not np.array_equal(got, before)
         assert np.array_equal(bits(got), bits(want))
@@ -469,16 +490,22 @@ def test_a_kept_catalog_evaluation_follows_its_points_and_time():
     assert all(np.array_equal(bits(f(x, other)), bits(m)) for f, m in zip(forcing, moved))
 
 
-def test_catalog_forcing_rows_are_read_only():
-    row = parse_problem(SHARED).forcing[1](np.linspace(0.0, 1.0, 5), 0.2)
+@pytest.mark.parametrize("family", SHARED_FORCINGS)
+def test_catalog_forcing_rows_are_read_only(family):
+    forcing = SHARED_FORCINGS[family][1]().forcing[1]
+    row = forcing(np.linspace(0.0, 1.0, 5), 0.2)
     assert not row.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         row[0] = 1.0
+    point = forcing(0.5, 0.2)  # a scalar point gives a read-only 0-d row
+    assert point.shape == () and not point.flags.writeable
 
 
-def test_a_run_evaluates_the_catalog_forcings_once_per_step(monkeypatch):
+@pytest.mark.parametrize("family", SHARED_FORCINGS)
+def test_a_run_evaluates_the_catalog_forcings_once_per_step(monkeypatch, family):
+    module, _, make = SHARED_FORCINGS[family]
     evaluations, steps = [], []
-    shared_rows, begin_step = cli._shared_rows, stepper.StepKernel.begin_step
+    shared_rows, begin_step = module._shared_rows, stepper.StepKernel.begin_step
 
     def counted_rows(evaluate, ne):
         def counted(x, t):
@@ -491,13 +518,9 @@ def test_a_run_evaluates_the_catalog_forcings_once_per_step(monkeypatch):
         begin_step(kernel, problem, state)
         steps.append(kernel.t_mid)
 
-    monkeypatch.setattr(cli, "_shared_rows", counted_rows)
+    monkeypatch.setattr(module, "_shared_rows", counted_rows)
     monkeypatch.setattr(stepper.StepKernel, "begin_step", counted_step)
-    text = "ne=8 T=0.1 motion=rational alpha_num=0,-0.5 alpha_den=1,1 beta_num=1,1.5 beta_den=1,1\n" + "".join(
-        f"diffusion{i}=const:{i} initial{i}=poly:0,1,-1 forcing{i}=poly:{i},-1;tpow:-2 forcing{i}=gaussx;texp:-{i}\n"
-        for i in range(1, 9)
-    )
-    run(parse_problem(text), build_space(4, 2), 0.01)
+    run(make(), build_space(4, 2), 0.01)
     assert len(steps) == 10
     assert evaluations == steps
 

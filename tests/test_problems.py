@@ -8,6 +8,7 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from mbfem import BoundaryMotion, ProblemSpec, build_space, example1, example2, fixed_interval, run, validate
+from mbfem import problems
 from mbfem.problems import _Q1_COEFFS, _Q2_COEFFS, manufactured
 
 # int_0^1 q_i of example1's quartic profiles, in exact arithmetic
@@ -132,33 +133,43 @@ def test_the_range_check_names_the_points_and_passes_empty_arrays():
         assert fn(inside, t).flags.f_contiguous
 
 
-def test_the_forcings_share_one_evaluation_of_the_motion_per_t():
-    # a step calls its ne forcings with one t object; they evaluate the motion
-    # and the time factors once for it, and each gives the bits of the same
-    # forcing of a second problem called with an equal t of another object
-    counts = dict.fromkeys(("alpha", "beta", "alpha_prime", "beta_prime"), 0)
-    base = example1().motion
+def test_the_forcings_share_one_evaluation_of_the_motion_per_t(monkeypatch):
+    # a step calls its ne forcings with one t object at one set of points;
+    # the first forcing evaluates the motion, every time factor, every a_i
+    # and z once, the second does none of that work, and each gives the bits
+    # of the same forcing of a second problem called with an equal t of
+    # another object
+    counts = dict.fromkeys(("alpha", "beta", "alpha_prime", "beta_prime", "F", "F'", "a", "frame"), 0)
 
-    def counted(name):
-        def call(t, fn=getattr(base, name)):
+    def counted(name, fn):
+        def call(*args):
             counts[name] += 1
-            return fn(t)
+            return fn(*args)
 
         return call
 
-    motion = replace(base, **{name: counted(name) for name in counts})
+    base = example1().motion
+    motion = replace(base, **{name: counted(name, getattr(base, name)) for name in list(counts)[:4]})
     time_factors = ((lambda t: 1.0 / (1.0 + t), lambda t: -1.0 / (1.0 + t) ** 2), (math.exp, math.exp))
     diffusion = (lambda r, s: 2.0 + r * s, lambda r, s: 3.0 - r * s)
-    make = lambda m: manufactured(m, (_Q1_COEFFS, _Q2_COEFFS), time_factors, diffusion, ((1, 4), (2, 5)), 3.0)
-    shared, alone = make(motion), make(base)
+    make = lambda m, tf, d: manufactured(m, (_Q1_COEFFS, _Q2_COEFFS), tf, d, ((1, 4), (2, 5)), 3.0)
+    alone = make(base, time_factors, diffusion)
+    shared = make(
+        motion,
+        tuple((counted("F", F), counted("F'", dF)) for F, dF in time_factors),
+        tuple(counted("a", a) for a in diffusion),
+    )
+    monkeypatch.setattr(problems, "_frame", counted("frame", problems._frame))
     x = np.linspace(0.0, 1.0, 7)
     for t in (0.25, 1.5, 0.25):
         got, calls = [], []
         for f in shared.forcing:
-            before = sum(counts.values())
+            before = dict(counts)
             got.append(f(x, t))
-            calls.append(sum(counts.values()) - before)
-        assert calls[0] > 0 and calls[1] == 0
+            calls.append({name: counts[name] - before[name] for name in counts})
+        assert all(calls[0].values())
+        assert (calls[0]["F"], calls[0]["F'"], calls[0]["a"], calls[0]["frame"]) == (2, 2, 2, 1)  # once per equation, z once
+        assert not any(calls[1].values())
         for g, f in zip(got, alone.forcing):
             assert np.array_equal(g.view(np.uint64), f(x, float(repr(t))).view(np.uint64))
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
+import mbfem
 from mbfem import ErrorTracker, ProblemSpec, build_space, example1, example2, fixed_interval, run
 from mbfem.analysis import fit_slope, l2_error_vs_function, measure
 from mbfem import assembly, stepper
@@ -545,6 +549,38 @@ def test_runs_are_deterministic():
     b = run(p, space, 0.05)
     for va, vb in zip(a.final.current, b.final.current):
         assert np.array_equal(va, vb)
+
+
+def test_runs_have_the_same_bytes_at_any_blas_thread_count():
+    # every level of three whole runs, hashed in children at 1 and 2 BLAS
+    # threads: example2 at (4096, 3), whose 12,289-entry products OpenBLAS
+    # may split across threads, and example1 at (32, 3) and (512, 2), the
+    # last on the condensed path
+    assert example1().ne * 512 >= CONDENSE_MIN_ELEMENTS  # the size rule condenses (512, 2)
+    code = (
+        "import hashlib\n"
+        "from dataclasses import replace\n"
+        "from mbfem import build_space, example1, example2, run\n"
+        "for make, nt, k in ((example2, 4096, 3), (example1, 32, 3), (example1, 512, 2)):\n"
+        "    digest = hashlib.sha256()\n"
+        "    levels = [lambda step, time, vectors: digest.update(vectors.tobytes())]\n"
+        "    run(replace(make(), T=0.1), build_space(nt, k), 0.01, observers=levels)\n"
+        "    print(digest.hexdigest())"
+    )
+    src = os.path.dirname(os.path.dirname(mbfem.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [child.communicate(timeout=120)[0].split() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
