@@ -48,14 +48,14 @@ def problem(ne):
     )
 
 
-def path_kernel(ops, ne, condense):
-    """The kernel for ne equations on `ops` that takes the condensed path
-    (a store kernel) or the dgbsv path (a band kernel), whatever the size
-    rule would pick."""
+def path_kernel(ops, ne, delta, condense):
+    """The kernel for ne equations on `ops` at step length delta that takes
+    the condensed path (a store kernel) or the dgbsv path (a band kernel),
+    whatever the size rule would pick."""
     rule = stepper.CONDENSE_MIN_ELEMENTS
     stepper.CONDENSE_MIN_ELEMENTS = 1 if condense else math.inf
     try:
-        return stepper.StepKernel(ops, ne)
+        return stepper.StepKernel(ops, ne, delta)
     finally:
         stepper.CONDENSE_MIN_ELEMENTS = rule
 
@@ -84,7 +84,7 @@ def cell(ne, nt, k, rng, repeats=5):
     state = stepper.SchemeState(t_index=20, delta=0.005, current=v_prev, previous=None)
     times = []
     for condense in (False, True)[: 2 if k >= 2 else 1]:
-        kernel = path_kernel(ops, ne, condense)
+        kernel = path_kernel(ops, ne, state.delta, condense)
         kernel.begin_step(p, state)
         assert kernel.condense == condense
         times.append(best_us(kernel, p, repeats))

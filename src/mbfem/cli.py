@@ -132,7 +132,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         try:
             with open(path) as fp:
                 problem_text = fp.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read problem file {name!r}: {exc}") from None
         problem = parse_problem(problem_text)
 
@@ -559,7 +559,7 @@ def _load_config(args) -> RunConfig:
     try:
         with open(args.config) as fp:
             text = fp.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
 

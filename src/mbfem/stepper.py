@@ -27,13 +27,13 @@ share a column and every band row of all equations is contiguous.  A
 kernel that may condense keeps them instead as one (k (k + 2), ne, nt + 1)
 element-entry store, one contiguous row per entry of an element block.
 
-A step is a function of the level it leaves.  `StepKernel.begin_step(problem,
-state)` takes from the state at level n - 1 all that the step to level n
-needs: its length d = state.delta, its midpoint t_{n-1/2}, computed as
-((n - 1) d + n d)/2, and V^(n-1) = state.current.  `solve_all(problem,
-nonlocal_values, stage)` then solves that step at the given nonlocal
-values, once per advance and twice, as predictor and corrector, in the
-bootstrap, and names a failure `{stage}step n (t=n d)`.
+A kernel is built for its run's one step length d.  A step is a function of
+the level it leaves.  `StepKernel.begin_step(problem, state)` takes from the
+state at level n - 1 all that the step to level n needs: its midpoint
+t_{n-1/2}, computed as ((n - 1) d + n d)/2, and V^(n-1) = state.current.
+`solve_all(problem, nonlocal_values, stage)` then solves that step at the
+given nonlocal values, once per advance and twice, as predictor and
+corrector, in the bootstrap, and names a failure `{stage}step n (t=n d)`.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _padded(band: np.ndarray, k: int, diagonal: float) -> np.ndarray:
 
 
 class StepKernel:
-    """The arithmetic of the steps of one run of ne equations.
+    """The arithmetic of one run's steps, all of length d, for ne equations.
 
     Per equation a step solves the midpoint form
     [(M/d - C/2) + (a_i b2/2) K] U = (2M/d) V^(n-1) + G, in which only
@@ -158,26 +158,27 @@ class StepKernel:
     so the neighbours keep their bits and the error names equation i.
     """
 
-    def __init__(self, ops: OperatorSet, ne: int):
+    def __init__(self, ops: OperatorSet, ne: int, delta: float):
         self.space = ops.space
         self.weights = ops.nonlocal_weights
+        self.delta = delta
         k = self.kb = ops.mass.kb
         n, nt = self.space.n_dofs, self.space.n_elements
         self.large = k >= 2 and ne * nt >= CONDENSE_MIN_ELEMENTS
         layout = _gather_entries if self.large else np.asarray
-        self.mass = layout(_padded(ops.mass.data, k, 1.0))
+        self.m_over_dt = np.divide(layout(_padded(ops.mass.data, k, 1.0)), delta)
         self.stiffness, self.conv_const, self.conv_linear = (
             layout(_padded(band.data, k, 0.0)) for band in (ops.stiffness, ops.conv_const, ops.conv_linear)
         )
-        self.unpadded_mass = ops.mass.data
-        self.dt = self.state = self.t_mid = self.gamma = self.b2 = self.condense = None
+        two = np.divide(ops.mass.data, delta, out=np.empty((2 * k + 1, n), order="F"))
+        self.two_m_over_dt = BandedMatrix(np.add(two, two, out=two), k)
+        self.state = self.t_mid = self.gamma = self.b2 = self.condense = None
         self.quad_points = np.ascontiguousarray(self.space.element_quad_points.T)
         self.x_q = np.empty_like(self.quad_points)
-        self.m_over_dt, self.lhs_base = np.empty_like(self.mass), np.empty_like(self.mass)
-        self.two_m_over_dt = BandedMatrix(np.empty((2 * k + 1, n), order="F"), k)
+        self.lhs_base = np.empty_like(self.m_over_dt)
         self.load_work = (np.empty((len(self.space.quad.weights), nt)), np.empty((k + 1, nt)))
         self.loads = np.empty((ne, n))
-        stack = self.stack = np.empty((len(self.mass), ne, self.mass.shape[1]))
+        stack = self.stack = np.empty((len(self.m_over_dt), ne, self.m_over_dt.shape[1]))
         # a condensing kernel's band is touched only by a step it does not condense
         band = self.band = np.empty((2 * k + 1, ne, n + k - 1)) if self.large else stack
         rhs, x = self.stack_rhs, self.solution = np.zeros((ne, n + k - 1)), np.zeros((ne, n + k - 1))
@@ -194,38 +195,39 @@ class StepKernel:
             ]
 
     def begin_step(self, problem, state: SchemeState) -> None:
-        """Set up the step that leaves `state`'s level for the next: M/dt and
-        2M/dt (if dt = state.delta changed), the midpoint t_mid, the base
-        M/dt - C/2, b2, gamma, the quadrature points x_q, one C-ordered
-        (q, nt) array, and the ne loads.  gamma, b2 and x_q come from one
-        `step_frame` call, with the bits of the motion's gamma, coeff_b2 and
-        to_moving.  The ne forcings are called with one t object, t_mid, at
-        the same points x_q, the rule `problems._shared_rows` relies on."""
-        dt = state.delta
-        if dt != self.dt:
-            np.divide(self.mass, dt, out=self.m_over_dt)
-            two = self.two_m_over_dt.data
-            np.add(np.divide(self.unpadded_mass, dt, out=two), two, out=two)
-            self.dt = dt
+        """Set up the step that leaves `state`'s level, one of the kernel's
+        delta, for the next: the midpoint t_mid, the base M/dt - C/2, b2,
+        gamma, the quadrature points x_q, one C-ordered (q, nt) array, and
+        the ne loads.  gamma, b2 and x_q come from one `step_frame` call,
+        with the bits of the motion's gamma, coeff_b2 and to_moving.  The ne
+        forcings are called with one t object, t_mid, at the same points
+        x_q, the rule `problems._shared_rows` relies on.  A ValueError of
+        the motion or a forcing gets the step's name appended."""
+        dt = self.delta
+        if state.delta != dt:
+            raise ValueError(f"the step kernel of delta={dt!r} cannot step a level of delta={state.delta!r}")
         self.state = state
         t_mid = self.t_mid = 0.5 * (state.time + (state.t_index + 1) * dt)
         motion = problem.motion
-        g, self.b2 = motion.step_frame(self.quad_points, t_mid, self.x_q)
+        try:
+            g, self.b2 = motion.step_frame(self.quad_points, t_mid, self.x_q)
+            gp, ap = motion.gamma_prime(t_mid), motion.alpha_prime(t_mid)
+            with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
+                for i, load in enumerate(self.loads):
+                    assemble_load(self.space, problem, i, self.x_q, t_mid, load, self.load_work)
+        except ValueError as exc:
+            raise ValueError(f"{exc}, in {self._step_name('')}") from exc
         self.gamma = g
-        gp = motion.gamma_prime(t_mid)
         self.condense = self.large and 4.0 * g + dt * gp > 0.0
-        c_half = np.multiply(motion.alpha_prime(t_mid) / (2.0 * g), self.conv_const, out=self.lhs_base)
+        c_half = np.multiply(ap / (2.0 * g), self.conv_const, out=self.lhs_base)
         c_half += (gp / (2.0 * g)) * self.conv_linear
         np.subtract(self.m_over_dt, c_half, out=self.lhs_base)
-        with np.errstate(over="ignore", invalid="ignore"):  # assemble_load reports a non-finite forcing
-            for i, load in enumerate(self.loads):
-                assemble_load(self.space, problem, i, self.x_q, t_mid, load, self.load_work)
 
     def _step_name(self, stage: str) -> str:
         """`{stage}step n (t=n d)`, the name in errors of the step to level
         n; formatted only when one is raised."""
         n = self.state.t_index + 1
-        return f"{stage}step {n} (t={n * self.state.delta})"
+        return f"{stage}step {n} (t={n * self.delta})"
 
     def solve_all(self, problem, nonlocal_values, stage: str = "") -> np.ndarray:
         """V^(n) of every equation as a read-only (ne, n) array, the diffusion
@@ -238,7 +240,10 @@ class StepKernel:
         n = self.space.n_dofs
         stack, x, v_prev = self.stack, self.solution, self.state.current
         with np.errstate(over="ignore", invalid="ignore"):
-            a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
+            try:
+                a = [diffusion_scalar(problem, i, nonlocal_values) for i in range(problem.ne)]
+            except ValueError as exc:
+                raise ValueError(f"{exc}, in {self._step_name(stage)}") from exc
             s = 0.5 * np.array(a) * self.b2
             np.multiply(s[None, :, None], self.stiffness[:, None, :], out=stack)
             np.add(self.lhs_base[:, None, :], stack, out=stack)
@@ -325,7 +330,7 @@ def run(problem, space: FESpace, delta: float, observers=()) -> RunResult:
     started = _time.perf_counter()
     ops = assemble_static(space)
     state = initialize(space, problem, delta)
-    kernel = StepKernel(ops, problem.ne)
+    kernel = StepKernel(ops, problem.ne, delta)
     del ops  # the kernel keeps its own copies of the operators it needs
     while True:
         for obs in observers:

@@ -133,7 +133,7 @@ def run_in_child(tmp_path, args):
     )
 
 
-# convergence_orders.py takes about 20 s and stays out
+# convergence_orders.py takes about 10 s and stays out; CI runs it on its own
 QUICK_DEMOS = ["custom_problem_cli.py", "expanding_benchmark.py", "spline_decay.py"]
 
 

@@ -528,7 +528,7 @@ def test_nonlocal_value_has_the_same_bits_at_any_blas_thread_count():
         f"band = BandedMatrix(np.asfortranarray(np.random.default_rng(1).standard_normal((7, {n}))), 3); "
         "print(band.matvec(v).tobytes().hex()); "
         "space = build_space(4096, 3); p = example2(); "
-        "x_q = p.motion.to_moving(StepKernel(assemble_static(space), p.ne).quad_points, 0.3); "
+        "x_q = p.motion.to_moving(StepKernel(assemble_static(space), p.ne, 0.01).quad_points, 0.3); "
         "print(assemble_load(space, p, 0, x_q, 0.3).tobytes().hex())"
     )
     src = os.path.dirname(os.path.dirname(mbfem.__file__))

@@ -617,7 +617,7 @@ def test_a_zero_divisor_of_a_catalog_motion_is_no_traceback(tmp_path, motion, co
 @pytest.mark.parametrize(
     "spec,failure",
     [
-        ("forcing1=poly:1e308,1e308;const:1e308", "forcing 0 returned a non-finite value at x=0.028175416344814574, t=0.05"),
+        ("forcing1=poly:1e308,1e308;const:1e308", "forcing 0 returned a non-finite value at x=0.028175416344814574, t=0.05, in step 1 (t=0.1)"),
         ("initial1=poly:1e308,1e308", "non-finite sample of the interpolated function at y=1.0"),
     ],
     ids=["forcing", "initial"],
@@ -950,6 +950,22 @@ def test_an_out_that_cannot_be_a_directory_fails_before_any_run(tmp_path, monkey
     assert main([command, "--config", config, "--out", out]) == 2
     assert capsys.readouterr().err == f"config error: cannot create output directory {out!r}: File exists\n"
     assert runs == []
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("unreadable", ["config", "problem file"])
+def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(tmp_path, monkeypatch, capsys, command, unreadable):
+    # byte 0xff starts no UTF-8 sequence
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes(b"ne=1\xff\n")
+    name = "latin1.txt" if unreadable == "config" else write(tmp_path, "run.cfg", "problem=latin1.txt nt=4 k=1 delta=0.1\n")
+    out = [] if command == "validate" else ["--out", "o"]
+    assert main([command, "--config", name, *out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read {unreadable} 'latin1.txt': "
+        "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_reports_config_error(tmp_path, capsys):

@@ -5,12 +5,12 @@ Inputs are key=value token soups.  Keys come from the real key sets plus a
 few unknown ones; values mix edge-case numbers (0, -1, inf, nan, 1e400),
 catalog specs with random arguments, and short random strings.  Most soups
 are laid over a valid skeleton, so parsing gets past the first checks and
-reaches the motion, diffusion, forcing and initial-data builders.  The
-forcings of a parsed problem are then evaluated, which may only give values
-of the points' shape or a ValueError.  The three-equation soups draw their
-forcing terms from the catalog grammar, and each forcing of a parsed one
-must be the plain sum of its terms, bit for bit.  Runs are derandomized and bounded, so
-the test is repeatable.
+reaches the motion, diffusion, forcing and initial-data builders.  Problem
+soups draw their forcing terms from the catalog grammar, and each forcing
+of a parsed problem must be the plain sum of its terms, bit for bit; a
+short run of it must end with finite values or fail with ValueError or
+RuntimeError.  Runs are derandomized and bounded, so the test is
+repeatable.
 """
 
 import math
@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from mbfem import build_space, run
 from mbfem.cli import ConfigError, parse_config, parse_problem
 
 NUMBERS = (
@@ -69,8 +70,9 @@ THREE_EQUATION_SKELETON = {
     "forcing1": "poly:1,0.5,0.1;tpow:-2",
     "forcing2": "poly:2;texp:-1",
 }
-# the three-equation soups' forcing tokens are drawn catalog terms only
-THREE_EQUATION_KEYS = tuple(k for k in PROBLEM_KEYS if not k.startswith("forcing"))
+# the problem soups' forcing tokens are drawn catalog terms only; the
+# malformed forcing values of tests/test_cli.py cover the rejections
+NON_FORCING_KEYS = tuple(k for k in PROBLEM_KEYS if not k.startswith("forcing"))
 RUN_SKELETON = {"problem": "example1", "nt": "4", "k": "2", "delta": "0.01"}
 
 FUZZ = settings(
@@ -126,11 +128,11 @@ def plain_sum(terms, x, t):
     return total
 
 
-def check_parsed_forcings(text, catalog_terms=False):
-    """Parse a problem soup; if it parses, every forcing of it gives values
-    of the points' shape or a ValueError at t = 0 and T.  With
-    catalog_terms, every forcing token of the soup is a well-formed term,
-    and each forcing must be the plain sum of its terms, bit for bit."""
+def check_parsed_forcings(text):
+    """Parse a problem soup, every forcing token of which is a well-formed
+    term; if it parses, every forcing of it is the plain sum of its terms,
+    bit for bit, at t = 0 and T, and a short run of it ends in finite
+    values or fails with ValueError or RuntimeError."""
     problem = parse_quietly(parse_problem, text)
     if problem is None:
         return
@@ -140,46 +142,55 @@ def check_parsed_forcings(text, catalog_terms=False):
         warnings.simplefilter("ignore")
         for t in (0.0, problem.T):
             for i, forcing in enumerate(problem.forcing, 1):  # rows after the first come from the kept evaluation
-                try:
-                    values = forcing(points, t)
-                except ValueError:
-                    continue
-                assert isinstance(values, np.ndarray) and values.shape == points.shape
-                if catalog_terms:
-                    want = plain_sum([v for k, v in tokens if k == f"forcing{i}"], points, t)
-                    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+                values = forcing(points, t)
+                want = plain_sum([v for k, v in tokens if k == f"forcing{i}"], points, t)
+                assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+    short_run(problem)
+
+
+def short_run(problem):
+    """Eight steps of T/8 on four quadratic elements: a finite last level,
+    or a ValueError or RuntimeError."""
+    try:
+        final = run(problem, build_space(4, 2), problem.T / 8).final
+    except (ValueError, RuntimeError):
+        return
+    assert final.t_index == 8 and np.isfinite(final.current).all()
+
+
+def forcing_terms(ne, max_size):
+    """Lists of `forcingN=term` tokens, N in 1..ne, of drawn catalog terms."""
+    return st.lists(st.builds(lambda i, term: f"forcing{i}={term}", st.integers(1, ne), catalog_term), max_size=max_size)
 
 
 @FUZZ
-@given(text=soups(PROBLEM_KEYS, PROBLEM_SKELETON, value))
+@given(text=soups(NON_FORCING_KEYS, PROBLEM_SKELETON, value, forcing_terms(1, 3)))
 def test_parse_problem_raises_only_config_or_value_errors(text):
     check_parsed_forcings(text)
 
 
 @FUZZ
-@given(
-    text=soups(
-        THREE_EQUATION_KEYS,
-        THREE_EQUATION_SKELETON,
-        value,
-        st.lists(st.builds(lambda i, term: f"forcing{i}={term}", st.integers(1, 3), catalog_term), max_size=6),
-    )
-)
+@given(text=soups(NON_FORCING_KEYS, THREE_EQUATION_SKELETON, value, forcing_terms(3, 6)))
 def test_a_three_equation_problem_raises_only_config_or_value_errors(text):
-    check_parsed_forcings(text, catalog_terms=True)
+    check_parsed_forcings(text)
 
 
 @pytest.fixture(scope="module")
 def problem_dir(tmp_path_factory):
-    """A directory with a valid problem file and an unreadable one."""
+    """A directory with a valid problem file, a malformed one, one that is
+    not UTF-8 and a directory in a problem file's place."""
     d = tmp_path_factory.mktemp("problems")
     (d / "good.prob").write_text("ne=1 T=1\ndiffusion1=const:1\ninitial1=poly:0,1,-1\n")
     (d / "bad.prob").write_text("ne=1 T=1 diffusion1\n")
+    (d / "latin1.prob").write_bytes(b"ne=1 T=1\xff\n")
     (d / "folder.prob").mkdir()
     return str(d)
 
 
-run_value = st.one_of(value, st.sampled_from(("example1", "example2", "good.prob", "bad.prob", "folder.prob", "none.prob")))
+run_value = st.one_of(
+    value,
+    st.sampled_from(("example1", "example2", "good.prob", "bad.prob", "latin1.prob", "folder.prob", "none.prob")),
+)
 
 
 @FUZZ

@@ -303,6 +303,17 @@ def test_validate_flags_shrinking_domain():
     assert relaxed.passed
 
 
+def test_validate_counts_a_nan_boundary_derivative_against_h2():
+    # NaN satisfies neither alpha' < 0 nor alpha' >= 0, so H2 must count
+    # the samples where alpha' < 0 < beta' fails to hold
+    p = replace(example1(), motion=replace(example1().motion, alpha_prime=lambda t: math.nan))
+    for require_expanding, status in ((True, "fail"), (False, "warn")):
+        report = validate(p, require_expanding=require_expanding)
+        monotonicity = next(c for c in report.checks if c.name == "H2 boundary monotonicity")
+        assert (monotonicity.status, monotonicity.detail) == (status, "alpha' < 0 < beta' violated at 201 of 201 samples")
+        assert report.status == status
+
+
 def test_validate_samples_initial_and_exact_data_on_whole_arrays():
     # callables that read x.shape run fine; validate must call them as a
     # run does, on arrays, not point by point

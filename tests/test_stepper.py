@@ -78,7 +78,7 @@ def test_initialize_example1_matches_quartic_sampling():
 def test_bootstrap_zero_fixed_point():
     p = zero_problem()
     space = build_space(4, 2)
-    s1 = bootstrap_first_step(initialize(space, p, 0.05), StepKernel(assemble_static(space), p.ne), p)
+    s1 = bootstrap_first_step(initialize(space, p, 0.05), StepKernel(assemble_static(space), p.ne, 0.05), p)
     assert all(np.all(v == 0.0) for v in s1.current)
     assert s1.time == pytest.approx(0.05)
     assert s1.t_index == 1
@@ -91,7 +91,7 @@ def test_bootstrap_heat_decay_factor():
     p = heat_problem(T=1.0)
     space = build_space(64, 2)
     state = initialize(space, p, delta)
-    s1 = bootstrap_first_step(state, StepKernel(assemble_static(space), p.ne), p)
+    s1 = bootstrap_first_step(state, StepKernel(assemble_static(space), p.ne, delta), p)
     norm = lambda v: l2_error_vs_function(space, v, np.zeros_like)
     ratio = norm(s1.current[0]) / norm(state.current[0])
     assert ratio < 1.0
@@ -103,7 +103,7 @@ def test_bootstrap_example1_first_step_accuracy():
     # at these parameters, asserted with a tenfold margin
     p = example1()
     space = build_space(100, 2)
-    s1 = bootstrap_first_step(initialize(space, p, 0.01), StepKernel(assemble_static(space), p.ne), p)
+    s1 = bootstrap_first_step(initialize(space, p, 0.01), StepKernel(assemble_static(space), p.ne, 0.01), p)
     rec = measure(p, space, s1.time, s1.current)
     assert max(rec.l2_moving) <= 5e-4
 
@@ -496,7 +496,7 @@ def assert_zero_boundaries_and_read_only(v):
 def test_state_vectors_are_read_only_and_observers_get_them():
     p = example1()
     space = build_space(4, 2)
-    kernel = StepKernel(assemble_static(space), p.ne)
+    kernel = StepKernel(assemble_static(space), p.ne, 0.05)
     s0 = initialize(space, p, 0.05)
     s1 = bootstrap_first_step(s0, kernel, p)
     s2 = advance(s1, kernel, p)
@@ -769,14 +769,15 @@ def kernel_steps(nt, k):
     """The kernel's result and the arguments of `plain_equation` for six
     one-equation steps on example1's motion with random data, each by
     `solve_all` on the banded path from a level whose V^(n-1) is a random
-    (1, n) array, the load the kernel's one row of loads; a repeated delta
-    keeps M/dt, a new one recomputes it."""
+    (1, n) array, the load the kernel's one row of loads; one kernel per
+    delta, which the two levels of delta 0.01 share."""
     motion = example1().motion
     space = build_space(nt, k)
     ops = assemble_static(space)
-    kernel = StepKernel(ops, 1)
+    kernels = {delta: StepKernel(ops, 1, delta) for delta in (0.01, 0.007)}
     rng = np.random.default_rng(nt + k)
     for n, delta, a_i in ((10, 0.01, 1.7), (11, 0.01, 2.3), (17, 0.007, 0.9)):
+        kernel = kernels[delta]
         one = constant_problem(motion, (a_i,))
         for _ in range(2):
             v_prev = rng.standard_normal(space.n_dofs)
@@ -913,12 +914,12 @@ def test_condensed_solve_agrees_with_the_banded_solve(nt, k, shrinking, condensa
     rng = np.random.default_rng(nt + 10 * k + shrinking)
     space = build_space(nt, k)
     ops = assemble_static(space)
-    kernel = StepKernel(ops, 2)
     eps = np.finfo(float).eps
     for _ in range(2):
         rate = rng.uniform(0.2, 1.0)
         motion = linear_motion(rng.uniform(-1.0, 1.0), -rate if shrinking else rate)
         t, dt = rng.uniform(0.05, 0.5), rng.uniform(1e-3, 0.05)
+        kernel = StepKernel(ops, 2, dt)
         a = rng.uniform(0.05, 5.0, size=2).tolist()
         # the last level whose step's midpoint is at most t
         got, v_prev, loads = random_step(kernel, constant_problem(motion, a), int(t / dt - 0.5), dt, rng)
@@ -952,7 +953,7 @@ def test_both_solves_give_the_same_bits_on_either_band_order(nt, k, monkeypatch)
         return _eliminate_interiors(blocks, b, work)
 
     monkeypatch.setattr(stepper, "_eliminate_interiors", keep)
-    kernel = StepKernel(assemble_static(build_space(nt, k)), 2)
+    kernel = StepKernel(assemble_static(build_space(nt, k)), 2, 0.01)
     got, v_prev, _ = random_step(
         kernel, constant_problem(linear_motion(0.3, 0.6), (0.9, 2.2)), 19, 0.01, np.random.default_rng(nt + k)
     )
@@ -1070,7 +1071,7 @@ def test_a_condensing_kernels_banded_step_has_the_bits_of_a_band_kernel(case, mo
     steps = []
     for threshold in (CONDENSE_MIN_ELEMENTS, 10**9):
         monkeypatch.setattr(stepper, "CONDENSE_MIN_ELEMENTS", threshold)
-        kernel = StepKernel(ops, p.ne)
+        kernel = StepKernel(ops, p.ne, dt)
         got, _, _ = random_step(kernel, p, n, dt, np.random.default_rng(5))
         steps.append((kernel.large, kernel.stack.shape[0], got.tobytes()))
     (store_large, store_planes, got), (band_large, band_rows, want) = steps
@@ -1111,7 +1112,7 @@ def test_both_solve_paths_are_within_the_last_bit_rule_of_an_exact_solve(k, dt, 
     ops = assemble_static(build_space(8, k))
     for threshold in (10**9, 1) if k >= 2 else (10**9,):
         monkeypatch.setattr(stepper, "CONDENSE_MIN_ELEMENTS", threshold)
-        kernel = StepKernel(ops, 1)
+        kernel = StepKernel(ops, 1, dt)
         (got,), (v_prev,), (load,) = random_step(kernel, p, {0.005: 59, 0.5: 0}[dt], dt, np.random.default_rng(k))
         expected, interior = exact_step(kernel, 1.3, v_prev, load)
         bound = LAST_BIT_C * eps * condition_1norm(interior) * np.abs(expected).max()
@@ -1127,7 +1128,7 @@ def test_a_pinching_step_takes_the_banded_solve(condensations):
     p = constant_problem(motion, (1.3,))
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     ops = assemble_static(space)
-    kernel = StepKernel(ops, p.ne)
+    kernel = StepKernel(ops, p.ne, 0.005)
     rng = np.random.default_rng(3)
     for n, condensed, reference in ((99, [1], plain_condensed), (199, [], plain_equation)):
         condensations.clear()
@@ -1145,7 +1146,7 @@ def test_condensing_equations_end_to_end_equals_condensing_each_alone(nt, k, a, 
     motion = linear_motion(0.3, 0.6)
     space = build_space(nt, k)
     ops = assemble_static(space)
-    kernel = StepKernel(ops, len(a))
+    kernel = StepKernel(ops, len(a), 0.01)
     got, v_prev, loads = random_step(kernel, constant_problem(motion, a), 19, 0.01, np.random.default_rng(nt))
     assert condensations == [len(a)]
     for a_i, v, load, u in zip(a, v_prev, loads, got):
@@ -1163,7 +1164,7 @@ def test_a_zero_diffusion_coefficient_takes_the_banded_solve_for_every_equation(
     motion = linear_motion(0.3, 0.6)
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
     ops = assemble_static(space)
-    kernel = StepKernel(ops, len(a))
+    kernel = StepKernel(ops, len(a), 0.01)
     got, v_prev, loads = random_step(kernel, constant_problem(motion, a), 19, 0.01, np.random.default_rng(5))
     assert kernel.condense and condensations == []
     for a_i, v, load, u in zip(a, v_prev, loads, got):
@@ -1200,7 +1201,7 @@ def test_motion_calls_per_advance_do_not_grow_with_ne():
             T=1.0,
         )
         space = build_space(4, 2)
-        kernel = StepKernel(assemble_static(space), p.ne)
+        kernel = StepKernel(assemble_static(space), p.ne, 0.1)
         s1 = bootstrap_first_step(initialize(space, p, 0.1), kernel, p)
         before = dict(counts)
         advance(s1, kernel, p)
@@ -1218,8 +1219,8 @@ def test_begin_step_has_the_bits_of_the_motion_methods(make):
     # `step_frame` call: the same bits as calling the three methods
     p = make()
     space = build_space(8, 3)
-    kernel = StepKernel(assemble_static(space), p.ne)
     delta = p.T / 16
+    kernel = StepKernel(assemble_static(space), p.ne, delta)
     state = initialize(space, p, delta)
     for n in (0, 6, 15):
         kernel.begin_step(p, replace(state, t_index=n))
@@ -1247,7 +1248,7 @@ def test_a_forcing_that_fills_a_new_array_has_the_load_bits_of_its_elementwise_f
     space = build_space(16, 3)
     loads = []
     for problem in (p, filled):
-        kernel = StepKernel(assemble_static(space), p.ne)
+        kernel = StepKernel(assemble_static(space), p.ne, 0.01)
         kernel.begin_step(problem, replace(initialize(space, problem, 0.01), t_index=5))
         assert kernel.x_q.shape == (len(space.quad.weights), space.n_elements)
         assert kernel.x_q.flags.c_contiguous
@@ -1307,7 +1308,7 @@ def test_a_step_builds_no_banded_matrix(nt, monkeypatch, condensations):
     # solves, over the windows (nt = 4) or the vertex systems
     p = example1()
     space = build_space(nt, 2)
-    kernel = StepKernel(assemble_static(space), p.ne)
+    kernel = StepKernel(assemble_static(space), p.ne, 0.01)
     s1 = bootstrap_first_step(initialize(space, p, 0.01), kernel, p)
     counts = {"built": 0, "solve": 0}
     init, solve = BandedMatrix.__init__, BandedMatrix.solve
@@ -1337,7 +1338,7 @@ def test_a_step_makes_one_nonlocal_call_and_no_element_view(nt, monkeypatch, con
     # succeeds never formats the name its errors would give it
     p = example1()
     space = build_space(nt, 2)
-    kernel = StepKernel(assemble_static(space), p.ne)
+    kernel = StepKernel(assemble_static(space), p.ne, 0.01)
     counts = {"nonlocal": 0, "views": 0, "labels": 0}
 
     def counting(key, fn):
@@ -1368,7 +1369,7 @@ def test_a_step_label_reads_as_the_eager_text_did():
     space = build_space(4, 2)
     ops = assemble_static(space)
     zero = BandedMatrix(np.zeros_like(ops.mass.data), 2)
-    kernel = StepKernel(replace(ops, mass=zero, conv_const=zero, conv_linear=zero), p.ne)
+    kernel = StepKernel(replace(ops, mass=zero, conv_const=zero, conv_linear=zero), p.ne, 0.1)
     state = initialize(space, p, 0.1)
     kernel.begin_step(p, replace(state, t_index=2))
     l_init = nonlocal_value(kernel.weights, state.current, p.motion.gamma(0.0))
@@ -1383,7 +1384,7 @@ def implicit_final_level(p, space, delta):
     """Final vectors of the fully implicit Crank-Nicolson scheme: each step
     takes the nonlocal values at the level average (V^n + V^(n+1))/2, found
     by fixed-point iteration from V^n until no entry moves by 1e-14."""
-    kernel = StepKernel(assemble_static(space), p.ne)
+    kernel = StepKernel(assemble_static(space), p.ne, delta)
     state = initialize(space, p, delta)
     n_steps = len(level_grid(p.T, delta)) - 1
     for n in range(n_steps):
@@ -1446,7 +1447,7 @@ def test_convection_is_the_transformed_advection_term(problem, times, k):
     p = problem()
     motion = p.motion
     space = build_space(3, k)
-    kernel = StepKernel(assemble_static(space), p.ne)
+    kernel = StepKernel(assemble_static(space), p.ne, 0.01)
     state = initialize(space, p, 0.01)
     for t in times:
         # the step from the level nearest t, about t + 0.005
@@ -1489,10 +1490,10 @@ def test_singular_system_names_step_time_and_equation(k):
     state = initialize(space, p, 0.01)
     n = space.n_dofs - 2  # the interior unknowns
     with pytest.raises(RuntimeError, match=rf"singular Crank-Nicolson system at the predictor of step 1 \(t=0\.01\), equation 1 \(zero pivot at unknown 1 of {n}\)$"):
-        bootstrap_first_step(state, StepKernel(singular, p.ne), p)
-    s1 = bootstrap_first_step(state, StepKernel(ops, p.ne), p)
+        bootstrap_first_step(state, StepKernel(singular, p.ne, 0.01), p)
+    s1 = bootstrap_first_step(state, StepKernel(ops, p.ne, 0.01), p)
     with pytest.raises(RuntimeError, match=rf"singular Crank-Nicolson system at step 2 \(t=0\.02\), equation 1 \(zero pivot at unknown 1 of {n}\)$"):
-        advance(s1, StepKernel(singular, p.ne), p)
+        advance(s1, StepKernel(singular, p.ne, 0.01), p)
 
 
 @pytest.mark.parametrize("nt", [4, CONDENSE_MIN_ELEMENTS])
@@ -1510,7 +1511,7 @@ def test_a_singular_equation_is_reported_before_a_non_finite_earlier_one(nt, con
     space = build_space(nt, 2)
     ops = assemble_static(space)
     zero = BandedMatrix(np.zeros_like(ops.mass.data), 2)
-    kernel = StepKernel(replace(ops, mass=zero, conv_const=zero, conv_linear=zero), p.ne)
+    kernel = StepKernel(replace(ops, mass=zero, conv_const=zero, conv_linear=zero), p.ne, 0.01)
     n = space.n_dofs - 2  # the interior unknowns
     with pytest.raises(RuntimeError, match=rf"singular Crank-Nicolson system at the predictor of step 1 \(t=0\.01\), equation 1 \(zero pivot at unknown 1 of {n}\)$"):
         bootstrap_first_step(initialize(space, p, 0.01), kernel, p)
@@ -1542,12 +1543,53 @@ def test_the_corrector_names_its_step():
         run(p, space, 0.01)
 
 
+def nan_forcing_after(p, t0):
+    """p with its second forcing NaN at every t > t0."""
+    return replace(p, forcing=(p.forcing[0], lambda x, t: np.full_like(x, np.nan if t > t0 else 0.0)))
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        # a_2 falls from 3.744 (step 1) to 3.734 (step 2) and 3.727 (step 3)
+        (
+            lambda p: replace(p, diffusion_bounds=(p.diffusion_bounds[0], (3.73, 5.0))),
+            r"diffusion coefficient of equation 1 is 3\.72\d* at arguments \(.*\), outside declared bounds \[3\.73, 5\.0\], in step 3 \(t=0\.03\)",
+        ),
+        (
+            lambda p: replace(p, diffusion_bounds=(p.diffusion_bounds[0], (1.0, 3.0))),
+            r"diffusion coefficient of equation 1 is 3\.74\d* .*\[1\.0, 3\.0\], in the predictor of step 1 \(t=0\.01\)",
+        ),
+        (lambda p: nan_forcing_after(p, 0.02), r"forcing 1 returned a non-finite value at x=\S+, t=0\.025, in step 3 \(t=0\.03\)"),
+        # alpha' has no value past 0.02, and step 3's midpoint is 0.025
+        (lambda p: replace(p, motion=replace(p.motion, alpha_prime=lambda t: math.sqrt(0.02 - t))), r"math domain error, in step 3 \(t=0\.03\)"),
+    ],
+    ids=["diffusion", "diffusion-predictor", "forcing", "motion"],
+)
+def test_a_value_error_of_a_step_names_the_step(change, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        run(change(replace(example1(), T=0.05)), build_space(4, 2), 0.01)
+
+
+def test_a_kernel_steps_only_levels_of_its_own_delta():
+    # the kernel formed M/delta and 2M/delta for its run's delta when it
+    # was built, so a level of another delta is refused before any work
+    p = example1()
+    space = build_space(4, 2)
+    kernel = StepKernel(assemble_static(space), p.ne, 0.01)
+    state = initialize(space, p, 0.02)
+    for step in (bootstrap_first_step, advance):
+        with pytest.raises(ValueError, match=r"^the step kernel of delta=0\.01 cannot step a level of delta=0\.02$"):
+            step(replace(state, previous=state.current), kernel, p)
+    assert kernel.state is None
+
+
 def test_an_overflow_on_the_condensed_path_is_a_non_finite_solution(condensations):
     # the same overflow on a mesh the kernel condenses: the elimination's
     # inf and NaN reach the solution, not a numpy warning
     p = second_equation_diffusion(1e308)
     space = build_space(CONDENSE_MIN_ELEMENTS, 2)
-    kernel = StepKernel(assemble_static(space), p.ne)
+    kernel = StepKernel(assemble_static(space), p.ne, 0.01)
     state = initialize(space, p, 0.01)
     kernel.begin_step(p, state)
     l_init = [nonlocal_value(kernel.weights, v, p.motion.gamma(0.0)) for v in state.current]
@@ -1583,10 +1625,10 @@ def test_an_overflowing_middle_equation_leaves_the_bits_of_both_neighbours(k, mo
     monkeypatch.setattr(stepper, "_back_substitute", keep)
     motion = fixed_interval(0.0, 0.5, T=3.0)
     finite = constant_problem(motion, (0.9, 1.0, 2.2))
-    kernels.append(StepKernel(assemble_static(space), 3))
+    kernels.append(StepKernel(assemble_static(space), 3, 0.01))
     random_step(kernels[-1], finite, 19, 0.01, np.random.default_rng(7))
     overflowing = constant_problem(motion, (0.9, 1.7e308, 2.2))
-    kernels.append(StepKernel(assemble_static(space), 3))
+    kernels.append(StepKernel(assemble_static(space), 3, 0.01))
     with pytest.raises(RuntimeError, match=r"non-finite solution at step 20 \(t=0\.2\), equation 1$"):
         random_step(kernels[-1], overflowing, 19, 0.01, np.random.default_rng(7))
     before, after = solutions
@@ -1617,5 +1659,5 @@ def test_a_singular_vertex_system_names_step_time_and_equation(condensations):
     for L, a in ((1.0, (1.0, 4.0)), (0.5, (1.7e308, 1.0))):
         p = constant_problem(fixed_interval(0.0, L, T=1.0), a)
         with pytest.raises(RuntimeError, match=rf"singular Crank-Nicolson system at the predictor of step 1 \(t=0\.5\), equation 1 \(zero pivot at unknown 1 of {nt - 1}\)$"):
-            bootstrap_first_step(initialize(space, p, 0.5), StepKernel(fake, p.ne), p)
+            bootstrap_first_step(initialize(space, p, 0.5), StepKernel(fake, p.ne, 0.5), p)
     assert condensations == [2, 2]
